@@ -27,7 +27,6 @@ let () =
     let p = project (int_of_string n) in
     let submission = In_channel.with_open_text path In_channel.input_all in
     let g =
-      Vc_util.Telemetry.define_histogram "grader.grade";
       Vc_util.Telemetry.timed_span "grader.grade" (fun () ->
           Vc_mooc.Autograder.grade p.Vc_mooc.Projects.p_grader submission)
     in

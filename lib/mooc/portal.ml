@@ -498,7 +498,7 @@ let set_cache_dir dirname =
 
 let submit_result session tool input =
   let pre = "portal." ^ tool.tool_name in
-  T.define_histogram (pre ^ ".latency");
+  let key = cache_key tool.tool_name input in
   T.incr (pre ^ ".submits");
   let t0 = T.now () in
   let outcome =
@@ -512,7 +512,6 @@ let submit_result session tool input =
                   lines tool.max_input_lines))
         end
         else begin
-          let key = cache_key tool.tool_name input in
           (* cache-probe and execute are timed into the ambient trace
              context (no-ops outside a traced request), giving the
              request timeline its cache and kernel phases *)
@@ -586,7 +585,7 @@ let submit_result session tool input =
       (Vc_util.Trace_ctx.ambient_attrs ()
       @ [
           ("tool", tool.tool_name);
-          ("digest", Digest.to_hex (cache_key tool.tool_name input));
+          ("digest", Digest.to_hex key);
           ("outcome", outcome_name);
           ("latency_s", Printf.sprintf "%.6f" latency_s);
         ]

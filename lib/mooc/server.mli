@@ -18,11 +18,12 @@
     uploads are distinguishable on a dashboard.
 
     {b Observability.} The server maintains the [server.queue_depth]
-    gauge, the [server.queue_wait] and [server.phase.*] latency
-    histograms, the [server.submitted] / [server.outcome.*] counters,
-    and emits [server.start] / [server.stop] / [job.rejected.*] journal
-    events - all exported over [/metrics] with the [vc_] prefix (see
-    [docs/SERVER.md] and [docs/OBSERVABILITY.md]).
+    gauge, the [server.phase.*] latency histograms ([server.phase.queue]
+    is the admission-to-dequeue wait), the [server.submitted] /
+    [server.outcome.*] counters, and emits [server.start] /
+    [server.stop] / [job.rejected.*] journal events - all exported over
+    [/metrics] with the [vc_] prefix (see [docs/SERVER.md] and
+    [docs/OBSERVABILITY.md]).
 
     {b Request tracing.} Every submission gets a {!Vc_util.Trace_ctx}:
     the caller's trace id when one was supplied (the wire layer's
@@ -101,9 +102,9 @@ val default_config : config
 type t
 
 val start : ?config:config -> unit -> t
-(** Spawn the worker domains and return the running server. Defines the
-    [server.queue_wait] histogram, zeroes the [server.queue_depth]
-    gauge and emits a [server.start] journal event.
+(** Spawn the worker domains and return the running server. Zeroes the
+    [server.queue_depth] gauge and emits a [server.start] journal
+    event.
     @raise Invalid_argument on [workers < 1] or a negative
     [queue_capacity]. *)
 

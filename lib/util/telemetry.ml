@@ -1,21 +1,21 @@
 (* Global instrumentation state, sharded per domain for multicore
-   scaling. Every domain owns a private cell of counters, timer samples,
-   gauges and completed spans (reached through [Domain.DLS]); the
-   renderers merge all cells lazily on the way out.
+   scaling. Every domain owns a private cell of counters, timer
+   histograms, gauges and completed spans (reached through
+   [Domain.DLS]); the renderers merge all cells lazily on the way out.
 
    Domain safety: the per-job fast path is lock-free for the owning
    domain - a counter bump is one [Atomic.fetch_and_add] on a cell the
-   owner already created, a timer sample is a cons onto an immutable
-   list published with a single ref store. The only lock a writer can
-   touch is its own cell mutex, taken once per (domain, metric-name)
-   pair when the name is first seen - structurally growing the cell's
-   hashtable must not race with a renderer walking it. Renderers take
-   each cell's mutex in turn while folding; the short global mutex [mu]
-   guards only the cell registry, the histogram-definition registry and
-   the probe registry (all touched at registration/render time, never
-   per job). Lock ordering: [mu] is never held while a cell mutex is
-   taken within a single operation, and nothing in this module calls
-   back out, so telemetry locks are always innermost.
+   owner already created, a timer observation is a bucket increment on
+   arrays only the owner writes. The only lock a writer can touch is
+   its own cell mutex, taken once per (domain, metric-name) pair when
+   the name is first seen - structurally growing the cell's hashtable
+   must not race with a renderer walking it. Renderers take each cell's
+   mutex in turn while folding; the short global mutex [mu] guards only
+   the cell registry and the probe registry (both touched at
+   registration/render time, never per job). Lock ordering: [mu] is
+   never held while a cell mutex is taken within a single operation,
+   and nothing in this module calls back out, so telemetry locks are
+   always innermost.
 
    [reset] empties every registered cell; it assumes the quiescence any
    exact-counting reader needs anyway (domains that raced a reset may
@@ -43,13 +43,65 @@ type span = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* timers: log-bucketed histograms                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One fixed-size histogram per (timer, domain), DDSketch-style (Masson
+   et al., VLDB 2019): bucket k holds (gamma^(k-1), gamma^k] with gamma =
+   (1 + a) / (1 - a), so its representative 2 gamma^k / (gamma + 1) is
+   within relative error a of every value in it. Slot 0 is the zero
+   bucket (<= [lo], negative, NaN), the last slot the overflow bucket.
+   Sum, sum of squares and max are exact; histograms merge and subtract
+   bucket-wise. *)
+
+type hist = {
+  counts : int array; (* n_slots *)
+  stats : float array; (* sum; sum of squares; max *)
+}
+
+let rel_error = 0.01
+let gamma = (1.0 +. rel_error) /. (1.0 -. rel_error)
+let ln_gamma = Float.log gamma
+let lo = 1e-7 (* 100 ns: below the clock's resolution *)
+let hi = 1e6 (* 11.6 days; larger values are clamped to it *)
+let bucket_of v = int_of_float (Float.ceil (Float.log v /. ln_gamma))
+let k_lo = bucket_of lo
+let n_slots = bucket_of hi - k_lo + 3
+let overflow = n_slots - 1
+
+let slot v =
+  if v > lo then if v <= hi then bucket_of v - k_lo + 1 else overflow else 0
+
+let representative s =
+  if s = 0 then 0.0
+  else 2.0 *. Float.pow gamma (float_of_int (s - 1 + k_lo)) /. (gamma +. 1.0)
+
+let new_hist () = { counts = Array.make n_slots 0; stats = Array.make 3 0.0 }
+
+(* The owner's write: no allocation, no lock *)
+let record h v =
+  let s = slot v in
+  h.counts.(s) <- h.counts.(s) + 1;
+  let v = if v >= 0.0 then Float.min v hi else 0.0 in
+  let st = h.stats in
+  st.(0) <- st.(0) +. v;
+  st.(1) <- st.(1) +. (v *. v);
+  if v > st.(2) then st.(2) <- v
+
+let merge_into acc h =
+  Array.iteri (fun i c -> acc.counts.(i) <- acc.counts.(i) + c) h.counts;
+  acc.stats.(0) <- acc.stats.(0) +. h.stats.(0);
+  acc.stats.(1) <- acc.stats.(1) +. h.stats.(1);
+  acc.stats.(2) <- Float.max acc.stats.(2) h.stats.(2)
+
+(* ------------------------------------------------------------------ *)
 (* per-domain cells                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type cells = {
   c_mu : Mutex.t; (* guards structural growth of the tables below *)
   c_counters : (string, int Atomic.t) Hashtbl.t;
-  c_timers : (string, float list ref) Hashtbl.t; (* newest first *)
+  c_timers : (string, hist) Hashtbl.t;
   c_gauges : (string, (int * float) ref) Hashtbl.t; (* (stamp, value) *)
   mutable c_spans : span list; (* completed roots, newest first *)
 }
@@ -81,6 +133,24 @@ let fold_cells f init =
     (fun acc c -> Mutex.protect c.c_mu (fun () -> f acc c))
     init (snapshot_cells ())
 
+(* The one merge path of every metric kind: fold the named entries of
+   one table of every cell ([only] keeps a single name), sorted by name. *)
+let merged table ~init ~add ?only () =
+  let tbl = Hashtbl.create 64 in
+  fold_cells
+    (fun () c ->
+      Hashtbl.iter
+        (fun k v ->
+          if only = None || only = Some k then
+            let acc =
+              match Hashtbl.find_opt tbl k with Some a -> a | None -> init ()
+            in
+            Hashtbl.replace tbl k (add acc v))
+        (table c))
+    ();
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
 (* ------------------------------------------------------------------ *)
 (* counters                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -96,27 +166,14 @@ let incr ?(by = 1) name =
     Mutex.protect c.c_mu (fun () ->
         Hashtbl.add c.c_counters name (Atomic.make by))
 
-let counter name =
-  fold_cells
-    (fun acc c ->
-      match Hashtbl.find_opt c.c_counters name with
-      | Some a -> acc + Atomic.get a
-      | None -> acc)
-    0
+let merged_counters =
+  merged (fun c -> c.c_counters) ~init:(fun () -> 0) ~add:(fun n a ->
+      n + Atomic.get a)
 
-let counters () =
-  let tbl = Hashtbl.create 64 in
-  fold_cells
-    (fun () c ->
-      Hashtbl.iter
-        (fun k a ->
-          let v = Atomic.get a in
-          match Hashtbl.find_opt tbl k with
-          | Some r -> r := !r + v
-          | None -> Hashtbl.add tbl k (ref v))
-        c.c_counters)
-    ();
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [] |> List.sort compare
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (merged_counters ~only:name ()))
+
+let counters () = merged_counters ()
 
 (* ------------------------------------------------------------------ *)
 (* timers                                                              *)
@@ -133,49 +190,82 @@ type timer_summary = {
   stddev_s : float;
 }
 
-let observe name dt =
+let summarize h =
+  let count = Array.fold_left ( + ) 0 h.counts in
+  if count <= 0 then None
+  else
+    let n = float_of_int count and total_s = h.stats.(0) in
+    let mean_s = total_s /. n and max_s = h.stats.(2) in
+    let var = (h.stats.(1) /. n) -. (mean_s *. mean_s) in
+    (* nearest rank, as Stats.percentile *)
+    let percentile p =
+      let rank = max 1 (int_of_float (Float.ceil (p /. 100.0 *. n))) in
+      let rec go s seen =
+        let seen = seen + h.counts.(s) in
+        if seen >= rank || s = overflow then Float.min (representative s) max_s
+        else go (s + 1) seen
+      in
+      go 0 0
+    in
+    Some
+      {
+        count;
+        total_s;
+        mean_s;
+        p50_s = percentile 50.0;
+        p90_s = percentile 90.0;
+        p99_s = percentile 99.0;
+        max_s;
+        stddev_s = sqrt (Float.max 0.0 var);
+      }
+
+let observe name v =
   let c = my_cells () in
-  match Hashtbl.find_opt c.c_timers name with
-  | Some l -> l := dt :: !l (* publish one immutable cons; lock-free *)
-  | None ->
-    Mutex.protect c.c_mu (fun () -> Hashtbl.add c.c_timers name (ref [ dt ]))
+  (* [find], not [find_opt]: the hit path allocates nothing *)
+  match Hashtbl.find c.c_timers name with
+  | h -> record h v
+  | exception Not_found ->
+    let h = new_hist () in
+    record h v;
+    Mutex.protect c.c_mu (fun () -> Hashtbl.add c.c_timers name h)
 
-(* Merged raw samples for one name. Order across domains is
-   unspecified; every consumer (percentiles, bucketing) is
-   order-insensitive. *)
-let timer_samples name =
-  fold_cells
-    (fun acc c ->
-      match Hashtbl.find_opt c.c_timers name with
-      | Some l -> List.rev_append !l acc
-      | None -> acc)
-    []
+type snapshot = hist
 
-let all_timer_samples () =
-  let tbl = Hashtbl.create 64 in
-  fold_cells
-    (fun () c ->
-      Hashtbl.iter
-        (fun k l ->
-          let s = !l in
-          match Hashtbl.find_opt tbl k with
-          | Some r -> r := List.rev_append s !r
-          | None -> Hashtbl.add tbl k (ref s))
-        c.c_timers)
-    ();
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
+let snapshots =
+  merged (fun c -> c.c_timers) ~init:new_hist ~add:(fun acc h ->
+      merge_into acc h;
+      acc)
+
+let snapshot name = List.assoc_opt name (snapshots ~only:name ())
+
+let window ?prev cur =
+  match prev with
+  | Some p when Array.for_all2 ( <= ) p.counts cur.counts ->
+    let counts = Array.map2 ( - ) cur.counts p.counts in
+    (* a max does not subtract: take the window's top bucket instead *)
+    let rec top s = if s = 0 || counts.(s) > 0 then s else top (s - 1) in
+    summarize
+      {
+        counts;
+        stats =
+          [|
+            cur.stats.(0) -. p.stats.(0);
+            cur.stats.(1) -. p.stats.(1);
+            Float.min (representative (top overflow)) cur.stats.(2);
+          |];
+      }
+  | _ -> summarize cur (* no previous snapshot, or a reset came between *)
+
+let timer name = Option.bind (snapshot name) summarize
+
+let timers () =
+  List.filter_map
+    (fun (k, h) -> Option.map (fun s -> (k, s)) (summarize h))
+    (snapshots ())
 
 (* ------------------------------------------------------------------ *)
-(* histograms                                                          *)
+(* Prometheus buckets                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Fixed-bucket histograms exist for the Prometheus exposition: a scrape
-   wants pre-bucketed counts, not the raw sample list. A histogram is an
-   upgrade of a timer - [define_histogram name] registers a bucket
-   layout, and the scrape-time renderers bucket the merged raw samples
-   on demand. Nothing happens on the per-observation hot path, and
-   "backfill" is automatic: the buckets are always computed from every
-   sample the timer ever recorded, whenever the definition arrived. *)
 
 type hist_summary = {
   buckets : (float * int) list; (* (upper bound, cumulative count) *)
@@ -191,60 +281,25 @@ let default_buckets =
     5e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0;
   ]
 
-(* name -> strictly increasing upper bounds; guarded by mu *)
-let hist_defs : (string, float array) Hashtbl.t = Hashtbl.create 16
-
-let define_histogram ?(buckets = default_buckets) name =
-  (match buckets with
-  | [] -> invalid_arg "Telemetry.define_histogram: no buckets"
-  | _ ->
-    List.iter2
-      (fun a b ->
-        if b <= a then
-          invalid_arg "Telemetry.define_histogram: buckets not increasing")
-      (List.filteri (fun i _ -> i < List.length buckets - 1) buckets)
-      (List.tl buckets));
-  locked (fun () ->
-      if not (Hashtbl.mem hist_defs name) then
-        Hashtbl.add hist_defs name (Array.of_list buckets))
-
-let bucketize bounds samples =
-  let n = Array.length bounds in
-  let counts = Array.make n 0 in
-  let sum = ref 0.0 and total = ref 0 in
-  List.iter
-    (fun v ->
-      sum := !sum +. v;
-      Stdlib.incr total;
-      (* first bucket whose upper bound contains v; linear scan is fine
-         for ~20 buckets at scrape time *)
-      let rec place i =
-        if i >= n then () (* over-range: counted only in total (+Inf) *)
-        else if v <= bounds.(i) then counts.(i) <- counts.(i) + 1
-        else place (i + 1)
-      in
-      place 0)
-    samples;
-  let cum = ref 0 in
+(* Each fine bucket is counted under the first bound at or above its
+   representative - the same value the percentiles report. *)
+let fold_buckets h =
+  let s = ref 0 and cum = ref 0 in
   let buckets =
-    Array.to_list
-      (Array.mapi
-         (fun i bound ->
-           cum := !cum + counts.(i);
-           (bound, !cum))
-         bounds)
+    List.map
+      (fun le ->
+        while !s < n_slots && representative !s <= le do
+          cum := !cum + h.counts.(!s);
+          Stdlib.incr s
+        done;
+        (le, !cum))
+      default_buckets
   in
-  { buckets; hist_sum = !sum; hist_count = !total }
+  let hist_count = Array.fold_left ( + ) 0 h.counts in
+  { buckets; hist_sum = h.stats.(0); hist_count }
 
-let histogram name =
-  match locked (fun () -> Hashtbl.find_opt hist_defs name) with
-  | None -> None
-  | Some bounds -> Some (bucketize bounds (timer_samples name))
-
-let histograms () =
-  locked (fun () -> Hashtbl.fold (fun k b acc -> (k, b) :: acc) hist_defs [])
-  |> List.map (fun (k, bounds) -> (k, bucketize bounds (timer_samples k)))
-  |> List.sort compare
+let histogram name = Option.map fold_buckets (snapshot name)
+let histograms () = List.map (fun (k, h) -> (k, fold_buckets h)) (snapshots ())
 
 (* ------------------------------------------------------------------ *)
 (* gauges                                                              *)
@@ -264,32 +319,16 @@ let set_gauge name v =
     Mutex.protect c.c_mu (fun () ->
         Hashtbl.add c.c_gauges name (ref (stamp, v)))
 
-let gauge name =
-  fold_cells
-    (fun acc c ->
-      match Hashtbl.find_opt c.c_gauges name with
-      | Some r ->
-        let stamp, v = !r in
-        (match acc with
-        | Some (s0, _) when s0 > stamp -> acc
-        | _ -> Some (stamp, v))
-      | None -> acc)
-    None
-  |> Option.map snd
+(* newest stamp wins *)
+let merged_gauges =
+  merged (fun c -> c.c_gauges) ~init:(fun () -> (-1, nan)) ~add:(fun a r ->
+      let g = !r in
+      if fst a > fst g then a else g)
 
-let gauges () =
-  let tbl = Hashtbl.create 16 in
-  fold_cells
-    (fun () c ->
-      Hashtbl.iter
-        (fun k r ->
-          let stamp, v = !r in
-          match Hashtbl.find_opt tbl k with
-          | Some (s0, _) when s0 > stamp -> ()
-          | _ -> Hashtbl.replace tbl k (stamp, v))
-        c.c_gauges)
-    ();
-  Hashtbl.fold (fun k (_, v) acc -> (k, v) :: acc) tbl [] |> List.sort compare
+let gauge name =
+  Option.map snd (List.assoc_opt name (merged_gauges ~only:name ()))
+
+let gauges () = List.map (fun (k, (_, v)) -> (k, v)) (merged_gauges ())
 
 (* The clock is wall time, not monotonic: an NTP step mid-measurement can
    make [now () -. t0] negative, so computed durations clamp at zero. *)
@@ -304,29 +343,6 @@ let time name f =
   | exception e ->
     observe name (elapsed_since t0);
     raise e
-
-(* All descriptive statistics come from Vc_util.Stats - the one
-   percentile/stddev implementation shared with Journal_query and the
-   bench report printers. *)
-let summarize samples =
-  {
-    count = List.length samples;
-    total_s = List.fold_left ( +. ) 0.0 samples;
-    mean_s = Stats.mean samples;
-    p50_s = Stats.percentile samples 50.0;
-    p90_s = Stats.percentile samples 90.0;
-    p99_s = Stats.percentile samples 99.0;
-    max_s = Stats.maximum samples;
-    stddev_s = Stats.stddev samples;
-  }
-
-let timer name =
-  match timer_samples name with [] -> None | samples -> Some (summarize samples)
-
-let timers () =
-  all_timer_samples ()
-  |> List.map (fun (k, l) -> (k, summarize l))
-  |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* trace spans: recording                                              *)
@@ -412,47 +428,34 @@ let probes () =
 let report () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "== telemetry report ==\n";
-  let cs = counters () in
-  if cs <> [] then begin
-    Buffer.add_string b "counters:\n";
-    List.iter
-      (fun (k, v) -> Buffer.add_string b (Printf.sprintf "  %-40s %10d\n" k v))
-      cs
-  end;
-  let gs = gauges () in
-  if gs <> [] then begin
-    Buffer.add_string b "gauges:\n";
-    List.iter
-      (fun (k, v) -> Buffer.add_string b (Printf.sprintf "  %-40s %10g\n" k v))
-      gs
-  end;
-  let ts = timers () in
-  if ts <> [] then begin
-    Buffer.add_string b
-      "timers (count / total ms / mean ms / p50 ms / p90 ms / p99 ms / max \
-       ms / stddev ms):\n";
-    List.iter
-      (fun (k, s) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "  %-40s %6d %9.2f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n" k
-             s.count (1e3 *. s.total_s) (1e3 *. s.mean_s) (1e3 *. s.p50_s)
-             (1e3 *. s.p90_s) (1e3 *. s.p99_s) (1e3 *. s.max_s)
-             (1e3 *. s.stddev_s)))
-      ts
-  end;
-  let ps = probes () in
-  if ps <> [] then begin
-    Buffer.add_string b "kernel probes:\n";
-    List.iter
-      (fun (name, kvs) ->
-        Buffer.add_string b (Printf.sprintf "  %s:\n" name);
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string b (Printf.sprintf "    %-36s %10d\n" k v))
-          kvs)
-      ps
-  end;
+  (* a section is omitted when it has no rows *)
+  let section title row rows =
+    if rows <> [] then begin
+      Buffer.add_string b title;
+      List.iter (fun r -> Buffer.add_string b (row r)) rows
+    end
+  in
+  section "counters:\n"
+    (fun (k, v) -> Printf.sprintf "  %-40s %10d\n" k v)
+    (counters ());
+  section "gauges:\n"
+    (fun (k, v) -> Printf.sprintf "  %-40s %10g\n" k v)
+    (gauges ());
+  section
+    "timers (count / total ms / mean ms / p50 ms / p90 ms / p99 ms / max \
+     ms / stddev ms):\n"
+    (fun (k, s) ->
+      Printf.sprintf "  %-40s %6d %9.2f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n"
+        k s.count (1e3 *. s.total_s) (1e3 *. s.mean_s) (1e3 *. s.p50_s)
+        (1e3 *. s.p90_s) (1e3 *. s.p99_s) (1e3 *. s.max_s)
+        (1e3 *. s.stddev_s))
+    (timers ());
+  section "kernel probes:\n"
+    (fun (name, kvs) ->
+      String.concat ""
+        (Printf.sprintf "  %s:\n" name
+        :: List.map (fun (k, v) -> Printf.sprintf "    %-36s %10d\n" k v) kvs))
+    (probes ());
   Buffer.add_string b
     (Printf.sprintf "trace spans recorded: %d\n" (span_count ()));
   Buffer.contents b
@@ -570,7 +573,6 @@ let to_prometheus () =
       family n "gauge" (Printf.sprintf "Telemetry gauge %s." k);
       Buffer.add_string b (Printf.sprintf "%s %s\n" n (prom_float v)))
     (gauges ());
-  let hists = histograms () in
   List.iter
     (fun (k, h) ->
       let n = prom_name k ^ "_seconds" in
@@ -584,23 +586,7 @@ let to_prometheus () =
         (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n h.hist_count);
       Buffer.add_string b (Printf.sprintf "%s_sum %s\n" n (prom_float h.hist_sum));
       Buffer.add_string b (Printf.sprintf "%s_count %d\n" n h.hist_count))
-    hists;
-  (* timers that were not upgraded to histograms still appear, as
-     summaries with exact quantiles off the raw samples *)
-  List.iter
-    (fun (k, s) ->
-      if not (List.mem_assoc k hists) then begin
-        let n = prom_name k ^ "_seconds" in
-        family n "summary" (Printf.sprintf "Timer %s (seconds)." k);
-        List.iter
-          (fun (q, v) ->
-            Buffer.add_string b
-              (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n q (prom_float v)))
-          [ ("0.5", s.p50_s); ("0.9", s.p90_s); ("0.99", s.p99_s) ];
-        Buffer.add_string b (Printf.sprintf "%s_sum %s\n" n (prom_float s.total_s));
-        Buffer.add_string b (Printf.sprintf "%s_count %d\n" n s.count)
-      end)
-    (timers ());
+    (histograms ());
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -616,7 +602,6 @@ let reset () =
           Hashtbl.reset c.c_gauges;
           c.c_spans <- []))
     (snapshot_cells ());
-  locked (fun () -> Hashtbl.reset hist_defs);
   (* only the calling domain's open-span stack can be cleared - other
      domains own theirs *)
   Domain.DLS.get span_stack_key := []

@@ -11,22 +11,23 @@
     [--stats] and [--trace FILE] flags (see {!cli}).
 
     All state is global to the process and {e domain-safe}, and the
-    write path scales: every domain records counters, timer samples,
-    gauge writes and completed spans into its {e own} per-domain cells
-    ([Domain.DLS]), so {!Vc_mooc.Server}'s worker domains instrument
-    without contending on a shared lock - the steady-state {!incr} /
-    {!observe} / {!set_gauge} path is lock-free (an atomic op or a list
-    push on domain-owned storage). The read side ({!counter},
-    {!timers}, {!report}, {!to_json}, {!to_prometheus}, ...) merges all
-    domains' cells on demand: counters sum, timer samples concatenate,
-    gauges resolve last-write-wins via a global version stamp, and
-    histogram buckets are computed lazily from the merged samples at
-    render time. Trace spans nest on a per-domain stack ({!with_span}
-    trees never interleave across domains); completed top-level spans
-    stay in their domain's cell and are merged (ordered by start time)
-    by {!spans}. See [docs/CONCURRENCY.md] for the full model.
-    Everything here is plain OCaml + the [unix] library shipped with
-    the compiler - no third-party dependencies. *)
+    write path scales: every domain records counters, timer
+    observations, gauge writes and completed spans into its {e own}
+    per-domain cells ([Domain.DLS]), so {!Vc_mooc.Server}'s worker
+    domains instrument without contending on a shared lock - the
+    steady-state {!incr} / {!observe} / {!set_gauge} path is lock-free
+    (an atomic op or a bucket increment on domain-owned storage). Memory
+    is bounded: a timer is one fixed-size histogram per domain, never a
+    list of samples. The read side ({!counter}, {!timers}, {!report},
+    {!to_json}, {!to_prometheus}, ...) merges all domains' cells on
+    demand: counters and histogram buckets sum, gauges resolve
+    last-write-wins via a global version stamp. Trace spans nest on a
+    per-domain stack ({!with_span} trees never interleave across
+    domains); completed top-level spans stay in their domain's cell and
+    are merged (ordered by start time) by {!spans}. See
+    [docs/CONCURRENCY.md] for the full model. Everything here is plain
+    OCaml + the [unix] library shipped with the compiler - no
+    third-party dependencies. *)
 
 (** {1 Counters} *)
 
@@ -42,72 +43,73 @@ val counter : string -> int
 val counters : unit -> (string * int) list
 (** All counters, sorted by name. *)
 
-(** {1 Timers} *)
+(** {1 Timers}
+
+    A timer is one fixed-size (~12 KB) log-bucketed histogram per
+    domain, DDSketch-style: each bucket's representative is within
+    {!rel_error} of every value it holds, from 100 ns to 10{^6} s. A
+    zero bucket takes smaller, negative and NaN values (reported as 0);
+    an overflow bucket takes larger ones, clamped to 10{^6} s. [count],
+    [total_s], [mean_s], [max_s] and [stddev_s] are exact; the
+    percentiles are the nearest-rank bucket's representative, clamped
+    to [max_s] - within {!rel_error} of {!Stats.percentile}. *)
 
 val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f ()], records its wall-clock duration as one
-    sample of the named timer, and returns (or re-raises) [f]'s
-    outcome. *)
+(** [time name f] runs [f ()], records its wall-clock duration on the
+    named timer, and returns (or re-raises) [f]'s outcome. *)
 
 val observe : string -> float -> unit
-(** Record an externally measured duration (seconds) as a sample. *)
+(** Record a duration (seconds): O(1), no allocation, lock-free once
+    the name exists in the calling domain; never raises. *)
+
+val rel_error : float
+(** Relative error bound of the percentiles: [0.01]. *)
 
 type timer_summary = {
-  count : int;  (** Number of recorded samples. *)
-  total_s : float;  (** Sum of all samples, seconds. *)
+  count : int;
+  total_s : float;  (** Sum of all observations, seconds. *)
   mean_s : float;
-  p50_s : float;  (** Median, nearest-rank ({!Stats.percentile}). *)
+  p50_s : float;  (** Median, nearest-rank, within {!rel_error}. *)
   p90_s : float;
-  p99_s : float;  (** Tail latency, nearest-rank. *)
+  p99_s : float;
   max_s : float;
-  stddev_s : float;  (** Population standard deviation ({!Stats.stddev}). *)
+  stddev_s : float;  (** Population standard deviation. *)
 }
 
 val timer : string -> timer_summary option
-(** Summary of a timer's samples; [None] if no sample was recorded. *)
+(** Summary merged over every domain; [None] if nothing was recorded. *)
 
 val timers : unit -> (string * timer_summary) list
-(** All timers with at least one sample, sorted by name. *)
+(** All timers, sorted by name. *)
+
+type snapshot
+(** A copy of one timer's merged histogram. *)
+
+val snapshot : string -> snapshot option
+
+val window : ?prev:snapshot -> snapshot -> timer_summary option
+(** [window ~prev cur] summarizes only what was observed between the two
+    snapshots (their bucket-wise difference); [None] if nothing was.
+    Its [max_s] is the top bucket's representative. If a {!reset} came
+    between (a bucket went down), or without [prev], it summarizes
+    [cur]. *)
 
 (** {1 Histograms}
 
-    A histogram upgrades a timer: {!define_histogram} attaches
-    fixed-bucket counts to a timer name, after which every
-    {!observe}/{!time} sample on that name feeds both the raw sample
-    list (so {!timer} percentiles stay exact) and the buckets (so the
-    Prometheus exposition can serve a proper [_bucket] family that
-    aggregates across processes). The portal, flow and grader latency
-    paths define histograms on their timers at startup. *)
-
-val default_buckets : float list
-(** The default latency bucket upper bounds, in seconds: 19 bounds in a
-    1-2.5-5 progression from 10 microseconds to 10 seconds. *)
-
-val define_histogram : ?buckets:float list -> string -> unit
-(** [define_histogram name] declares fixed buckets for the named timer.
-    [buckets] (default {!default_buckets}) are inclusive upper bounds
-    and must be strictly increasing; an implicit [+Inf] bucket is always
-    present. Samples already recorded on the timer are back-filled into
-    the buckets; calling it again for the same name is a no-op (the
-    first bucket layout wins).
-    @raise Invalid_argument if [buckets] is empty or not strictly
-    increasing. *)
+    Every timer's fine buckets folded into 19 Prometheus bounds, a
+    1-2.5-5 progression from 10 microseconds to 10 seconds. A fine
+    bucket counts under the first bound at or above its representative,
+    so a value within {!rel_error} of a bound may land on either side. *)
 
 type hist_summary = {
   buckets : (float * int) list;
-      (** [(upper_bound, cumulative_count)] per declared bucket -
-          cumulative as in the Prometheus exposition, each count
-          includes all smaller buckets. *)
+      (** [(upper_bound, cumulative_count)], as in the exposition. *)
   hist_sum : float;  (** Sum of all observed values, seconds. *)
   hist_count : int;  (** Total observations, including over-range. *)
 }
 
 val histogram : string -> hist_summary option
-(** Current bucket state of a defined histogram; [None] if
-    {!define_histogram} was never called for the name. *)
-
 val histograms : unit -> (string * hist_summary) list
-(** All defined histograms, sorted by name. *)
 
 (** {1 Gauges}
 
@@ -177,7 +179,7 @@ val to_json : unit -> string
 (** The same data as {!report} as a JSON object with fields
     ["counters"], ["gauges"], ["timers"] (per-timer objects with
     [count], [total_s], [mean_s], [p50_s], [p90_s], [p99_s], [max_s],
-    [stddev_s]), ["histograms"] (per-histogram [buckets]/[sum]/[count]),
+    [stddev_s]), ["histograms"] (per-timer [buckets]/[sum]/[count]),
     ["probes"] and ["spans"] (the count of top-level spans).
     Machine-readable; [bench/main.ml] writes it to
     [BENCH_portal.json]. *)
@@ -193,23 +195,21 @@ val to_prometheus : unit -> string
     non-alphanumerics mapped to [_] and a [vc_] prefix. Counters and
     probe readings become [counter] families suffixed [_total] (plus
     [vc_journal_events_total] from {!Journal.event_count}); gauges
-    become [gauge] families; timers with a defined histogram become
-    [histogram] families suffixed [_seconds] with cumulative
-    [_bucket{le="..."}] series, an explicit [+Inf] bucket, [_sum] and
-    [_count]; remaining timers are rendered as [summary] families with
-    exact [quantile="0.5"/"0.9"/"0.99"] series computed from the raw
-    samples. *)
+    become [gauge] families; every timer becomes a [histogram] family
+    suffixed [_seconds] with cumulative [_bucket{le="..."}] series over
+    the {!histograms} bounds, an explicit [+Inf] bucket, [_sum] and
+    [_count]. *)
 
 (** {1 Control} *)
 
 val reset : unit -> unit
-(** Clear counters, gauges, timer samples, histogram definitions and
-    recorded spans across {e all} domains' cells. Registered probes and
-    the clock survive (their counters live in their own modules). Only
-    the calling domain's open-span stack is cleared; other domains own
-    theirs. Call while other domains are quiescent (between test cases,
-    between bench configurations) - a racing writer may land an update
-    in a cell that was already cleared. *)
+(** Clear counters, gauges, timers and recorded spans across {e all}
+    domains' cells. Registered probes and the clock survive (their
+    counters live in their own modules). Only the calling domain's
+    open-span stack is cleared; other domains own theirs. Call while
+    other domains are quiescent (between test cases, between bench
+    configurations) - a racing writer may land an update in a cell that
+    was already cleared. *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the time source (default [Unix.gettimeofday]) - an alias of

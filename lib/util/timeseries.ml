@@ -170,7 +170,8 @@ type source =
       (** delta(num)/delta(den) since last tick; skipped while the
           denominator is idle *)
   | Percentiles of string
-      (** timer -> [name.p50_ms] and [name.p99_ms] series *)
+      (** timer -> [name.p50_ms] and [name.p99_ms] series over the
+          observations since the previous tick *)
   | Utilization of { prefix : string; suffix : string }
       (** every timer [prefix*suffix] -> a [<base>.util] series: the
           per-second rate of its accumulated total, i.e. busy fraction *)
@@ -220,6 +221,7 @@ type sampler = {
   sp_sources : source list;
   sp_profile : bool;
   sp_prev : (string, float) Hashtbl.t; (* last counter/total snapshots *)
+  sp_hists : (string, Telemetry.snapshot) Hashtbl.t; (* last timer snapshots *)
   mutable sp_last_ts : float;
   sp_stop : bool Atomic.t;
   mutable sp_domain : unit Domain.t option;
@@ -261,11 +263,16 @@ let sample_sources t ~now ~dt =
         let dd = snap_delta t (series ^ "#d") (float_of_int (sum_counters counts den)) in
         if dd > 0.0 then record ~ts:now series (Float.max 0.0 dn /. dd)
       | Percentiles name -> (
-        match Telemetry.timer name with
-        | None -> ()
-        | Some s ->
-          record ~ts:now (name ^ ".p50_ms") (1e3 *. s.Telemetry.p50_s);
-          record ~ts:now (name ^ ".p99_ms") (1e3 *. s.Telemetry.p99_s))
+        match Telemetry.snapshot name with
+        | None -> Hashtbl.remove t.sp_hists name
+        | Some cur -> (
+          let prev = Hashtbl.find_opt t.sp_hists name in
+          Hashtbl.replace t.sp_hists name cur;
+          match Telemetry.window ?prev cur with
+          | None -> ()
+          | Some s ->
+            record ~ts:now (name ^ ".p50_ms") (1e3 *. s.Telemetry.p50_s);
+            record ~ts:now (name ^ ".p99_ms") (1e3 *. s.Telemetry.p99_s)))
       | Utilization { prefix; suffix } ->
         List.iter
           (fun (name, (s : Telemetry.timer_summary)) ->
@@ -313,6 +320,7 @@ let create ?(profile = true) ?(sources = server_sources) ~interval () =
       sp_sources = sources;
       sp_profile = profile;
       sp_prev = Hashtbl.create 16;
+      sp_hists = Hashtbl.create 8;
       sp_last_ts = Clock.now ();
       sp_stop = Atomic.make false;
       sp_domain = None;
@@ -332,7 +340,9 @@ let create ?(profile = true) ?(sources = server_sources) ~interval () =
           (float_of_int (sum_counters counts num));
         Hashtbl.replace t.sp_prev (series ^ "#d")
           (float_of_int (sum_counters counts den))
-      | Gauge _ | Percentiles _ | Utilization _ -> ())
+      | Percentiles name ->
+        Option.iter (Hashtbl.replace t.sp_hists name) (Telemetry.snapshot name)
+      | Gauge _ | Utilization _ -> ())
     sources;
   register_routes ();
   t

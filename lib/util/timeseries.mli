@@ -76,7 +76,7 @@ type source =
           recorded while the denominator is idle *)
   | Percentiles of string
       (** timer [name] -> [name.p50_ms] / [name.p99_ms] series over the
-          run-cumulative samples *)
+          observations since the previous tick; an idle tick adds none *)
   | Utilization of { prefix : string; suffix : string }
       (** every timer named [prefix<id>suffix] -> a [prefix<id>.util]
           series: the per-second growth rate of its accumulated total,
@@ -98,9 +98,10 @@ module Sampler : sig
     ?profile:bool -> ?sources:source list -> interval:float -> unit -> t
   (** Build a sampler (default [sources]: {!server_sources};
       [profile:false] skips the {!Profile.tick} per tick), prime its
-      delta snapshots from the current counter values, and register the
-      [/varz] and [/profile] routes. No domain is spawned - drive it
-      with {!tick} (deterministic tests) or use {!start}. *)
+      delta snapshots from the current counter values and timer
+      histograms, and register the [/varz] and [/profile] routes. No
+      domain is spawned - drive it with {!tick} (deterministic tests) or
+      use {!start}. *)
 
   val start :
     ?profile:bool -> ?sources:source list -> interval:float -> unit -> t

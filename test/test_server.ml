@@ -272,7 +272,7 @@ let server_tests =
         check Alcotest.bool "journal event" true
           (has_journal_event "job.rejected.deadline");
         check Alcotest.bool "queue wait was still recorded" true
-          (T.histogram "server.queue_wait" <> None));
+          (T.histogram "server.phase.queue" <> None));
     tc "runaway inputs reach the portal guard through the server" (fun () ->
         fresh ();
         let srv =
@@ -623,7 +623,7 @@ let merge_tests =
         (* counters () sees the merged view too *)
         check Alcotest.bool "merged listing agrees" true
           (List.assoc "merge.shared" (T.counters ()) = 3601);
-        (* timer samples from every domain are merged *)
+        (* timer histograms from every domain are merged *)
         match T.timer "merge.timer" with
         | Some s -> check Alcotest.int "eight samples" 8 s.T.count
         | None -> Alcotest.fail "merged timer missing");

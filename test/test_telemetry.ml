@@ -33,6 +33,16 @@ let with_fake_clock readings f =
         t);
   Fun.protect ~finally:(fun () -> T.set_clock Unix.gettimeofday) f
 
+(* Timer percentiles are bucket representatives: equal to the exact
+   value up to the documented relative error (plus float rounding). *)
+let within_rel expected actual =
+  Float.abs (actual -. expected) <= (T.rel_error *. Float.abs expected) +. 1e-12
+
+let check_rel what expected actual =
+  if not (within_rel expected actual) then
+    Alcotest.failf "%s: %g not within %g%% of %g" what actual
+      (100.0 *. T.rel_error) expected
+
 (* ------------------------------------------------------------------ *)
 (* telemetry core                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -57,7 +67,7 @@ let telemetry_tests =
         | Some s ->
           check Alcotest.int "count" 3 s.T.count;
           check (Alcotest.float 1e-9) "total" 0.060 s.T.total_s;
-          check (Alcotest.float 1e-9) "p50" 0.020 s.T.p50_s;
+          check_rel "p50" 0.020 s.T.p50_s;
           check (Alcotest.float 1e-9) "max" 0.030 s.T.max_s);
     tc "time records one sample per call and returns the value" (fun () ->
         T.reset ();
@@ -794,80 +804,31 @@ let metric_kinds_tests =
         match T.timer "t.p99" with
         | None -> Alcotest.fail "no samples"
         | Some s ->
-          check (Alcotest.float 1e-9) "p99" 0.099 s.T.p99_s;
+          check_rel "p99" 0.099 s.T.p99_s;
           let samples = List.init 100 (fun i -> float_of_int (i + 1) /. 1000.0) in
           check (Alcotest.float 1e-9) "stddev matches Stats"
             (Vc_util.Stats.stddev samples) s.T.stddev_s);
-    tc "define_histogram buckets observations cumulatively" (fun () ->
-        T.reset ();
-        T.define_histogram ~buckets:[ 0.01; 0.1; 1.0 ] "h.lat";
-        T.observe "h.lat" 0.005;
-        T.observe "h.lat" 0.05;
-        T.observe "h.lat" 0.5;
-        T.observe "h.lat" 5.0;
-        (* over-range: only in the +Inf count *)
-        match T.histogram "h.lat" with
-        | None -> Alcotest.fail "histogram vanished"
-        | Some h ->
-          check
-            Alcotest.(list (pair (float 1e-9) int))
-            "cumulative buckets"
-            [ (0.01, 1); (0.1, 2); (1.0, 3) ]
-            h.T.buckets;
-          check Alcotest.int "count includes over-range" 4 h.T.hist_count;
-          check (Alcotest.float 1e-9) "sum" 5.555 h.T.hist_sum);
-    tc "define_histogram back-fills samples already recorded" (fun () ->
-        T.reset ();
-        T.observe "h.late" 0.05;
-        T.observe "h.late" 0.2;
-        T.define_histogram ~buckets:[ 0.1; 1.0 ] "h.late";
-        match T.histogram "h.late" with
-        | Some h ->
-          check
-            Alcotest.(list (pair (float 1e-9) int))
-            "back-filled" [ (0.1, 1); (1.0, 2) ] h.T.buckets
-        | None -> Alcotest.fail "not defined");
-    tc "define_histogram is idempotent and validates buckets" (fun () ->
-        T.reset ();
-        T.define_histogram ~buckets:[ 0.1 ] "h.idem";
-        T.observe "h.idem" 0.05;
-        (* second definition with different buckets must not reset *)
-        T.define_histogram ~buckets:[ 0.5; 1.0 ] "h.idem";
-        (match T.histogram "h.idem" with
-        | Some h ->
-          check
-            Alcotest.(list (pair (float 1e-9) int))
-            "first layout wins" [ (0.1, 1) ] h.T.buckets
-        | None -> Alcotest.fail "not defined");
-        check Alcotest.bool "empty buckets rejected" true
-          (match T.define_histogram ~buckets:[] "h.bad" with
-          | () -> false
-          | exception Invalid_argument _ -> true);
-        check Alcotest.bool "non-increasing rejected" true
-          (match T.define_histogram ~buckets:[ 0.5; 0.5 ] "h.bad2" with
-          | () -> false
-          | exception Invalid_argument _ -> true));
     tc "histogram observations still feed the exact timer" (fun () ->
         T.reset ();
-        T.define_histogram "h.both";
         T.observe "h.both" 0.010;
         T.observe "h.both" 0.030;
         match T.timer "h.both" with
         | Some s ->
           check Alcotest.int "timer count" 2 s.T.count;
-          check (Alcotest.float 1e-9) "timer max" 0.030 s.T.max_s
+          check (Alcotest.float 1e-12) "timer total" 0.040 s.T.total_s;
+          check (Alcotest.float 1e-12) "timer mean" 0.020 s.T.mean_s;
+          check (Alcotest.float 1e-12) "timer max" 0.030 s.T.max_s
         | None -> Alcotest.fail "timer missing");
-    tc "reset clears gauges and histogram definitions" (fun () ->
+    tc "reset clears gauges and histograms" (fun () ->
         T.reset ();
         T.set_gauge "g.gone" 1.0;
-        T.define_histogram "h.gone";
+        T.observe "h.gone" 0.5;
         T.reset ();
         check Alcotest.bool "gauge gone" true (T.gauge "g.gone" = None);
         check Alcotest.bool "histogram gone" true (T.histogram "h.gone" = None));
     tc "to_json carries gauges and histograms" (fun () ->
         T.reset ();
         T.set_gauge "g.j" 2.5;
-        T.define_histogram ~buckets:[ 0.1 ] "h.j";
         T.observe "h.j" 0.05;
         let j = parse_json (T.to_json ()) in
         (match obj_field "gauges" j with
@@ -884,6 +845,131 @@ let metric_kinds_tests =
           check Alcotest.bool "stddev field" true
             (obj_field "stddev_s" t <> None)
         | _ -> Alcotest.fail "no timers object");
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* bounded log-bucketed timer histograms                               *)
+(* ------------------------------------------------------------------ *)
+
+let summary_exn name =
+  match T.timer name with
+  | Some s -> s
+  | None -> Alcotest.failf "timer %s missing" name
+
+let histogram_tests =
+  [
+    tc "observe files negative, NaN and infinite values without raising"
+      (fun () ->
+        T.reset ();
+        List.iter (T.observe "h.odd") [ -1.0; nan; neg_infinity; infinity ];
+        let s = summary_exn "h.odd" in
+        check Alcotest.int "all four counted" 4 s.T.count;
+        check (Alcotest.float 0.0) "median is the zero bucket" 0.0 s.T.p50_s;
+        check (Alcotest.float 0.0) "infinity clamps to the range top" 1e6
+          s.T.max_s;
+        check (Alcotest.float 0.0) "finite total" 1e6 s.T.total_s;
+        match T.histogram "h.odd" with
+        | Some h ->
+          check Alcotest.int "three in the zero bucket" 3
+            (List.assoc 1e-5 h.T.buckets);
+          check Alcotest.int "one over every bound" 3
+            (List.assoc 10.0 h.T.buckets);
+          check Alcotest.int "+Inf count" 4 h.T.hist_count
+        | None -> Alcotest.fail "histogram missing");
+    tc "a million observations neither grow the heap nor allocate"
+      (fun () ->
+        T.reset ();
+        Gc.full_major ();
+        let live0 = (Gc.stat ()).Gc.live_words in
+        T.observe "h.mem" 0.001;
+        let minor0 = Gc.minor_words () in
+        for _ = 2 to 1_000_000 do
+          T.observe "h.mem" 0.001
+        done;
+        let minor = Gc.minor_words () -. minor0 in
+        Gc.full_major ();
+        let grown = (Gc.stat ()).Gc.live_words - live0 in
+        check Alcotest.int "count" 1_000_000 (summary_exn "h.mem").T.count;
+        (* the whole histogram is ~12 KB; 16 KB is the documented ceiling *)
+        if grown >= 16 * 1024 / (Sys.word_size / 8) then
+          Alcotest.failf "heap grew by %d words" grown;
+        if minor > 64.0 then
+          Alcotest.failf "observe allocated %.0f minor words" minor);
+    prop ~count:60
+      "percentiles within rel_error of Stats.percentile, log-uniform 1us..10s"
+      QCheck.(
+        list_of_size
+          Gen.(int_range 1 3000)
+          (float_range (Float.log 1e-6) (Float.log 10.0)))
+      (fun logs ->
+        T.reset ();
+        let xs = List.map Float.exp logs in
+        List.iter (T.observe "h.acc") xs;
+        let s = summary_exn "h.acc" in
+        let module S = Vc_util.Stats in
+        List.for_all
+          (fun (p, v) -> within_rel (S.percentile xs p) v)
+          [ (50.0, s.T.p50_s); (90.0, s.T.p90_s); (99.0, s.T.p99_s) ]
+        && s.T.count = List.length xs
+        && s.T.total_s = List.fold_left ( +. ) 0.0 xs
+        && s.T.mean_s = S.mean xs
+        && s.T.max_s = S.maximum xs);
+    tc "two domains recording disjoint halves merge like one domain"
+      (fun () ->
+        T.reset ();
+        let xs =
+          List.init 2000 (fun i -> 1e-6 *. Float.pow 1.007 (float_of_int i))
+        in
+        List.iter (T.observe "h.one") xs;
+        let half keep =
+          Domain.spawn (fun () ->
+              List.iteri
+                (fun i x -> if i mod 2 = keep then T.observe "h.two" x)
+                xs)
+        in
+        List.iter Domain.join [ half 0; half 1 ];
+        let one = summary_exn "h.one" and two = summary_exn "h.two" in
+        check Alcotest.int "count" one.T.count two.T.count;
+        check (Alcotest.float 0.0) "max" one.T.max_s two.T.max_s;
+        List.iter
+          (fun (what, a, b) -> check (Alcotest.float 0.0) what a b)
+          [
+            ("p50", one.T.p50_s, two.T.p50_s);
+            ("p90", one.T.p90_s, two.T.p90_s);
+            ("p99", one.T.p99_s, two.T.p99_s);
+          ];
+        (* the sums only differ by addition order *)
+        check (Alcotest.float 1e-12) "total" one.T.total_s two.T.total_s;
+        check (Alcotest.float 1e-12) "stddev" one.T.stddev_s two.T.stddev_s;
+        check Alcotest.bool "same folded buckets" true
+          (Option.map (fun h -> h.T.buckets) (T.histogram "h.one")
+          = Option.map (fun h -> h.T.buckets) (T.histogram "h.two")));
+    tc "window subtracts snapshots and survives a reset" (fun () ->
+        T.reset ();
+        let snap () = Option.get (T.snapshot "h.win") in
+        for _ = 1 to 100 do
+          T.observe "h.win" 0.001
+        done;
+        let a = snap () in
+        for _ = 1 to 10 do
+          T.observe "h.win" 0.5
+        done;
+        let b = snap () in
+        (match T.window ~prev:a b with
+        | Some w ->
+          check Alcotest.int "window count" 10 w.T.count;
+          check (Alcotest.float 1e-9) "window total" 5.0 w.T.total_s;
+          check_rel "window p50" 0.5 w.T.p50_s;
+          check_rel "window max" 0.5 w.T.max_s
+        | None -> Alcotest.fail "empty window");
+        check Alcotest.bool "no new observations: no window" true
+          (T.window ~prev:b b = None);
+        T.reset ();
+        T.observe "h.win" 0.002;
+        match T.window ~prev:b (snap ()) with
+        | Some w ->
+          check Alcotest.int "after reset: the current snapshot" 1 w.T.count
+        | None -> Alcotest.fail "reset window lost");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -915,40 +1001,41 @@ let prometheus_tests =
           (contains text "# TYPE vc_portal_cache_size gauge");
         check Alcotest.bool "sample" true
           (contains text "vc_portal_cache_size 17\n"));
-    tc "defined histograms expose _bucket/_sum/_count" (fun () ->
+    tc "every timer exposes _bucket/_sum/_count over the default bounds"
+      (fun () ->
         T.reset ();
-        T.define_histogram ~buckets:[ 0.01; 0.1 ] "flow.route";
-        T.observe "flow.route" 0.005;
-        T.observe "flow.route" 0.05;
-        T.observe "flow.route" 0.5;
+        T.observe "flow.route" 0.004;
+        T.observe "flow.route" 0.04;
+        T.observe "flow.route" 0.4;
+        T.observe "flow.route" 40.0;
         let text = T.to_prometheus () in
         check Alcotest.bool "TYPE histogram" true
           (contains text "# TYPE vc_flow_route_seconds histogram");
-        check Alcotest.bool "first bucket" true
-          (contains text "vc_flow_route_seconds_bucket{le=\"0.01\"} 1\n");
-        check Alcotest.bool "cumulative second bucket" true
-          (contains text "vc_flow_route_seconds_bucket{le=\"0.1\"} 2\n");
-        check Alcotest.bool "+Inf bucket" true
-          (contains text "vc_flow_route_seconds_bucket{le=\"+Inf\"} 3\n");
+        List.iter
+          (fun (le, n) ->
+            check Alcotest.bool ("le " ^ le) true
+              (contains text
+                 (Printf.sprintf "vc_flow_route_seconds_bucket{le=\"%s\"} %d\n"
+                    le n)))
+          [ ("0.0025", 0); ("0.005", 1); ("0.05", 2); ("0.5", 3); ("10", 3);
+            ("+Inf", 4) ];
         check Alcotest.bool "count" true
-          (contains text "vc_flow_route_seconds_count 3\n");
-        check Alcotest.bool "sum" true
-          (contains text "vc_flow_route_seconds_sum 0.555\n");
-        (* a histogram-backed timer must not also render as a summary *)
-        check Alcotest.bool "no summary family" false
-          (contains text "vc_flow_route_seconds{quantile"));
-    tc "plain timers render as summaries with exact quantiles" (fun () ->
+          (contains text "vc_flow_route_seconds_count 4\n");
+        check Alcotest.bool "sum is exact" true
+          (contains text "vc_flow_route_seconds_sum 40.444\n"));
+    tc "plain timers render as histogram families, not summaries" (fun () ->
         T.reset ();
         for i = 1 to 10 do
           T.observe "t.plain" (float_of_int i /. 100.0)
         done;
         let text = T.to_prometheus () in
-        check Alcotest.bool "TYPE summary" true
-          (contains text "# TYPE vc_t_plain_seconds summary");
-        check Alcotest.bool "median" true
-          (contains text "vc_t_plain_seconds{quantile=\"0.5\"} 0.05\n");
-        check Alcotest.bool "p99" true
-          (contains text "vc_t_plain_seconds{quantile=\"0.99\"} 0.1\n");
+        check Alcotest.bool "TYPE histogram" true
+          (contains text "# TYPE vc_t_plain_seconds histogram");
+        check Alcotest.bool "no summary family" false (contains text "summary");
+        check Alcotest.bool "no quantile series" false
+          (contains text "quantile=");
+        check Alcotest.bool "le 0.025 holds the two smallest" true
+          (contains text "vc_t_plain_seconds_bucket{le=\"0.025\"} 2\n");
         check Alcotest.bool "count" true
           (contains text "vc_t_plain_seconds_count 10\n"));
     tc "the journal event count is exported" (fun () ->
@@ -1572,7 +1659,7 @@ let timeseries_tests =
               (match Ts.last "s.hit_rate" with
               | Some p -> p.Ts.p_value
               | None -> nan);
-            check (Alcotest.float 1e-9) "p99 in ms" 10.0
+            check_rel "p99 in ms" 10.0
               (match Ts.last "s.lat.p99_ms" with
               | Some p -> p.Ts.p_value
               | None -> nan);
@@ -1585,6 +1672,38 @@ let timeseries_tests =
               | None -> nan);
             check Alcotest.int "ratio skipped the idle tick" 1
               (List.length (Ts.points "s.hit_rate"))));
+    tc "sampler percentiles cover one window, so a slow burst shows"
+      (fun () ->
+        T.reset ();
+        Ts.reset ();
+        with_fake_clock [ 100.0; 101.0; 102.0; 103.0 ] (fun () ->
+            let sampler =
+              Ts.Sampler.create ~profile:false
+                ~sources:[ Ts.Percentiles "w.lat" ] ~interval:1.0 ()
+            in
+            for _ = 1 to 10_000 do
+              T.observe "w.lat" 0.001
+            done;
+            Ts.Sampler.tick sampler;
+            for _ = 1 to 50 do
+              T.observe "w.lat" 0.001
+            done;
+            for _ = 1 to 20 do
+              T.observe "w.lat" 0.5
+            done;
+            Ts.Sampler.tick sampler;
+            let p99s () =
+              List.map (fun p -> p.Ts.p_value) (Ts.points "w.lat.p99_ms")
+            in
+            (match p99s () with
+            | [ quiet; burst ] ->
+              check_rel "quiet window p99" 1.0 quiet;
+              check_rel "burst window p99" 500.0 burst
+            | l -> Alcotest.failf "%d p99 points" (List.length l));
+            (* an idle window records nothing *)
+            Ts.Sampler.tick sampler;
+            check Alcotest.int "idle window skipped" 2
+              (List.length (p99s ()))));
     tc "sampler derives per-worker utilization from busy timers"
       (fun () ->
         T.reset ();
@@ -1861,6 +1980,7 @@ let () =
       ("portal-cache", portal_tests);
       ("portal-journal", portal_journal_tests);
       ("metric-kinds", metric_kinds_tests);
+      ("histogram", histogram_tests);
       ("prometheus", prometheus_tests);
       ("metrics-server", metrics_server_tests);
       ("metrics-server-routes", routes_tests);
