@@ -160,16 +160,31 @@ let resolve_tool name =
 (* sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A session's history may be appended from several server workers at
-   once, so it carries its own lock (held only around the hashtable
-   touch, never around a tool execution). *)
-type session = {
-  s_mu : Mutex.t;
-  s_history : (string, (string * string) list ref) Hashtbl.t;
-}
+(* A session is one atomic, newest-first list of at most [history_limit]
+   runs across all tools. Several server workers may append at once, so
+   an append is a compare-and-set loop over an immutable list: readers
+   take a consistent snapshot without any lock. A run's strings are the
+   result cache's own where the cache has the entry, so a re-upload adds
+   one small record to the session, never a copy of the upload. *)
+type run = { tool : string; input : string; output : string }
+type session = run list Atomic.t
 
-let create_session () : session =
-  { s_mu = Mutex.create (); s_history = Hashtbl.create 8 }
+let history_limit = 32
+let create_session () : session = Atomic.make []
+
+let rec take n = function
+  | r :: rest when n > 0 -> r :: take (n - 1) rest
+  | _ -> []
+
+let rec record session run =
+  let runs = Atomic.get session in
+  (* a full list drops its oldest run: copy the newest [limit - 1] *)
+  let kept =
+    if List.compare_length_with runs history_limit < 0 then runs
+    else take (history_limit - 1) runs
+  in
+  if not (Atomic.compare_and_set session runs (run :: kept)) then
+    record session run
 
 (* ------------------------------------------------------------------ *)
 (* structured outcomes                                                 *)
@@ -250,7 +265,15 @@ let request ?trace ~session tool input =
 
 module T = Vc_util.Telemetry
 
-type cache_entry = { output : string; mutable last_used : int }
+(* [input] is the upload the output was computed from, so a hit can
+   hand out the cache's copy. The spill file stores only digest ->
+   output, so a warm-started entry starts at [None] and adopts the input
+   of its first hit. *)
+type cache_entry = {
+  mutable input : string option;
+  output : string;
+  mutable last_used : int;
+}
 
 type cache_shard = {
   sh_mu : Mutex.t;
@@ -365,6 +388,20 @@ let spill victims =
     (fun (k, out) -> if not (store_mem k) then store_append k out)
     victims
 
+let cache_shard_sizes () =
+  Array.to_list
+    (Array.map
+       (fun sh -> Mutex.protect sh.sh_mu (fun () -> Hashtbl.length sh.sh_tbl))
+       !shards)
+
+let cache_size () = List.fold_left ( + ) 0 (cache_shard_sizes ())
+
+(* The [portal.cache.size] gauge is set wherever the size can change -
+   an insert or eviction, [clear_cache], reconfiguration, the end of a
+   warm start - and never on a hit, which cannot change it. *)
+let publish_size () =
+  T.set_gauge "portal.cache.size" (float_of_int (cache_size ()))
+
 let set_cache_capacity n =
   if n < 0 then invalid_arg "Portal.set_cache_capacity: negative capacity";
   Mutex.protect config_mu (fun () ->
@@ -385,22 +422,16 @@ let set_cache_capacity n =
                 !acc)
           in
           spill victims)
-        a)
+        a);
+  publish_size ()
 
 let set_cache_shards n =
   if n < 1 then invalid_arg "Portal.set_cache_shards: shard count under 1";
-  Mutex.protect config_mu (fun () -> shards := make_shards n !capacity)
+  Mutex.protect config_mu (fun () -> shards := make_shards n !capacity);
+  publish_size ()
 
 let cache_shards () = Array.length !shards
 let cache_capacity () = Mutex.protect config_mu (fun () -> !capacity)
-
-let cache_shard_sizes () =
-  Array.to_list
-    (Array.map
-       (fun sh -> Mutex.protect sh.sh_mu (fun () -> Hashtbl.length sh.sh_tbl))
-       !shards)
-
-let cache_size () = List.fold_left ( + ) 0 (cache_shard_sizes ())
 
 let clear_cache () =
   Array.iter
@@ -409,25 +440,33 @@ let clear_cache () =
   Atomic.set stat_hits 0;
   Atomic.set stat_misses 0;
   Atomic.set stat_evictions 0;
-  Atomic.set stat_disk_hits 0
+  Atomic.set stat_disk_hits 0;
+  publish_size ()
 
 let cache_stats () = (Atomic.get stat_hits, Atomic.get stat_misses)
 let cache_evictions () = Atomic.get stat_evictions
 let cache_disk_hits () = Atomic.get stat_disk_hits
 
-let cache_find key =
+(* A hit returns the entry's own (input, output) strings; a warm-started
+   entry adopts [input] here, under the shard mutex. *)
+let cache_find key input =
   let sh = shard_of key in
   Mutex.protect sh.sh_mu (fun () ->
       match Hashtbl.find_opt sh.sh_tbl key with
       | Some e ->
         sh.sh_tick <- sh.sh_tick + 1;
         e.last_used <- sh.sh_tick;
-        Some e.output
+        (match e.input with
+        | Some stored -> Some (stored, e.output)
+        | None ->
+          e.input <- Some input;
+          Some (input, e.output))
       | None -> None)
 
-(* [spill:false] is the warm-start load path: the entry came from the
-   disk tier, so an eviction it forces must not be written back *)
-let cache_add ?(spill = true) key output =
+(* [spill:false] is the load path from the disk tier (warm start, or a
+   disk hit being promoted): an eviction it forces must not be written
+   back. Only the warm start omits [input]. *)
+let cache_add ?(spill = true) ?input key output =
   let sh = shard_of key in
   let victim =
     Mutex.protect sh.sh_mu (fun () ->
@@ -440,7 +479,8 @@ let cache_add ?(spill = true) key output =
             then evict_lru sh
             else None
           in
-          Hashtbl.replace sh.sh_tbl key { output; last_used = sh.sh_tick };
+          Hashtbl.replace sh.sh_tbl key
+            { input; output; last_used = sh.sh_tick };
           v
         end
         else None)
@@ -481,6 +521,7 @@ let set_cache_dir dirname =
     Store.iter st (fun key output ->
         incr loaded;
         cache_add ~spill:false key output);
+    publish_size ();
     T.set_gauge "portal.cache.disk_entries" (float_of_int (Store.length st));
     J.emit ~component:"portal"
       ~attrs:
@@ -501,15 +542,18 @@ let submit_result session tool input =
   let key = cache_key tool.tool_name input in
   T.incr (pre ^ ".submits");
   let t0 = T.now () in
-  let outcome =
+  (* [input] is rebound to the cache's copy of the upload where there
+     is one: that is what the session's history keeps *)
+  let outcome, input =
     T.time (pre ^ ".latency") (fun () ->
         let lines = List.length (String.split_on_char '\n' input) in
         if lines > tool.max_input_lines then begin
           T.incr (pre ^ ".rejected");
-          Rejected
-            (Runaway
-               (Printf.sprintf "input too large (%d lines; portal limit %d)"
-                  lines tool.max_input_lines))
+          ( Rejected
+              (Runaway
+                 (Printf.sprintf "input too large (%d lines; portal limit %d)"
+                    lines tool.max_input_lines)),
+            input )
         end
         else begin
           (* cache-probe and execute are timed into the ambient trace
@@ -518,8 +562,8 @@ let submit_result session tool input =
           let probe_t0 = T.now () in
           let probed =
             Vc_util.Profile.with_frame "cache" (fun () ->
-                match cache_find key with
-                | Some out -> Some out
+                match cache_find key input with
+                | Some _ as hit -> hit
                 | None -> (
                   (* memory miss: probe the disk tier, promoting a hit
                      back into its memory shard *)
@@ -527,18 +571,19 @@ let submit_result session tool input =
                   | Some out ->
                     Atomic.incr stat_disk_hits;
                     T.incr "portal.cache.disk_hits";
-                    cache_add ~spill:false key out;
-                    Some out
+                    cache_add ~spill:false ~input key out;
+                    publish_size ();
+                    Some (input, out)
                   | None -> None))
           in
           Vc_util.Trace_ctx.record_current_phase "cache"
             (T.now () -. probe_t0);
           match probed with
-          | Some out ->
+          | Some (stored, out) ->
             Atomic.incr stat_hits;
             T.incr (pre ^ ".cache_hits");
             T.incr "portal.cache.hits";
-            Cache_hit out
+            (Cache_hit out, stored)
           | None ->
             Atomic.incr stat_misses;
             T.incr "portal.cache.misses";
@@ -560,12 +605,13 @@ let submit_result session tool input =
             in
             Vc_util.Trace_ctx.record_current_phase "execute"
               (T.now () -. exec_t0);
-            cache_add key out;
+            cache_add ~input key out;
+            publish_size ();
             (* write-through: the result is durable the moment it is
                computed, not only when LRU pressure spills it - this is
                what a killed-and-restarted server warm-starts from *)
             store_append key out;
-            Executed out
+            (Executed out, input)
         end)
   in
   (* one journal event per submission; a runaway rejection is an Error
@@ -593,7 +639,6 @@ let submit_result session tool input =
         | Some r -> [ ("reason", r) ]
         | None -> [])
     "submission";
-  T.set_gauge "portal.cache.size" (float_of_int (cache_size ()));
   (match reject_reason with
   | Some reason ->
     J.dump_flight_recorder
@@ -602,21 +647,14 @@ let submit_result session tool input =
            reason)
       ()
   | None -> ());
-  let output = outcome_output outcome in
-  Mutex.protect session.s_mu (fun () ->
-      let log =
-        match Hashtbl.find_opt session.s_history tool.tool_name with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add session.s_history tool.tool_name l;
-          l
-      in
-      log := (input, output) :: !log);
+  record session
+    { tool = tool.tool_name; input; output = outcome_output outcome };
   outcome
 
+(* newest-first runs, so prepending the matches yields oldest first *)
 let history session tool =
-  Mutex.protect session.s_mu (fun () ->
-      match Hashtbl.find_opt session.s_history tool.tool_name with
-      | Some l -> List.rev !l
-      | None -> [])
+  List.fold_left
+    (fun acc r ->
+      if String.equal r.tool tool.tool_name then (r.input, r.output) :: acc
+      else acc)
+    [] (Atomic.get session)

@@ -15,11 +15,12 @@
     {b Domain safety}: everything here may be called concurrently from
     {!Vc_mooc.Server}'s worker domains. The result cache is sharded by
     digest into independently-locked shards (see {!set_cache_shards}),
-    so concurrent submissions of different inputs rarely contend; each
-    session's history has its own mutex; cache statistics live in
-    process-wide atomics. Tools are pure functions of their input, so a
-    duplicated cache-miss execution in two domains is wasted work, never
-    wrong output. See [docs/CONCURRENCY.md] for the full model. *)
+    so concurrent submissions of different inputs rarely contend; a
+    session is one atomic list that submissions append to lock-free;
+    cache statistics live in process-wide atomics. Tools are pure
+    functions of their input, so a duplicated cache-miss execution in
+    two domains is wasted work, never wrong output. See
+    [docs/CONCURRENCY.md] for the full model. *)
 
 type tool = {
   tool_name : string;
@@ -67,11 +68,19 @@ val resolve_tool : string -> (tool, string) result
     suggestion. *)
 
 type session
-(** One participant's portal state: private run history per tool. The
-    history is mutex-protected; a session may be used from several
-    server workers at once. *)
+(** One participant's portal state: the newest {!history_limit} runs
+    across all tools, held in one [Atomic.t] and appended by
+    compare-and-set, so a session may be used from several server
+    workers at once without a lock. A run holds the result cache's own
+    strings whenever the cache has the entry, so a re-upload of cached
+    work costs the session one fixed-size record, not a copy of the
+    upload. *)
 
 val create_session : unit -> session
+
+val history_limit : int
+(** Runs a session keeps, all tools together: [32]. Each submission
+    past it drops the session's oldest run. *)
 
 (** {1 Structured outcomes} *)
 
@@ -129,8 +138,8 @@ val request : ?trace:string -> session:string -> tool -> string -> request
 
 val submit_result : session -> tool -> string -> outcome
 (** Run the tool on the uploaded text (never raises; kernel errors come
-    back inside [Executed "error: ..."] text) and append to the tool's
-    history.
+    back inside [Executed "error: ..."] text) and append it to the
+    session's history.
 
     Instrumentation per call, under the tool's name [t]:
     [portal.t.submits] always increments; then exactly one of
@@ -150,9 +159,14 @@ val submit_result : session -> tool -> string -> outcome
     led up to it is preserved. *)
 
 val history : session -> tool -> (string * string) list
-(** (input, output) pairs, oldest first - the "older outputs available by
-    scrolling" behaviour. Cache hits and rejections are logged like real
-    runs (the rendered {!outcome_output} string is what is recorded). *)
+(** The tool's (input, output) pairs among the session's newest
+    {!history_limit} runs, oldest first - the "older outputs available
+    by scrolling" behaviour. Cache hits and rejections are logged like
+    real runs (the rendered {!outcome_output} string is what is
+    recorded). A cache hit records the cached entry's input and output
+    strings themselves (physically equal, [==], across every session
+    that submitted the same upload); a miss records the uploaded
+    strings the new cache entry also holds. *)
 
 (** {1 Result cache}
 
@@ -189,7 +203,11 @@ val cache_shard_sizes : unit -> int list
     {!cache_size}. *)
 
 val cache_size : unit -> int
-(** Number of results currently cached (always [<= cache_capacity ()]). *)
+(** Number of results currently cached (always [<= cache_capacity ()]).
+    The [portal.cache.size] gauge is set to it wherever it can change:
+    a miss or disk-tier promotion, {!clear_cache}, {!set_cache_capacity},
+    {!set_cache_shards} and the end of a {!set_cache_dir} warm start -
+    never on a memory hit. *)
 
 val clear_cache : unit -> unit
 (** Drop all cached results and zero the hit/miss/eviction statistics. *)
@@ -222,7 +240,9 @@ val cache_evictions : unit -> int
 val set_cache_dir : string -> unit
 (** Open (or create) the spill directory and {e warm-start}: promote
     every result the store holds into the memory shards (up to
-    capacity; the remainder stays served by the disk probe), emitting a
+    capacity; the remainder stays served by the disk probe). The store
+    keeps no inputs, so a warm-started entry adopts the upload of its
+    first hit as the input later hits record. Emits a
     [cache.warm_start] journal event with the loaded count. A store
     that cannot be opened degrades with one warning and a
     [cache.disk_error] event instead of raising. Replaces (and closes)

@@ -118,9 +118,11 @@ val stop : t -> unit
 
 val submit : t -> Portal.request -> Portal.outcome
 (** Submit one {!Portal.request} (sessions are created on first use
-    from [req_session] and hold the portal history plus the rate-limit
-    bucket). Returns immediately with a rejection when rate-limited or
-    the queue is full; otherwise blocks until a worker completes the
+    from [req_session]; each holds a lock-free {!Portal.session}, capped
+    at {!Portal.history_limit} runs, plus the rate-limit bucket; the
+    session table itself is never evicted). Returns immediately with a
+    rejection when rate-limited or the queue is full; otherwise blocks
+    until a worker completes the
     job and returns its outcome. Increments [server.submitted] on every
     call and exactly one [server.outcome.*] counter per outcome. Safe
     to call from any number of client domains concurrently.
@@ -132,7 +134,9 @@ val submit : t -> Portal.request -> Portal.outcome
 
 val session : t -> string -> Portal.session
 (** The portal session behind [session_id] (created on first use) -
-    gives callers access to {!Portal.history}. *)
+    gives callers access to {!Portal.history}. The session is shared
+    with the workers: a snapshot read while jobs run sees every run
+    appended so far, up to the cap. *)
 
 val queue_depth : t -> int
 (** Jobs currently queued (admitted, not yet picked up by a worker). *)

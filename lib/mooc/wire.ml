@@ -147,10 +147,11 @@ let session_loop ?(session_id = "default") ~input ~output ~submit () =
 
 (* Live connections are tracked in a lock-free registry so [shutdown]
    can run inside a signal handler: it flips atomics and half-closes
-   descriptors, never takes a lock. A closed connection is only marked
-   (c_closed), not removed - the registry is bounded by the run's total
-   connection count and the flag prevents double-shutdown on a reused
-   descriptor number. *)
+   descriptors, never takes a lock. A closing connection only marks
+   itself (c_closed), which keeps [shutdown] off a reused descriptor
+   number; the next registration drops marked entries in the same CAS
+   that adds its own, so the registry holds the live connections plus
+   at most those closed since the last accept. *)
 type conn = { c_fd : Unix.file_descr; c_closed : bool Atomic.t }
 
 type listener = {
@@ -198,11 +199,13 @@ let listen ?(addr = "127.0.0.1") ~port () =
 let port t = t.l_port
 let addr t = t.l_addr
 let active_connections t = Atomic.get t.l_active
+let registered_connections t = List.length (Atomic.get t.l_conns)
 
 let register_conn t conn =
   let rec add () =
     let cur = Atomic.get t.l_conns in
-    if not (Atomic.compare_and_set t.l_conns cur (conn :: cur)) then add ()
+    let live = List.filter (fun c -> not (Atomic.get c.c_closed)) cur in
+    if not (Atomic.compare_and_set t.l_conns cur (conn :: live)) then add ()
   in
   add ()
 

@@ -124,6 +124,12 @@ val drain_connections : ?timeout_s:float -> listener -> bool
     all connections closed in time. *)
 
 val active_connections : listener -> int
+(** Connections whose handler is still running. *)
+
+val registered_connections : listener -> int
+(** Length of the registry {!shutdown} walks: the live connections plus
+    those closed since the last accept, which drops them - bounded by
+    the live count, not by every connection the run accepted. *)
 
 (** {1 Client} *)
 

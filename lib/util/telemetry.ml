@@ -104,6 +104,7 @@ type cells = {
   c_timers : (string, hist) Hashtbl.t;
   c_gauges : (string, (int * float) ref) Hashtbl.t; (* (stamp, value) *)
   mutable c_spans : span list; (* completed roots, newest first *)
+  mutable c_span_count : int; (* length of [c_spans] *)
 }
 
 (* Registry of every cell ever created, newest first. Guarded by [mu]. *)
@@ -118,6 +119,7 @@ let cells_key : cells Domain.DLS.key =
           c_timers = Hashtbl.create 32;
           c_gauges = Hashtbl.create 16;
           c_spans = [];
+          c_span_count = 0;
         }
       in
       locked (fun () -> all_cells := c :: !all_cells);
@@ -360,6 +362,11 @@ type open_span = {
 let span_stack_key : open_span list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
+(* A cell keeps its newest [span_keep] roots: when it reaches twice
+   that, the older half is dropped and counted, so an append stays
+   amortized O(1). *)
+let span_keep = 1024
+
 let with_span ?(attrs = []) name f =
   let span_stack = Domain.DLS.get span_stack_key in
   let o = { o_name = name; o_start = now (); o_attrs = attrs; o_children = [] } in
@@ -379,7 +386,13 @@ let with_span ?(attrs = []) name f =
     | parent :: _ -> parent.o_children <- s :: parent.o_children
     | [] ->
       let c = my_cells () in
-      c.c_spans <- s :: c.c_spans
+      c.c_spans <- s :: c.c_spans;
+      c.c_span_count <- c.c_span_count + 1;
+      if c.c_span_count >= 2 * span_keep then begin
+        c.c_spans <- List.filteri (fun i _ -> i < span_keep) c.c_spans;
+        c.c_span_count <- span_keep;
+        incr ~by:span_keep "telemetry.spans.dropped"
+      end
   in
   match f () with
   | v ->
@@ -401,7 +414,7 @@ let spans () =
   |> List.stable_sort (fun a b -> compare a.start_s b.start_s)
 
 let span_count () =
-  List.fold_left (fun n c -> n + List.length c.c_spans) 0 (snapshot_cells ())
+  List.fold_left (fun n c -> n + c.c_span_count) 0 (snapshot_cells ())
 
 (* ------------------------------------------------------------------ *)
 (* probes                                                              *)
@@ -600,7 +613,8 @@ let reset () =
           Hashtbl.reset c.c_counters;
           Hashtbl.reset c.c_timers;
           Hashtbl.reset c.c_gauges;
-          c.c_spans <- []))
+          c.c_spans <- [];
+          c.c_span_count <- 0))
     (snapshot_cells ());
   (* only the calling domain's open-span stack can be cleared - other
      domains own theirs *)

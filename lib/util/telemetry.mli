@@ -23,8 +23,9 @@
     demand: counters and histogram buckets sum, gauges resolve
     last-write-wins via a global version stamp. Trace spans nest on a
     per-domain stack ({!with_span} trees never interleave across
-    domains); completed top-level spans stay in their domain's cell and
-    are merged (ordered by start time) by {!spans}. See
+    domains); each domain's cell keeps its newest completed top-level
+    spans (a bounded number, see {!spans}), merged (ordered by start
+    time) by {!spans}. See
     [docs/CONCURRENCY.md] for the full model. Everything here is plain
     OCaml + the [unix] library shipped with the compiler - no
     third-party dependencies. *)
@@ -128,8 +129,11 @@ val gauges : unit -> (string * float) list
 (** {1 Trace spans}
 
     Spans form a tree: a span opened while another is running becomes
-    its child. Completed top-level spans are kept (oldest first) until
-    {!reset}. *)
+    its child. Each domain keeps its newest completed top-level spans
+    until {!reset}: when a domain holds 2,048, its oldest 1,024 are
+    dropped and added to the [telemetry.spans.dropped] counter, so a
+    long-running server holds at most 2,047 roots per domain. The
+    counter exists only once something was dropped. *)
 
 type span = {
   span_name : string;
@@ -150,7 +154,11 @@ val timed_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
     convenience used by the [bin/] tools around their main work. *)
 
 val spans : unit -> span list
-(** Completed top-level spans, oldest first. *)
+(** Retained top-level spans, oldest first. *)
+
+val span_count : unit -> int
+(** Number of retained top-level spans over all domains - the length of
+    {!spans}, without building it. *)
 
 (** {1 Kernel probes}
 

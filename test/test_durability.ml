@@ -428,6 +428,36 @@ let portal_tests =
               check Alcotest.string "spilled payload" "echo: one" out
             | Portal.Executed _ -> Alcotest.fail "lost the evicted result"
             | Portal.Rejected _ -> Alcotest.fail "rejected?"));
+    tc "a warm-started entry records the upload, not a placeholder"
+      (fun () ->
+        let dir = temp_dir "vc_portal_cache" in
+        Fun.protect
+          ~finally:(fun () ->
+            Portal.unset_cache_dir ();
+            Portal.clear_cache ();
+            rm_rf dir)
+          (fun () ->
+            Portal.clear_cache ();
+            Portal.set_cache_dir dir;
+            ignore (Portal.submit_result (Portal.create_session ()) echo "warm");
+            Portal.unset_cache_dir ();
+            Portal.clear_cache ();
+            Portal.set_cache_dir dir;
+            let hit () =
+              let s = Portal.create_session () in
+              let upload = Bytes.to_string (Bytes.of_string "warm") in
+              (match Portal.submit_result s echo upload with
+              | Portal.Cache_hit _ -> ()
+              | _ -> Alcotest.fail "expected a warm hit");
+              match Portal.history s echo with
+              | [ (input, output) ] ->
+                check Alcotest.string "input" "warm" input;
+                check Alcotest.string "output" "echo: warm" output;
+                input
+              | _ -> Alcotest.fail "expected one run"
+            in
+            let first = hit () in
+            check Alcotest.bool "adopted by the entry" true (hit () == first)));
     tc "unset_cache_dir degrades to memory-only cleanly" (fun () ->
         Portal.clear_cache ();
         Portal.unset_cache_dir ();

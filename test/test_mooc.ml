@@ -306,6 +306,79 @@ let portal_tests =
           (List.length (M.Portal.history s M.Portal.kbdd));
         check Alcotest.int "sis untouched" 0
           (List.length (M.Portal.history s M.Portal.sis)));
+    tc "history keeps the newest history_limit runs, oldest first per tool"
+      (fun () ->
+        let s = M.Portal.create_session () in
+        let input i =
+          if i mod 2 = 0 then Printf.sprintf "n 1\nrow 1\nrhs %d\n" i
+          else Printf.sprintf "boolean a\n# %d\n" i
+        in
+        for i = 0 to 39 do
+          let tool = if i mod 2 = 0 then M.Portal.axb else M.Portal.kbdd in
+          ignore (psubmit s tool (input i))
+        done;
+        check Alcotest.int "limit" 32 M.Portal.history_limit;
+        let inputs tool = List.map fst (M.Portal.history s tool) in
+        let expect parity =
+          List.filter (fun i -> i mod 2 = parity) (List.init 32 (( + ) 8))
+          |> List.map input
+        in
+        check Alcotest.(list string) "axb: runs 8..38" (expect 0)
+          (inputs M.Portal.axb);
+        check Alcotest.(list string) "kbdd: runs 9..39" (expect 1)
+          (inputs M.Portal.kbdd));
+    tc "a re-upload records the cache's strings, not the caller's copy"
+      (fun () ->
+        let u = "n 1\nrow 5\nrhs 35\n# shared" in
+        let copy () = Bytes.to_string (Bytes.of_string u) in
+        let a = copy () and b = copy () in
+        check Alcotest.bool "distinct copies" false (a == b);
+        let s1 = M.Portal.create_session () and s2 = M.Portal.create_session () in
+        ignore (M.Portal.submit_result s1 M.Portal.axb a);
+        (match M.Portal.submit_result s2 M.Portal.axb b with
+        | M.Portal.Cache_hit _ -> ()
+        | _ -> Alcotest.fail "expected a cache hit");
+        match
+          (M.Portal.history s1 M.Portal.axb, M.Portal.history s2 M.Portal.axb)
+        with
+        | [ (i1, o1) ], [ (i2, o2) ] ->
+          check Alcotest.string "same bytes" u i2;
+          check Alcotest.bool "input shared" true (i1 == i2);
+          check Alcotest.bool "output shared" true (o1 == o2)
+        | _ -> Alcotest.fail "expected one run per session");
+    tc "re-uploads across 1,000 sessions keep the heap flat" (fun () ->
+        let uploads =
+          List.init 5 (fun i -> Printf.sprintf "n 1\nrow %d\nrhs 1\n" (i + 2))
+          |> Array.of_list
+        in
+        let sessions = Array.init 1000 (fun _ -> M.Portal.create_session ()) in
+        let prime = M.Portal.create_session () in
+        Array.iter (fun u -> ignore (M.Portal.submit_result prime M.Portal.axb u))
+          uploads;
+        let submit k =
+          let u = uploads.(k mod Array.length uploads) in
+          ignore
+            (M.Portal.submit_result
+               sessions.(k mod Array.length sessions)
+               M.Portal.axb
+               (Bytes.to_string (Bytes.of_string u)))
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        for k = 0 to 39_999 do submit k done;
+        let at_40k = live () in
+        for k = 40_000 to 99_999 do submit k done;
+        let grown_bytes = (live () - at_40k) * (Sys.word_size / 8) in
+        (* reading a session after the measurement keeps them all live
+           through it *)
+        check Alcotest.int "a session keeps its newest runs"
+          M.Portal.history_limit
+          (List.length (M.Portal.history sessions.(999) M.Portal.axb));
+        if grown_bytes >= 256 * 1024 then
+          Alcotest.failf "heap grew %d bytes over 60,000 re-uploads"
+            grown_bytes);
     tc "oversized input rejected with the limit in the message" (fun () ->
         let s = M.Portal.create_session () in
         let big = String.concat "\n" (List.init 3000 (fun _ -> "boolean a")) in

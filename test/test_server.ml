@@ -453,6 +453,38 @@ let wire_tests =
             check Alcotest.bool (name ^ " carries the trace id") true
               (traced name))
           [ "request.admitted"; "request.dequeued"; "request.replied" ]);
+    tc "the wire registry keeps only live connections" (fun () ->
+        let listener = Wire.listen ~port:0 () in
+        let acceptor =
+          Domain.spawn (fun () ->
+              Wire.serve listener ~submit:(fun _ -> Portal.Cache_hit ""))
+        in
+        let port = Wire.port listener in
+        let await what cond =
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while (not (cond ())) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.001
+          done;
+          if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+        in
+        (* a round trip proves the handler is registered and running *)
+        let connect () =
+          let c = Wire.Client.connect ~port () in
+          ignore (Wire.Client.list_tools c);
+          c
+        in
+        for _ = 1 to 300 do
+          Wire.Client.close (connect ());
+          await "the handler to finish" (fun () ->
+              Wire.active_connections listener = 0)
+        done;
+        let last = connect () in
+        check Alcotest.int "registry holds the live one" 1
+          (Wire.registered_connections listener);
+        Wire.Client.close last;
+        Wire.shutdown listener;
+        Domain.join acceptor;
+        check Alcotest.bool "drained" true (Wire.drain_connections listener));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -535,6 +567,33 @@ let shard_tests =
         ignore (Portal.submit_result s echo (distinct_input 100));
         ignore (Portal.submit_result s echo (distinct_input 100));
         check Alcotest.int "nothing cached at 0" 0 (Portal.cache_size ()));
+    tc "portal.cache.size gauge follows every size change" (fun () ->
+        fresh ();
+        Portal.set_cache_shards 1;
+        Portal.set_cache_capacity 4;
+        let s = Portal.create_session () in
+        let in_step what =
+          check
+            Alcotest.(option (float 0.0))
+            what
+            (Some (float_of_int (Portal.cache_size ())))
+            (T.gauge "portal.cache.size")
+        in
+        for i = 0 to 2 do
+          ignore (Portal.submit_result s echo (distinct_input i))
+        done;
+        in_step "after misses";
+        ignore (Portal.submit_result s echo (distinct_input 0));
+        in_step "after a hit";
+        for i = 3 to 5 do
+          ignore (Portal.submit_result s echo (distinct_input i))
+        done;
+        check Alcotest.bool "evicted" true (Portal.cache_evictions () > 0);
+        in_step "after an eviction";
+        Portal.set_cache_capacity 2;
+        in_step "after a capacity shrink";
+        Portal.clear_cache ();
+        in_step "after clear_cache");
     tc "set_cache_shards validates and reconfigures" (fun () ->
         fresh ();
         check Alcotest.bool "zero shards rejected" true
@@ -731,6 +790,43 @@ let stress_tests =
         check Alcotest.bool "cache bound holds under concurrency" true
           (Portal.cache_size () <= 16);
         check Alcotest.int "queue drained" 0 (Server.queue_depth srv));
+    tc "8 domains appending to one session keep exactly history_limit runs"
+      (fun () ->
+        fresh ();
+        let s = Portal.create_session () in
+        let domains =
+          List.init 8 (fun d ->
+              Domain.spawn (fun () ->
+                  for k = 0 to 499 do
+                    let input = Printf.sprintf "d%d k%d" d k in
+                    ignore (Portal.submit_result s echo input)
+                  done))
+        in
+        List.iter Domain.join domains;
+        let h = Portal.history s echo in
+        check Alcotest.int "capped" Portal.history_limit (List.length h);
+        check Alcotest.int "no duplicates" Portal.history_limit
+          (List.length (List.sort_uniq compare h));
+        let runs =
+          List.map
+            (fun (input, output) ->
+              check Alcotest.string "its own output" ("echo: " ^ input) output;
+              match Scanf.sscanf_opt input "d%d k%d%!" (fun d k -> (d, k)) with
+              | Some (d, k) when d >= 0 && d < 8 && k >= 0 && k < 500 -> (d, k)
+              | _ -> Alcotest.failf "never submitted: %S" input)
+            h
+        in
+        (* one domain's appends are sequential, so they keep their order *)
+        List.iter
+          (fun d ->
+            let ks =
+              List.filter_map
+                (fun (d', k) -> if d' = d then Some k else None)
+                runs
+            in
+            check Alcotest.(list int) "per-domain order"
+              (List.sort compare ks) ks)
+          (List.init 8 Fun.id));
   ]
 
 let () =

@@ -107,6 +107,24 @@ let telemetry_tests =
         | [ s ] ->
           check Alcotest.bool "error attr" true (List.mem_assoc "error" s.T.attrs)
         | _ -> Alcotest.fail "expected exactly one root span");
+    tc "a domain keeps its newest span roots and counts the dropped ones"
+      (fun () ->
+        T.reset ();
+        let dropped () =
+          List.assoc_opt "telemetry.spans.dropped" (T.counters ())
+        in
+        let root i = ignore (T.with_span (Printf.sprintf "root.%d" i) ignore) in
+        for i = 0 to 2046 do root i done;
+        check Alcotest.(option int) "no counter before a drop" None (dropped ());
+        for i = 2047 to 4999 do root i done;
+        let kept = T.span_count () in
+        check Alcotest.bool "1,024 <= kept <= 2,048" true
+          (kept >= 1024 && kept <= 2048);
+        check Alcotest.int "spans agrees" kept (List.length (T.spans ()));
+        check Alcotest.bool "newest present" true
+          (List.exists (fun s -> s.T.span_name = "root.4999") (T.spans ()));
+        check Alcotest.int "kept + dropped" 5000
+          (kept + Option.value ~default:0 (dropped ())));
     tc "probes are pulled at render time" (fun () ->
         let v = ref 1 in
         T.register_probe "test.probe" (fun () -> [ ("v", !v) ]);
