@@ -1,5 +1,5 @@
 (* atpg: stuck-at test generation for a BLIF design (omitted-topic
-   extension). Usage: atpg [-compact] [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] <design.blif> *)
+   extension). Usage: atpg [-compact] [--stats] [--journal FILE] [--metrics-port N] <design.blif> *)
 
 let () =
   let argv = Vc_util.Telemetry.cli Sys.argv in
@@ -13,7 +13,7 @@ let () =
     argv;
   match !path with
   | None ->
-    prerr_endline "usage: atpg [-compact] [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] <design.blif>";
+    prerr_endline "usage: atpg [-compact] [--stats] [--journal FILE] [--metrics-port N] <design.blif>";
     exit 2
   | Some blif_path -> begin
     let blif = In_channel.with_open_text blif_path In_channel.input_all in
@@ -23,7 +23,7 @@ let () =
       exit 1
     | net ->
       let report =
-        Vc_util.Telemetry.timed_span "atpg" (fun () ->
+        Vc_util.Telemetry.time "atpg" (fun () ->
             Vc_network.Atpg.generate_all net)
       in
       Printf.printf

@@ -1,5 +1,5 @@
 (* axb: the linear-system portal tool.
-   Usage: axb [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] [system-file] *)
+   Usage: axb [--stats] [--journal FILE] [--metrics-port N] [system-file] *)
 
 let () =
   let argv = Vc_util.Telemetry.cli Sys.argv in
@@ -8,7 +8,7 @@ let () =
     | [| _ |] -> In_channel.input_all stdin
     | [| _; path |] -> In_channel.with_open_text path In_channel.input_all
     | _ ->
-      prerr_endline "usage: axb [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] [system-file]";
+      prerr_endline "usage: axb [--stats] [--journal FILE] [--metrics-port N] [system-file]";
       exit 2
   in
-  print_endline (Vc_util.Telemetry.timed_span "axb" (fun () -> Vc_linalg.Axb.run text))
+  print_endline (Vc_util.Telemetry.time "axb" (fun () -> Vc_linalg.Axb.run text))

@@ -1,10 +1,10 @@
 (* espresso: two-level minimization of a PLA file.
-   Usage: espresso [-exact|-single-pass|-joint] [--stats] [--trace FILE] [--journal FILE] [--metrics-port N]
+   Usage: espresso [-exact|-single-pass|-joint] [--stats] [--journal FILE] [--metrics-port N]
           [pla-file] *)
 
 let usage () =
   prerr_endline
-    "usage: espresso [-exact|-single-pass|-joint] [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] \
+    "usage: espresso [-exact|-single-pass|-joint] [--stats] [--journal FILE] [--metrics-port N] \
      [pla-file]";
   exit 2
 
@@ -32,7 +32,7 @@ let () =
     exit 1
   | pla ->
     let minimized =
-      Vc_util.Telemetry.timed_span "espresso" @@ fun () ->
+      Vc_util.Telemetry.time "espresso" @@ fun () ->
       match !mode with
       | `Full -> Vc_two_level.Espresso.minimize_pla pla
       | `Single -> Vc_two_level.Espresso.minimize_pla ~single_pass:true pla

@@ -1,6 +1,6 @@
 (* flow: push-button logic-to-layout on a BLIF design.
    Usage: flow [-min-delay] [-svg out.svg] [--report out.json] [--stats]
-          [--trace FILE] [--journal FILE] [--metrics-port N] <design.blif> *)
+          [--journal FILE] [--metrics-port N] <design.blif> *)
 
 let () =
   let argv = Vc_util.Telemetry.cli Sys.argv in
@@ -27,7 +27,7 @@ let () =
   | None ->
     prerr_endline
       "usage: flow [-min-delay] [-svg out.svg] [--report out.json] [--stats] \
-       [--trace FILE] [--journal FILE] [--metrics-port N] <design.blif>";
+       [--journal FILE] [--metrics-port N] <design.blif>";
     exit 2
   | Some blif_path -> begin
     let blif = In_channel.with_open_text blif_path In_channel.input_all in
@@ -38,9 +38,7 @@ let () =
     | net ->
       let options = { Vc_mooc.Flow.default_options with Vc_mooc.Flow.mode = !mode } in
       let report =
-        Vc_util.Telemetry.timed_span "flow"
-          ~attrs:[ ("design", blif_path) ]
-          (fun () -> Vc_mooc.Flow.run ~options net)
+        Vc_util.Telemetry.time "flow" (fun () -> Vc_mooc.Flow.run ~options net)
       in
       print_string (Vc_mooc.Flow.report_to_string report);
       (match !qor with

@@ -7,7 +7,7 @@
 let usage () =
   prerr_endline
     "usage: grader assignment <1-4> | grader reference <1-4> | grader grade \
-     <1-4> <submission-file>   (plus --stats / --trace FILE / --journal FILE / --metrics-port N)";
+     <1-4> <submission-file>   (plus --stats / --journal FILE / --metrics-port N)";
   exit 2
 
 let project n =
@@ -27,7 +27,7 @@ let () =
     let p = project (int_of_string n) in
     let submission = In_channel.with_open_text path In_channel.input_all in
     let g =
-      Vc_util.Telemetry.timed_span "grader.grade" (fun () ->
+      Vc_util.Telemetry.time "grader.grade" (fun () ->
           Vc_mooc.Autograder.grade p.Vc_mooc.Projects.p_grader submission)
     in
     print_string (Vc_mooc.Autograder.render g);

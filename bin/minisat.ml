@@ -1,5 +1,5 @@
 (* minisat: CDCL SAT solving of a DIMACS file.
-   Usage: minisat [-dpll] [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] [cnf-file]
+   Usage: minisat [-dpll] [--stats] [--journal FILE] [--metrics-port N] [cnf-file]
    Exit code 10 = SAT, 20 = UNSAT. *)
 
 let () =
@@ -23,7 +23,7 @@ let () =
     exit 2
   | cnf ->
     let result =
-      Vc_util.Telemetry.timed_span "minisat" (fun () ->
+      Vc_util.Telemetry.time "minisat" (fun () ->
           if !use_dpll then fst (Vc_sat.Dpll.solve cnf)
           else fst (Vc_sat.Solver.solve cnf))
     in

@@ -1,11 +1,11 @@
 (* moocsim: regenerate the paper's figures from the cohort model.
-   Usage: moocsim [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] [seed] *)
+   Usage: moocsim [--stats] [--journal FILE] [--metrics-port N] [seed] *)
 
 let () =
   let argv = Vc_util.Telemetry.cli Sys.argv in
   let seed = match argv with [| _; s |] -> int_of_string s | _ -> 2013 in
   let ps =
-    Vc_util.Telemetry.timed_span "moocsim.simulate" (fun () ->
+    Vc_util.Telemetry.time "moocsim.simulate" (fun () ->
         Vc_mooc.Cohort.simulate ~seed Vc_mooc.Cohort.paper_params)
   in
   print_string (Vc_mooc.Concept_map.render_fig1 ());

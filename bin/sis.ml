@@ -1,5 +1,5 @@
 (* sis: multi-level logic optimization scripts over BLIF networks.
-   Usage: sis [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] <design.blif> [script-file]
+   Usage: sis [--stats] [--journal FILE] [--metrics-port N] <design.blif> [script-file]
    Without a script file the canned rugged script runs. The optimized
    network is written to stdout as BLIF after the script log. *)
 
@@ -20,7 +20,7 @@ let () =
       exit 1
     | net ->
       let report =
-        Vc_util.Telemetry.timed_span "sis" (fun () ->
+        Vc_util.Telemetry.time "sis" (fun () ->
             Vc_multilevel.Script.run net script)
       in
       List.iter print_endline report.Vc_multilevel.Script.log;
@@ -34,5 +34,5 @@ let () =
       end
   end
   | _ ->
-    prerr_endline "usage: sis [--stats] [--trace FILE] [--journal FILE] [--metrics-port N] <design.blif> [script-file]";
+    prerr_endline "usage: sis [--stats] [--journal FILE] [--metrics-port N] <design.blif> [script-file]";
     exit 2

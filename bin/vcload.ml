@@ -1,6 +1,6 @@
 (* vcload: open-loop replay load generator for vcserve.
 
-   Usage: vcload [--stats] [--trace FILE] [--journal FILE]
+   Usage: vcload [--stats] [--journal FILE]
                  [--metrics-port N] -port N [-host H] [-clients N]
                  [-rps R] [-duration S] [-participants N] [-seed N]
                  [-variants N] [-resubmit P] [-spike-at F] [-spike-len F]
@@ -30,7 +30,7 @@ module Wire = Vc_mooc.Wire
 
 let usage () =
   prerr_endline
-    "usage: vcload [--stats] [--trace FILE] [--journal FILE] \
+    "usage: vcload [--stats] [--journal FILE] \
      [--metrics-port N]\n\
     \              -port N [-host H] [-clients N] [-rps R] [-duration S]\n\
     \              [-participants N] [-seed N] [-variants N] [-resubmit P]\n\

@@ -1,6 +1,6 @@
 (* vcserve: the multicore portal service behind a line protocol.
 
-   Usage: vcserve [--stats] [--trace FILE] [--journal FILE]
+   Usage: vcserve [--stats] [--journal FILE]
                   [--journal-segments BYTES] [--metrics-port N]
                   [-workers N] [-queue N] [-deadline S] [-rate R]
                   [-burst B] [-cache-shards N] [-cache-dir DIR]
@@ -47,7 +47,7 @@ module Timeseries = Vc_util.Timeseries
 
 let usage () =
   prerr_endline
-    "usage: vcserve [--stats] [--trace FILE] [--journal FILE] \
+    "usage: vcserve [--stats] [--journal FILE] \
      [--journal-segments BYTES]\n\
     \               [--metrics-port N] [-workers N] [-queue N] [-deadline S] \
      [-rate R]\n\

@@ -264,6 +264,7 @@ let request ?trace ~session tool input =
    nothing but their shard's mutex. *)
 
 module T = Vc_util.Telemetry
+module Phase = Vc_util.Phase
 
 (* [input] is the upload the output was computed from, so a hit can
    hand out the cache's copy. The spill file stores only digest ->
@@ -545,79 +546,63 @@ let submit_result session tool input =
   (* [input] is rebound to the cache's copy of the upload where there
      is one: that is what the session's history keeps *)
   let outcome, input =
-    T.time (pre ^ ".latency") (fun () ->
-        let lines = List.length (String.split_on_char '\n' input) in
-        if lines > tool.max_input_lines then begin
-          T.incr (pre ^ ".rejected");
-          ( Rejected
-              (Runaway
-                 (Printf.sprintf "input too large (%d lines; portal limit %d)"
-                    lines tool.max_input_lines)),
-            input )
-        end
-        else begin
-          (* cache-probe and execute are timed into the ambient trace
-             context (no-ops outside a traced request), giving the
-             request timeline its cache and kernel phases *)
-          let probe_t0 = T.now () in
-          let probed =
-            Vc_util.Profile.with_frame "cache" (fun () ->
-                match cache_find key input with
-                | Some _ as hit -> hit
-                | None -> (
-                  (* memory miss: probe the disk tier, promoting a hit
-                     back into its memory shard *)
-                  match store_find key with
-                  | Some out ->
-                    Atomic.incr stat_disk_hits;
-                    T.incr "portal.cache.disk_hits";
-                    cache_add ~spill:false ~input key out;
-                    publish_size ();
-                    Some (input, out)
-                  | None -> None))
-          in
-          Vc_util.Trace_ctx.record_current_phase "cache"
-            (T.now () -. probe_t0);
-          match probed with
-          | Some (stored, out) ->
-            Atomic.incr stat_hits;
-            T.incr (pre ^ ".cache_hits");
-            T.incr "portal.cache.hits";
-            (Cache_hit out, stored)
-          | None ->
-            Atomic.incr stat_misses;
-            T.incr "portal.cache.misses";
-            T.incr (pre ^ ".executions");
-            let exec_t0 = T.now () in
-            let out =
-              T.with_span
-                ~attrs:
-                  (("tool", tool.tool_name)
-                  :: Vc_util.Trace_ctx.ambient_attrs ())
-                "portal.execute"
-                (fun () ->
-                  (* sampler ticks landing here fold to
-                     "worker;execute;<tool>" - the inside-kernel
-                     attribution on the flamegraph *)
-                  Vc_util.Profile.with_frame "execute" (fun () ->
-                      Vc_util.Profile.with_frame tool.tool_name (fun () ->
-                          tool.execute input)))
-            in
-            Vc_util.Trace_ctx.record_current_phase "execute"
-              (T.now () -. exec_t0);
-            cache_add ~input key out;
-            publish_size ();
-            (* write-through: the result is durable the moment it is
-               computed, not only when LRU pressure spills it - this is
-               what a killed-and-restarted server warm-starts from *)
-            store_append key out;
-            (Executed out, input)
-        end)
+    let lines = List.length (String.split_on_char '\n' input) in
+    if lines > tool.max_input_lines then begin
+      T.incr (pre ^ ".rejected");
+      ( Rejected
+          (Runaway
+             (Printf.sprintf "input too large (%d lines; portal limit %d)"
+                lines tool.max_input_lines)),
+        input )
+    end
+    else begin
+      (* the cache and execute phases land on the request's timeline;
+         profiler ticks inside the kernel fold to "worker;execute;<tool>" *)
+      let probed =
+        Phase.run "cache" (fun () ->
+            match cache_find key input with
+            | Some _ as hit -> hit
+            | None -> (
+              (* memory miss: probe the disk tier, promoting a hit back
+                 into its memory shard *)
+              match store_find key with
+              | Some out ->
+                Atomic.incr stat_disk_hits;
+                T.incr "portal.cache.disk_hits";
+                cache_add ~spill:false ~input key out;
+                publish_size ();
+                Some (input, out)
+              | None -> None))
+      in
+      match probed with
+      | Some (stored, out) ->
+        Atomic.incr stat_hits;
+        T.incr (pre ^ ".cache_hits");
+        T.incr "portal.cache.hits";
+        (Cache_hit out, stored)
+      | None ->
+        Atomic.incr stat_misses;
+        T.incr "portal.cache.misses";
+        T.incr (pre ^ ".executions");
+        let out =
+          Phase.run "execute" (fun () ->
+              Phase.run tool.tool_name (fun () -> tool.execute input))
+        in
+        cache_add ~input key out;
+        publish_size ();
+        (* write-through: the result is durable the moment it is
+           computed, not only when LRU pressure spills it - this is what
+           a killed-and-restarted server warm-starts from *)
+        store_append key out;
+        (Executed out, input)
+    end
   in
-  (* one journal event per submission; a runaway rejection is an Error
-     and triggers the flight-recorder dump so the operator sees the
-     trailing window of activity that led up to it *)
+  (* one measurement feeds the latency timer and the journal event; a
+     runaway rejection is an Error and triggers the flight-recorder
+     dump so the operator sees the trailing window of activity that led
+     up to it *)
   let latency_s = Float.max 0.0 (T.now () -. t0) in
+  T.observe (pre ^ ".latency") latency_s;
   let outcome_name, reject_reason =
     match outcome with
     | Executed _ -> ("executed", None)

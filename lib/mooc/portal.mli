@@ -146,14 +146,17 @@ val submit_result : session -> tool -> string -> outcome
     [portal.t.rejected] (runaway guard tripped), [portal.t.cache_hits]
     (identical submission served from the cache, byte-for-byte the same
     output, tool not re-executed) or [portal.t.executions] (tool ran,
-    result cached). Wall-clock latency is recorded on the
-    [portal.t.latency] histogram, and each real execution opens a
-    ["portal.execute"] trace span.
+    result cached). The cache probe and a real execution are
+    {!Vc_util.Phase.run} phases ["cache"] and ["execute"] (with the
+    tool's name as a frame inside ["execute"]), so a request installed
+    by {!Vc_mooc.Server} gets [cache] and [execute] on its timeline.
 
-    Every submission additionally emits one {!Vc_util.Journal} event
-    (component ["portal"], name ["submission"]) carrying the tool name,
-    the content digest, the outcome ([executed] / [cache_hit] /
-    [rejected]), the latency, and - for rejections - the reason. A
+    Every submission is timed once: the wall-clock latency goes to the
+    [portal.t.latency] histogram and to the one {!Vc_util.Journal} event
+    each submission emits (component ["portal"], name ["submission"]),
+    which carries the tool name, the content digest, the outcome
+    ([executed] / [cache_hit] / [rejected]), that [latency_s], and -
+    for rejections - the reason. A
     runaway rejection is emitted at [Error] severity and dumps the
     journal's flight recorder, so the trailing window of events that
     led up to it is preserved. *)

@@ -149,7 +149,7 @@ let rec worker_loop t w =
   | Some (job, depth) ->
     T.set_gauge "server.queue_depth" (float_of_int depth);
     (* per-worker busy accounting: the continuous profiler attributes
-       this span to "worker;..." and the busy-time timer feeds the
+       this job to "worker;..." and the busy-time timer feeds the
        server.worker.<w>.util series *)
     T.set_gauge "server.workers.busy"
       (float_of_int (1 + Atomic.fetch_and_add t.busy 1));
@@ -161,7 +161,7 @@ let rec worker_loop t w =
           (Float.max 0.0 (Unix.gettimeofday () -. busy_from));
         T.set_gauge "server.workers.busy"
           (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1)))
-      (fun () -> Prof.with_frame "worker" (fun () -> process_job t job));
+      (fun () -> Vc_util.Phase.run "worker" (fun () -> process_job t job));
     worker_loop t w
 
 and process_job t job =
@@ -202,8 +202,9 @@ and process_job t job =
         outcome
       end
       else begin
-        (* the ambient context lets the portal time its cache-probe and
-           execute phases into this request without plumbing *)
+        (* the ambient context lets the portal's Phase.run calls time
+           its cache-probe and execute phases into this request without
+           plumbing *)
         let outcome =
           Tc.with_current ctx (fun () ->
               Portal.submit_result job.j_session job.j_tool job.j_input)

@@ -32,8 +32,9 @@
     [request.replied] events carrying a [trace_id] attr, with the
     replied event also carrying the per-phase timeline
     ([phase.queue] / [phase.cache] / [phase.execute] / [phase.reply]
-    attrs, seconds) whose aggregates feed the [server.phase.<name>]
-    histograms. [vcstat request] joins these against a [vcload] client
+    attrs, seconds; cache and execute are the portal's
+    {!Vc_util.Phase.run} phases) whose aggregates feed the
+    [server.phase.<name>] histograms. [vcstat request] joins these against a [vcload] client
     journal by trace id.
 
     {b Wake-up discipline.} The queue tracks how many workers are

@@ -1,6 +1,7 @@
-(** The process-wide time source shared by {!Telemetry} (timers, trace
-    spans) and {!Journal} (event timestamps). One injectable reading so
-    deterministic tests drive both layers from a single fake clock. *)
+(** The process-wide time source shared by {!Telemetry} (timers),
+    {!Phase} (request phases) and {!Journal} (event timestamps). One
+    injectable reading so deterministic tests drive every layer from a
+    single fake clock. *)
 
 val now : unit -> float
 (** Current reading of the installed clock, seconds. Defaults to

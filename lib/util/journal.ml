@@ -69,14 +69,8 @@ type pending = {
 
 type buffer = { b_mu : Mutex.t; b_q : pending Queue.t }
 
-(* Every buffer ever created, newest first; guarded by [mu]. *)
+(* The live domains' buffers, newest first; guarded by [mu]. *)
 let buffers : buffer list ref = ref []
-
-let buffer_key : buffer Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b = { b_mu = Mutex.create (); b_q = Queue.create () } in
-      locked (fun () -> buffers := b :: !buffers);
-      b)
 
 (* Info/Debug events buffer up to this many per domain before forcing a
    flush; Warn/Error always flush immediately so the flight recorder and
@@ -148,6 +142,22 @@ let report_sink_failures failed =
     failed
 
 let flush () = report_sink_failures (locked flush_locked)
+
+(* A spawned domain's buffer is flushed and dropped when the domain
+   exits, so a server running one domain per connection holds only the
+   live ones; [Domain.join] returns after this hook. *)
+let buffer_key : buffer Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let b = { b_mu = Mutex.create (); b_q = Queue.create () } in
+      locked (fun () -> buffers := b :: !buffers);
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () ->
+            report_sink_failures
+              (locked (fun () ->
+                   let failed = flush_locked () in
+                   buffers := List.filter (( != ) b) !buffers;
+                   failed)));
+      b)
 
 (* Sink changes flush first, so every event emitted before the change
    reaches exactly the sinks that were registered at emission time. *)

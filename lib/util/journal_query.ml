@@ -289,6 +289,7 @@ type qspan = {
 (* A begin/end pair is an event name ending in ".begin" / ".end" with
    the same prefix, same component and (when present) the same "stage"
    attribute - flow's stage.begin/stage.end is the canonical producer.
+   A matching ".error" (flow's failed stage) closes the span too.
    Events are first partitioned into independent streams - by trace_id
    attr when present, else domain attr, else component - so the
    interleaved output of concurrent requests never mis-nests (one
@@ -313,6 +314,11 @@ let spans_of events =
        = suf
   in
   let prefix_of s suf = String.sub s 0 (String.length s - String.length suf) in
+  let closed_prefix name =
+    List.find_map
+      (fun suf -> if suffix name suf then Some (prefix_of name suf) else None)
+      [ ".end"; ".error" ]
+  in
   let key (e : Journal.event) p =
     (e.Journal.ev_component, p, List.assoc_opt "stage" e.Journal.ev_attrs)
   in
@@ -368,20 +374,21 @@ let spans_of events =
         st.st_stack <-
           (key e p, label e p, e.Journal.ev_ts, ref []) :: st.st_stack
       end
-      else if suffix e.Journal.ev_name ".end" then begin
-        let p = prefix_of e.Journal.ev_name ".end" in
-        let k = key e p in
-        if List.exists (fun (k', _, _, _) -> k' = k) st.st_stack then begin
-          (* close unterminated inner frames at this timestamp first *)
-          while (match st.st_stack with
-                 | (k', _, _, _) :: _ -> k' <> k
-                 | [] -> false)
-          do
+      else
+        match closed_prefix e.Journal.ev_name with
+        | None -> ()
+        | Some p ->
+          let k = key e p in
+          if List.exists (fun (k', _, _, _) -> k' = k) st.st_stack then begin
+            (* close unterminated inner frames at this timestamp first *)
+            while (match st.st_stack with
+                   | (k', _, _, _) :: _ -> k' <> k
+                   | [] -> false)
+            do
+              close_top st e.Journal.ev_ts
+            done;
             close_top st e.Journal.ev_ts
-          done;
-          close_top st e.Journal.ev_ts
-        end
-      end)
+          end)
     events;
   let roots =
     List.concat_map

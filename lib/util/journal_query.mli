@@ -129,8 +129,10 @@ val spans_of : Journal.event list -> qspan list
     attribute, else the component - so the interleaved output of
     concurrent requests in a multi-domain journal cannot mis-nest.
     Within a stream: a begin inside an open span nests under it, an end
-    with no matching open span is ignored, and spans left open at the
-    end of the log are closed at that stream's last seen timestamp.
+    - or an [*.error], such as a failed flow stage's [stage.error] -
+    closes the matching open span, one with no matching open span is
+    ignored, and spans left open at the end of the log are closed at
+    that stream's last seen timestamp.
     Roots across streams are ordered by start time. *)
 
 (** {1 Request timelines (trace-id join)} *)

@@ -1,32 +1,24 @@
-(** Continuous profiler: ambient per-domain frame stacks, sampled on a
-    timer into folded-stack aggregates and rendered as a flamegraph.
+(** Continuous profiler: every domain's {!Phase} frame stack, sampled on
+    a timer into folded-stack aggregates and rendered as a flamegraph.
 
-    Instrumented code pushes frames with {!with_frame} (the server
-    worker pushes ["worker"], the portal pushes ["cache"] / ["execute"]
-    / the tool name beneath it); a sampler tick ({!tick}, driven by
+    Request code marks its phases with {!Phase.run} (the server worker
+    marks ["worker"], the portal ["cache"] / ["execute"] / the tool name
+    beneath it); a sampler tick ({!tick}, driven by
     {!Timeseries.Sampler}) reads every domain's current stack and bumps
     one folded-stack counter per domain - the always-on "where is time
     going" histogram an operator reads from [GET /profile] or renders
     with [vcstat flame].
 
-    The frame hot path is one list cons and one field store; the
-    cross-domain stack read at tick time is a benign race on an
-    immutable list (documented in the implementation), so profiling
+    The frame hot path is one list cons and two field stores in
+    {!Phase.run}; the cross-domain stack read at tick time is a benign
+    race on an immutable list (see {!Phase.stacks}), so profiling
     overhead is near zero whether or not a sampler is running. *)
 
 val register : unit -> unit
 (** Publish the calling domain's (initially empty) frame stack to the
     sampler, so the domain's idle time is attributed to ["idle"] from
-    the first tick. Worker domains call this when they start;
-    {!with_frame} registers implicitly. *)
-
-val with_frame : string -> (unit -> 'a) -> 'a
-(** [with_frame name f] pushes [name] onto the calling domain's frame
-    stack for the duration of [f] (popped on return or exception).
-    Nested calls build the stack the sampler folds. *)
-
-val current_stack : unit -> string list
-(** The calling domain's own stack, outermost frame first. *)
+    the first tick ({!Phase.register}). Worker domains call this when
+    they start; {!Phase.run} registers implicitly. *)
 
 val tick : ?journal:bool -> unit -> unit
 (** Sample every registered domain's stack once: each domain
@@ -61,5 +53,4 @@ val flamegraph_svg :
     that CI checks root-frame coverage against. *)
 
 val reset : unit -> unit
-(** Drop all aggregates and tick counts, and clear the calling domain's
-    own stack (other domains own theirs). Tests only. *)
+(** Drop all aggregates and tick counts. Tests only. *)

@@ -1,7 +1,7 @@
 (* Global instrumentation state, sharded per domain for multicore
    scaling. Every domain owns a private cell of counters, timer
-   histograms, gauges and completed spans (reached through
-   [Domain.DLS]); the renderers merge all cells lazily on the way out.
+   histograms and gauges (reached through [Domain.DLS]); the renderers
+   merge all cells lazily on the way out.
 
    Domain safety: the per-job fast path is lock-free for the owning
    domain - a counter bump is one [Atomic.fetch_and_add] on a cell the
@@ -10,37 +10,27 @@
    its own cell mutex, taken once per (domain, metric-name) pair when
    the name is first seen - structurally growing the cell's hashtable
    must not race with a renderer walking it. Renderers take each cell's
-   mutex in turn while folding; the short global mutex [mu] guards only
-   the cell registry and the probe registry (both touched at
-   registration/render time, never per job). Lock ordering: [mu] is
-   never held while a cell mutex is taken within a single operation,
-   and nothing in this module calls back out, so telemetry locks are
-   always innermost.
+   mutex in turn while folding, all under the global mutex [mu], which
+   also guards the cell registry and the probe registry (touched at
+   registration, retirement and render time, never per job). Lock
+   ordering: [mu] before a cell mutex, never the reverse, and nothing in
+   this module calls back out, so telemetry locks are always innermost.
 
    [reset] empties every registered cell; it assumes the quiescence any
    exact-counting reader needs anyway (domains that raced a reset may
-   leave a stray count behind). Cells belong to the registry forever -
-   a domain's counts survive its termination, which is what makes
-   "spawn workers, join them, then read the totals" exact: [Domain.join]
-   synchronizes, so merged sums equal the per-domain sums. *)
+   leave a stray count behind). A spawned domain's cell is retired when
+   the domain exits: its counts are folded into the [retired] cell, which
+   stays registered, and the cell leaves the registry - one step under
+   [mu], so a renderer sees the counts exactly once. That keeps "spawn
+   workers, join them, then read the totals" exact ([Domain.join] returns
+   after the domain's exit hooks), while a server that runs one domain
+   per connection keeps only its live domains' cells. *)
 
 let set_clock = Clock.set
 let now = Clock.now
 
 let mu = Mutex.create ()
 let locked f = Mutex.protect mu f
-
-(* ------------------------------------------------------------------ *)
-(* trace spans (type only; recording comes after the cells)            *)
-(* ------------------------------------------------------------------ *)
-
-type span = {
-  span_name : string;
-  start_s : float;
-  duration_s : float;
-  attrs : (string * string) list;
-  children : span list;
-}
 
 (* ------------------------------------------------------------------ *)
 (* timers: log-bucketed histograms                                     *)
@@ -103,37 +93,62 @@ type cells = {
   c_counters : (string, int Atomic.t) Hashtbl.t;
   c_timers : (string, hist) Hashtbl.t;
   c_gauges : (string, (int * float) ref) Hashtbl.t; (* (stamp, value) *)
-  mutable c_spans : span list; (* completed roots, newest first *)
-  mutable c_span_count : int; (* length of [c_spans] *)
 }
 
-(* Registry of every cell ever created, newest first. Guarded by [mu]. *)
-let all_cells : cells list ref = ref []
+let new_cells () =
+  {
+    c_mu = Mutex.create ();
+    c_counters = Hashtbl.create 32;
+    c_timers = Hashtbl.create 32;
+    c_gauges = Hashtbl.create 16;
+  }
+
+(* The totals of every exited domain; registered for good *)
+let retired = new_cells ()
+
+(* Registry of the live domains' cells and [retired], newest first.
+   Guarded by [mu]. *)
+let all_cells : cells list ref = ref [ retired ]
+
+(* Move [src]'s entries into [dst], combining names both hold *)
+let absorb dst src combine =
+  Hashtbl.iter
+    (fun k v ->
+      match Hashtbl.find_opt dst k with
+      | Some d -> combine d v
+      | None -> Hashtbl.add dst k v)
+    src
+
+(* Runs on the exiting domain, the only writer of [c] *)
+let retire c =
+  locked (fun () ->
+      Mutex.protect retired.c_mu (fun () ->
+          absorb retired.c_counters c.c_counters (fun d a ->
+              ignore (Atomic.fetch_and_add d (Atomic.get a)));
+          absorb retired.c_timers c.c_timers merge_into;
+          (* newest stamp wins, as in a merged read *)
+          absorb retired.c_gauges c.c_gauges (fun d r ->
+              if fst !r > fst !d then d := !r));
+      all_cells := List.filter (( != ) c) !all_cells)
 
 let cells_key : cells Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let c =
-        {
-          c_mu = Mutex.create ();
-          c_counters = Hashtbl.create 32;
-          c_timers = Hashtbl.create 32;
-          c_gauges = Hashtbl.create 16;
-          c_spans = [];
-          c_span_count = 0;
-        }
-      in
+      let c = new_cells () in
       locked (fun () -> all_cells := c :: !all_cells);
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () -> retire c);
       c)
 
 let my_cells () = Domain.DLS.get cells_key
-let snapshot_cells () = locked (fun () -> !all_cells)
 
 (* Fold over every cell with its mutex held - the renderer-side half of
-   the structural-growth discipline described in the header. *)
+   the structural-growth discipline described in the header - and with
+   [mu] held, so a cell being retired is seen exactly once. *)
 let fold_cells f init =
-  List.fold_left
-    (fun acc c -> Mutex.protect c.c_mu (fun () -> f acc c))
-    init (snapshot_cells ())
+  locked (fun () ->
+      List.fold_left
+        (fun acc c -> Mutex.protect c.c_mu (fun () -> f acc c))
+        init !all_cells)
 
 (* The one merge path of every metric kind: fold the named entries of
    one table of every cell ([only] keeps a single name), sorted by name. *)
@@ -347,76 +362,6 @@ let time name f =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* trace spans: recording                                              *)
-(* ------------------------------------------------------------------ *)
-
-type open_span = {
-  o_name : string;
-  o_start : float;
-  o_attrs : (string * string) list;
-  mutable o_children : span list; (* newest first *)
-}
-
-(* Each domain nests spans on its own stack; a completed top-level span
-   lands in the owner's cell, lock-free. *)
-let span_stack_key : open_span list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-(* A cell keeps its newest [span_keep] roots: when it reaches twice
-   that, the older half is dropped and counted, so an append stays
-   amortized O(1). *)
-let span_keep = 1024
-
-let with_span ?(attrs = []) name f =
-  let span_stack = Domain.DLS.get span_stack_key in
-  let o = { o_name = name; o_start = now (); o_attrs = attrs; o_children = [] } in
-  span_stack := o :: !span_stack;
-  let finish extra =
-    (match !span_stack with _ :: rest -> span_stack := rest | [] -> ());
-    let s =
-      {
-        span_name = o.o_name;
-        start_s = o.o_start;
-        duration_s = elapsed_since o.o_start;
-        attrs = o.o_attrs @ extra;
-        children = List.rev o.o_children;
-      }
-    in
-    match !span_stack with
-    | parent :: _ -> parent.o_children <- s :: parent.o_children
-    | [] ->
-      let c = my_cells () in
-      c.c_spans <- s :: c.c_spans;
-      c.c_span_count <- c.c_span_count + 1;
-      if c.c_span_count >= 2 * span_keep then begin
-        c.c_spans <- List.filteri (fun i _ -> i < span_keep) c.c_spans;
-        c.c_span_count <- span_keep;
-        incr ~by:span_keep "telemetry.spans.dropped"
-      end
-  in
-  match f () with
-  | v ->
-    finish [];
-    v
-  | exception e ->
-    finish [ ("error", Printexc.to_string e) ];
-    raise e
-
-let timed_span ?attrs name f = time name (fun () -> with_span ?attrs name f)
-
-(* Per cell the reversed list is completion order; across cells the
-   forest is ordered by start time (stable, so single-domain traces keep
-   their completion order even under a frozen test clock). *)
-let spans () =
-  snapshot_cells ()
-  |> List.rev_map (fun c -> List.rev c.c_spans)
-  |> List.concat
-  |> List.stable_sort (fun a b -> compare a.start_s b.start_s)
-
-let span_count () =
-  List.fold_left (fun n c -> n + c.c_span_count) 0 (snapshot_cells ())
-
-(* ------------------------------------------------------------------ *)
 (* probes                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -469,13 +414,10 @@ let report () =
         (Printf.sprintf "  %s:\n" name
         :: List.map (fun (k, v) -> Printf.sprintf "    %-36s %10d\n" k v) kvs))
     (probes ());
-  Buffer.add_string b
-    (Printf.sprintf "trace spans recorded: %d\n" (span_count ()));
   Buffer.contents b
 
 (* JSON text is built through the shared Vc_util.Json emitters, so the
    layer stays free of third-party dependencies. *)
-let jstr = Json.str
 let jfloat = Json.num
 let jobj = Json.obj
 let jarr = Json.arr
@@ -521,20 +463,7 @@ let to_json () =
              (fun (name, kvs) ->
                (name, jobj (List.map (fun (k, v) -> (k, string_of_int v)) kvs)))
              (probes ())) );
-      ("spans", string_of_int (span_count ()));
     ]
-
-let rec span_json s =
-  jobj
-    [
-      ("name", jstr s.span_name);
-      ("start_s", jfloat s.start_s);
-      ("duration_s", jfloat s.duration_s);
-      ("attrs", jobj (List.map (fun (k, v) -> (k, jstr v)) s.attrs));
-      ("children", jarr (List.map span_json s.children));
-    ]
-
-let spans_to_json () = jobj [ ("spans", jarr (List.map span_json (spans ()))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
@@ -607,23 +536,16 @@ let to_prometheus () =
 (* ------------------------------------------------------------------ *)
 
 let reset () =
-  List.iter
-    (fun c ->
-      Mutex.protect c.c_mu (fun () ->
-          Hashtbl.reset c.c_counters;
-          Hashtbl.reset c.c_timers;
-          Hashtbl.reset c.c_gauges;
-          c.c_spans <- [];
-          c.c_span_count <- 0))
-    (snapshot_cells ());
-  (* only the calling domain's open-span stack can be cleared - other
-     domains own theirs *)
-  Domain.DLS.get span_stack_key := []
+  fold_cells
+    (fun () c ->
+      Hashtbl.reset c.c_counters;
+      Hashtbl.reset c.c_timers;
+      Hashtbl.reset c.c_gauges)
+    ()
 
 type cli_options = {
   cli_argv : string array;
   cli_stats : bool;
-  cli_trace : string option;
   cli_journal : string option;
   cli_journal_segments : int option;
   cli_metrics_port : int option;
@@ -631,7 +553,6 @@ type cli_options = {
 
 let cli_parse argv =
   let stats = ref false
-  and trace = ref None
   and journal = ref None
   and journal_segments = ref None
   and metrics_port = ref None in
@@ -643,10 +564,6 @@ let cli_parse argv =
     | [] -> List.rev acc
     | "--stats" :: rest ->
       stats := true;
-      strip acc rest
-    | [ "--trace" ] -> missing "--trace" "FILE"
-    | "--trace" :: file :: rest ->
-      trace := Some file;
       strip acc rest
     | [ "--journal" ] -> missing "--journal" "FILE"
     | "--journal" :: file :: rest ->
@@ -679,7 +596,6 @@ let cli_parse argv =
     {
       cli_argv = argv;
       cli_stats = false;
-      cli_trace = None;
       cli_journal = None;
       cli_journal_segments = None;
       cli_metrics_port = None;
@@ -689,7 +605,6 @@ let cli_parse argv =
     {
       cli_argv = Array.of_list (prog :: kept);
       cli_stats = !stats;
-      cli_trace = !trace;
       cli_journal = !journal;
       cli_journal_segments = !journal_segments;
       cli_metrics_port = !metrics_port;
@@ -697,7 +612,7 @@ let cli_parse argv =
 
 let cli ?(server = false) argv =
   let o = cli_parse argv in
-  (* Registered before the stats/trace hooks: at_exit runs LIFO, and the
+  (* Registered before the stats hook: at_exit runs LIFO, and the
      serving loop must be the last thing the process does - it keeps the
      tool alive answering /metrics until the operator kills it. With
      [server:true] the exporter instead serves live from a background
@@ -722,12 +637,6 @@ let cli ?(server = false) argv =
   | None -> ());
   Journal.install_crash_handler ();
   if o.cli_stats then at_exit (fun () -> prerr_string (report ()));
-  (match o.cli_trace with
-  | Some file ->
-    at_exit (fun () ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc (spans_to_json ())))
-  | None -> ());
   (match o.cli_journal with
   | Some file -> Journal.open_jsonl ?segment_bytes:o.cli_journal_segments file
   | None -> ());

@@ -1,6 +1,6 @@
 (** Process-wide instrumentation: named counters, wall-clock timers,
-    hierarchical trace spans and pluggable kernel probes, with text and
-    JSON renderers.
+    gauges and pluggable kernel probes, with text, JSON and Prometheus
+    renderers.
 
     This is the observability substrate of the repository (see
     [docs/OBSERVABILITY.md] for a guided tour): [Vc_mooc.Portal] counts
@@ -8,11 +8,14 @@
     hot algorithm kernels ([Vc_sat.Solver], [Vc_bdd.Bdd],
     [Vc_route.Maze], [Vc_place.Annealing]) register cumulative-counter
     probes with it, and every binary under [bin/] exposes it through the
-    [--stats] and [--trace FILE] flags (see {!cli}).
+    [--stats] flag (see {!cli}). Spans are not kept here: the one span
+    model is the journal's [*.begin]/[*.end] event pairs, rebuilt by
+    {!Journal_query.spans_of} ([vcstat spans]), and request phases go
+    through {!Phase.run}.
 
     All state is global to the process and {e domain-safe}, and the
     write path scales: every domain records counters, timer
-    observations, gauge writes and completed spans into its {e own}
+    observations and gauge writes into its {e own}
     per-domain cells ([Domain.DLS]), so {!Vc_mooc.Server}'s worker
     domains instrument without contending on a shared lock - the
     steady-state {!incr} / {!observe} / {!set_gauge} path is lock-free
@@ -21,11 +24,10 @@
     list of samples. The read side ({!counter}, {!timers}, {!report},
     {!to_json}, {!to_prometheus}, ...) merges all domains' cells on
     demand: counters and histogram buckets sum, gauges resolve
-    last-write-wins via a global version stamp. Trace spans nest on a
-    per-domain stack ({!with_span} trees never interleave across
-    domains); each domain's cell keeps its newest completed top-level
-    spans (a bounded number, see {!spans}), merged (ordered by start
-    time) by {!spans}. See
+    last-write-wins via a global version stamp. When a spawned domain
+    exits, its cell is folded into one that stays registered and then
+    dropped, so totals stay exact after [Domain.join] while the cells
+    held are those of the live domains. See
     [docs/CONCURRENCY.md] for the full model. Everything here is plain
     OCaml + the [unix] library shipped with the compiler - no
     third-party dependencies. *)
@@ -126,40 +128,6 @@ val gauge : string -> float option
 val gauges : unit -> (string * float) list
 (** All gauges, sorted by name. *)
 
-(** {1 Trace spans}
-
-    Spans form a tree: a span opened while another is running becomes
-    its child. Each domain keeps its newest completed top-level spans
-    until {!reset}: when a domain holds 2,048, its oldest 1,024 are
-    dropped and added to the [telemetry.spans.dropped] counter, so a
-    long-running server holds at most 2,047 roots per domain. The
-    counter exists only once something was dropped. *)
-
-type span = {
-  span_name : string;
-  start_s : float;  (** Clock reading when the span was opened. *)
-  duration_s : float;
-  attrs : (string * string) list;
-      (** User attributes; a span whose body raised also carries an
-          [("error", _)] attribute. *)
-  children : span list;  (** Oldest first. *)
-}
-
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f ()] inside a new span. The span is
-    recorded whether [f] returns or raises; exceptions propagate. *)
-
-val timed_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** {!with_span} and {!time} in one call under the same name - the
-    convenience used by the [bin/] tools around their main work. *)
-
-val spans : unit -> span list
-(** Retained top-level spans, oldest first. *)
-
-val span_count : unit -> int
-(** Number of retained top-level spans over all domains - the length of
-    {!spans}, without building it. *)
-
 (** {1 Kernel probes}
 
     A probe is a named thunk returning cumulative [(key, value)]
@@ -178,23 +146,18 @@ val probes : unit -> (string * (string * int) list) list
 (** {1 Renderers} *)
 
 val report : unit -> string
-(** Human-readable report: counters, timer summaries (milliseconds),
-    probe readings and the number of recorded trace spans. Sections with
-    no data are omitted; the probe section always appears once any probe
-    is registered. *)
+(** Human-readable report: counters, gauges, timer summaries
+    (milliseconds) and probe readings. Sections with no data are
+    omitted; the probe section always appears once any probe is
+    registered. *)
 
 val to_json : unit -> string
 (** The same data as {!report} as a JSON object with fields
     ["counters"], ["gauges"], ["timers"] (per-timer objects with
     [count], [total_s], [mean_s], [p50_s], [p90_s], [p99_s], [max_s],
-    [stddev_s]), ["histograms"] (per-timer [buckets]/[sum]/[count]),
-    ["probes"] and ["spans"] (the count of top-level spans).
-    Machine-readable; [bench/main.ml] writes it to
+    [stddev_s]), ["histograms"] (per-timer [buckets]/[sum]/[count])
+    and ["probes"]. Machine-readable; [bench/main.ml] writes it to
     [BENCH_portal.json]. *)
-
-val spans_to_json : unit -> string
-(** The completed span forest as [{"spans": [...]}]; each span carries
-    [name], [start_s], [duration_s], [attrs] and [children]. *)
 
 val to_prometheus : unit -> string
 (** The current metric state in the Prometheus text exposition format
@@ -211,10 +174,9 @@ val to_prometheus : unit -> string
 (** {1 Control} *)
 
 val reset : unit -> unit
-(** Clear counters, gauges, timers and recorded spans across {e all}
-    domains' cells. Registered probes and the clock survive (their
-    counters live in their own modules). Only the calling domain's
-    open-span stack is cleared; other domains own theirs. Call while
+(** Clear counters, gauges and timers across {e all} domains' cells,
+    exited domains' totals included. Registered probes and the clock
+    survive (their counters live in their own modules). Call while
     other domains are quiescent (between test cases, between bench
     configurations) - a racing writer may land an update in a cell that
     was already cleared. *)
@@ -223,8 +185,7 @@ val set_clock : (unit -> float) -> unit
 (** Replace the time source (default [Unix.gettimeofday]) - an alias of
     {!Clock.set}, shared with {!Journal} timestamps - used by tests
     that need deterministic durations. The wall clock is not monotonic,
-    so computed timer and span durations clamp negative differences to
-    zero. *)
+    so computed timer durations clamp negative differences to zero. *)
 
 val now : unit -> float
 (** Read the installed clock ({!Clock.now}). *)
@@ -232,12 +193,11 @@ val now : unit -> float
 (** {1 Command-line integration} *)
 
 val cli : ?server:bool -> string array -> string array
-(** [cli Sys.argv] strips [--stats], [--trace FILE], [--journal FILE],
+(** [cli Sys.argv] strips [--stats], [--journal FILE],
     [--journal-segments BYTES] and [--metrics-port N] from an argument
     vector and returns the rest (element 0 preserved). If [--stats] was
     present, the process prints {!report} to stderr at exit; if
-    [--trace FILE] was present, it writes {!spans_to_json} to [FILE] at
-    exit; if [--journal FILE] was present, every {!Journal} event is
+    [--journal FILE] was present, every {!Journal} event is
     streamed as JSON Lines - to [FILE] (appending), or, when
     [--journal-segments BYTES] was also given, to a rotated
     [FILE.00000.jsonl]-style segment set with [BYTES]-sized segments
@@ -260,7 +220,6 @@ val cli : ?server:bool -> string array -> string array
 type cli_options = {
   cli_argv : string array;  (** Arguments with the flags stripped. *)
   cli_stats : bool;
-  cli_trace : string option;
   cli_journal : string option;
   cli_journal_segments : int option;
       (** [--journal-segments BYTES]: rotate the journal into
@@ -270,7 +229,7 @@ type cli_options = {
 
 val cli_parse : string array -> cli_options
 (** The pure part of {!cli}: strips the flags without installing any
-    hook. Exits with code 2 on a [--trace]/[--journal] missing its file
+    hook. Exits with code 2 on a [--journal] missing its file
     argument, a [--journal-segments] missing its byte count or given a
     non-positive one, or a [--metrics-port] missing its port or given
     one outside 0-65535. *)

@@ -1,9 +1,10 @@
 (* Request-scoped trace context: a short hex id minted from Rng, an
    optional parent id, and a mutable per-phase duration list. The
    ambient context is per-domain (Domain.DLS): the server worker
-   installs the job's context around Portal.submit_result, and the
-   portal records its cache-probe / execute phases into whatever
-   context is current without threading it through every signature. *)
+   installs the job's context around Portal.submit_result, and
+   Phase.run times the portal's cache-probe / execute phases into
+   whatever context is current without threading it through every
+   signature. *)
 
 let id_length = 16
 let hex = "0123456789abcdef"
@@ -72,6 +73,3 @@ let with_current t f =
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 let ambient_attrs () = match current () with Some t -> to_attrs t | None -> []
-
-let record_current_phase name dur =
-  match current () with Some t -> record_phase t name dur | None -> ()

@@ -12,10 +12,10 @@
 
     {b Ambient propagation.} Rather than threading the context through
     every signature between the server and the kernels, the worker
-    domain installs it with {!with_current} and downstream code
-    ({!Portal}) reads it back with {!current} / {!ambient_attrs} /
-    {!record_current_phase}. The slot is per-domain ([Domain.DLS]), so
-    concurrent workers never see each other's context. *)
+    domain installs it with {!with_current}; downstream code reads it
+    back with {!current} / {!ambient_attrs}, and {!Phase.run} appends
+    the portal's phases to it. The slot is per-domain ([Domain.DLS]),
+    so concurrent workers never see each other's context. *)
 
 type t
 
@@ -84,7 +84,3 @@ val current : unit -> t option
 
 val ambient_attrs : unit -> (string * string) list
 (** {!to_attrs} of the current context, or [[]] outside any request. *)
-
-val record_current_phase : string -> float -> unit
-(** {!record_phase} on the current context; a no-op outside any
-    request, so instrumented code needs no caller checks. *)

@@ -1,5 +1,5 @@
 (* check_obs: validate the machine-readable observability outputs the
-   CLI golden tests produce (trace JSON, journal JSONL, QoR reports,
+   CLI golden tests produce (span JSON, journal JSONL, QoR reports,
    --stats text). Exits non-zero with a message on the first violation,
    so a dune (run ...) action can gate on it. *)
 
@@ -32,12 +32,22 @@ let check_contains file needle =
   if not (contains (read file) needle) then
     die "%s: expected to find %S" file needle
 
-(* FILE must be a spans_to_json dump with at least one completed span. *)
+(* FILE must be a `vcstat spans --format json` dump of a flow journal:
+   one root span per stage, each flow/<stage> of the five present. *)
 let check_trace file =
-  match Json.member "spans" (parse file (read file)) with
-  | Some (Json.Arr (_ :: _)) -> ()
-  | Some (Json.Arr []) -> die "%s: no spans recorded" file
-  | _ -> die "%s: no spans array" file
+  let roots =
+    match Json.member "spans" (parse file (read file)) with
+    | Some (Json.Arr l) -> l
+    | _ -> die "%s: no spans array" file
+  in
+  let names =
+    List.filter_map (fun sp -> Option.bind (Json.member "name" sp) Json.to_str) roots
+  in
+  List.iter
+    (fun stage ->
+      if not (List.mem ("flow/" ^ stage) names) then
+        die "%s: no root span for stage %s" file stage)
+    [ "synthesis"; "mapping"; "placement"; "routing"; "timing" ]
 
 (* Every line of FILE must parse as a JSON object (empty file is fine). *)
 let check_jsonl file =

@@ -305,6 +305,59 @@ let server_tests =
         check Alcotest.int "drained" 0 (Server.queue_depth srv);
         check Alcotest.bool "start event" true (has_journal_event "server.start");
         check Alcotest.bool "stop event" true (has_journal_event "server.stop"));
+    tc "phases: worker;execute;<tool> frames, one timeline per request"
+      (fun () ->
+        fresh ();
+        (* the tool answers with the frame stack it runs under *)
+        let probe =
+          {
+            echo with
+            Portal.tool_name = "probe";
+            execute =
+              (fun _ -> String.concat ";" (Vc_util.Phase.current_stack ()));
+          }
+        in
+        let srv =
+          Server.start
+            ~config:{ Server.default_config with Server.workers = 1 }
+            ()
+        in
+        let submit trace =
+          Server.submit srv (Portal.request ~trace ~session:"s" probe "x")
+        in
+        (match submit "aaaa0001" with
+        | Portal.Executed out ->
+          check Alcotest.string "frames" "worker;execute;probe" out
+        | _ -> Alcotest.fail "expected Executed");
+        (match submit "aaaa0002" with
+        | Portal.Cache_hit _ -> ()
+        | _ -> Alcotest.fail "expected Cache_hit");
+        Server.stop srv;
+        let phases trace =
+          List.find_map
+            (fun e ->
+              if
+                e.Journal.ev_name = "request.replied"
+                && List.assoc_opt "trace_id" e.Journal.ev_attrs = Some trace
+              then
+                Some
+                  (List.filter_map
+                     (fun (k, _) ->
+                       if String.starts_with ~prefix:"phase." k then
+                         Some (String.sub k 6 (String.length k - 6))
+                       else None)
+                     e.Journal.ev_attrs)
+              else None)
+            (Journal.events ())
+        in
+        check
+          Alcotest.(option (list string))
+          "miss" (Some [ "queue"; "cache"; "execute"; "reply" ])
+          (phases "aaaa0001");
+        check
+          Alcotest.(option (list string))
+          "hit" (Some [ "queue"; "cache"; "reply" ])
+          (phases "aaaa0002"));
     tc "sessions persist across submissions and keep history" (fun () ->
         fresh ();
         let srv =

@@ -83,48 +83,34 @@ let telemetry_tests =
         match T.timer "t.boom" with
         | Some s -> check Alcotest.int "one sample" 1 s.T.count
         | None -> Alcotest.fail "no sample");
-    tc "spans nest into a tree" (fun () ->
-        T.reset ();
-        let v =
-          T.with_span "outer" (fun () ->
-              ignore (T.with_span "inner1" (fun () -> 1));
-              ignore (T.with_span "inner2" (fun () -> 2));
-              7)
-        in
-        check Alcotest.int "value" 7 v;
-        match T.spans () with
-        | [ s ] ->
-          check Alcotest.string "root" "outer" s.T.span_name;
-          check
-            Alcotest.(list string)
-            "children in order" [ "inner1"; "inner2" ]
-            (List.map (fun c -> c.T.span_name) s.T.children)
-        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
-    tc "a raising span is recorded with an error attribute" (fun () ->
-        T.reset ();
-        (try T.with_span "bad" (fun () -> failwith "oops") with Failure _ -> ());
-        match T.spans () with
-        | [ s ] ->
-          check Alcotest.bool "error attr" true (List.mem_assoc "error" s.T.attrs)
-        | _ -> Alcotest.fail "expected exactly one root span");
-    tc "a domain keeps its newest span roots and counts the dropped ones"
+    tc "exited domains retire their cells and buffers with exact totals"
       (fun () ->
         T.reset ();
-        let dropped () =
-          List.assoc_opt "telemetry.spans.dropped" (T.counters ())
+        Journal.clear ();
+        let domain i =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 T.incr "retire.count";
+                 T.observe "retire.time" 0.001;
+                 T.set_gauge "retire.gauge" (float_of_int i);
+                 Journal.emit ~component:"test" "retire.event"))
         in
-        let root i = ignore (T.with_span (Printf.sprintf "root.%d" i) ignore) in
-        for i = 0 to 2046 do root i done;
-        check Alcotest.(option int) "no counter before a drop" None (dropped ());
-        for i = 2047 to 4999 do root i done;
-        let kept = T.span_count () in
-        check Alcotest.bool "1,024 <= kept <= 2,048" true
-          (kept >= 1024 && kept <= 2048);
-        check Alcotest.int "spans agrees" kept (List.length (T.spans ()));
-        check Alcotest.bool "newest present" true
-          (List.exists (fun s -> s.T.span_name = "root.4999") (T.spans ()));
-        check Alcotest.int "kept + dropped" 5000
-          (kept + Option.value ~default:0 (dropped ())));
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        domain 1;
+        let before = live () in
+        for i = 2 to 2000 do domain i done;
+        let grown_bytes = (live () - before) * (Sys.word_size / 8) in
+        check Alcotest.int "counter" 2000 (T.counter "retire.count");
+        check Alcotest.(option int) "timer count" (Some 2000)
+          (Option.map (fun s -> s.T.count) (T.timer "retire.time"));
+        check Alcotest.(option (float 0.0)) "newest gauge write" (Some 2000.0)
+          (T.gauge "retire.gauge");
+        check Alcotest.int "every event flushed" 2000 (Journal.event_count ());
+        if grown_bytes >= 256 * 1024 then
+          Alcotest.failf "heap grew by %d bytes over 1,999 domains" grown_bytes);
     tc "probes are pulled at render time" (fun () ->
         let v = ref 1 in
         T.register_probe "test.probe" (fun () -> [ ("v", !v) ]);
@@ -150,14 +136,14 @@ let telemetry_tests =
         List.iter
           (fun needle -> check Alcotest.bool needle true (contains needle))
           [ "report.counter"; "report.timer"; "sat.solver" ]);
-    tc "reset clears counters, timers and spans but keeps probes" (fun () ->
+    tc "reset clears counters, timers and gauges but keeps probes" (fun () ->
         T.incr "gone";
         T.observe "gone.t" 1.0;
-        ignore (T.with_span "gone.s" (fun () -> ()));
+        T.set_gauge "gone.g" 1.0;
         T.reset ();
         check Alcotest.int "counter" 0 (T.counter "gone");
         check Alcotest.bool "timer" true (T.timer "gone.t" = None);
-        check Alcotest.int "spans" 0 (List.length (T.spans ()));
+        check Alcotest.bool "gauge" true (T.gauge "gone.g" = None);
         check Alcotest.bool "probes kept" true (T.probes () <> []));
   ]
 
@@ -186,32 +172,12 @@ let json_tests =
             | Some t -> obj_field "count" t = Some (Json.Num 1.0)
             | None -> false)
         | _ -> Alcotest.fail "no timers object");
-    tc "spans_to_json parses with nesting and attrs" (fun () ->
-        T.reset ();
-        ignore
-          (T.with_span ~attrs:[ ("k", "v\"quoted\"") ] "root" (fun () ->
-               T.with_span "child" (fun () -> ())));
-        let j = parse_json (T.spans_to_json ()) in
-        match obj_field "spans" j with
-        | Some (Json.Arr [ root ]) ->
-          check Alcotest.bool "name" true
-            (obj_field "name" root = Some (Json.Str "root"));
-          (match obj_field "attrs" root with
-          | Some (Json.Obj [ ("k", Json.Str s) ]) ->
-            check Alcotest.string "escaped attr round-trips" "v\"quoted\"" s
-          | _ -> Alcotest.fail "attrs");
-          (match obj_field "children" root with
-          | Some (Json.Arr [ child ]) ->
-            check Alcotest.bool "child name" true
-              (obj_field "name" child = Some (Json.Str "child"))
-          | _ -> Alcotest.fail "children")
-        | _ -> Alcotest.fail "expected one root span");
     tc "cli_parse strips the flags and leaves the rest" (fun () ->
         let o =
           T.cli_parse
             [|
-              "prog"; "--stats"; "input.txt"; "--trace"; "t.json";
-              "--journal"; "j.jsonl"; "--metrics-port"; "9100"; "-x";
+              "prog"; "--stats"; "input.txt"; "--journal"; "j.jsonl";
+              "--metrics-port"; "9100"; "-x";
             |]
         in
         check
@@ -220,7 +186,6 @@ let json_tests =
           [| "prog"; "input.txt"; "-x" |]
           o.T.cli_argv;
         check Alcotest.bool "stats seen" true o.T.cli_stats;
-        check Alcotest.(option string) "trace file" (Some "t.json") o.T.cli_trace;
         check
           Alcotest.(option string)
           "journal file" (Some "j.jsonl") o.T.cli_journal;
@@ -232,7 +197,6 @@ let json_tests =
           Alcotest.(array string)
           "untouched" [| "prog"; "input.txt" |] o.T.cli_argv;
         check Alcotest.bool "no stats" false o.T.cli_stats;
-        check Alcotest.(option string) "no trace" None o.T.cli_trace;
         check Alcotest.(option string) "no journal" None o.T.cli_journal;
         check Alcotest.(option int) "no metrics port" None o.T.cli_metrics_port);
   ]
@@ -268,15 +232,25 @@ let clock_tests =
             | Some s -> check (Alcotest.float 0.0) "clamped" 0.0 s.T.total_s
             | None -> Alcotest.fail "no sample"));
     tc "a backwards clock clamps span durations to zero" (fun () ->
+        (* the one span model: a journal begin/end pair *)
         with_fake_clock [ 100.0; 50.0 ] (fun () ->
-            T.reset ();
-            ignore (T.with_span "clk.span" (fun () -> ()));
-            match T.spans () with
-            | [ s ] ->
-              check Alcotest.bool "duration non-negative" true
-                (s.T.duration_s >= 0.0);
-              check (Alcotest.float 0.0) "clamped" 0.0 s.T.duration_s
-            | l -> Alcotest.fail (Printf.sprintf "%d spans" (List.length l))));
+            Journal.clear ();
+            Journal.emit ~component:"clk" ~attrs:[ ("stage", "s") ] "stage.begin";
+            Journal.emit ~component:"clk" ~attrs:[ ("stage", "s") ] "stage.end");
+        match Vc_util.Journal_query.spans_of (Journal.events ()) with
+        | [ sp ] ->
+          check (Alcotest.float 0.0) "clamped" 0.0
+            sp.Vc_util.Journal_query.q_duration_s
+        | l -> Alcotest.fail (Printf.sprintf "%d spans" (List.length l)));
+    tc "a backwards clock clamps a phase to zero" (fun () ->
+        let ctx = Vc_util.Trace_ctx.make "deadbeef" in
+        with_fake_clock [ 100.0; 50.0 ] (fun () ->
+            Vc_util.Trace_ctx.with_current ctx (fun () ->
+                Vc_util.Phase.run "clk.phase" ignore));
+        check
+          Alcotest.(list (pair string (float 0.0)))
+          "clamped" [ ("clk.phase", 0.0) ]
+          (Vc_util.Trace_ctx.phases ctx));
     tc "journal timestamps come from the same injectable clock" (fun () ->
         with_fake_clock [ 42.0 ] (fun () ->
             Journal.clear ();
@@ -429,7 +403,7 @@ let telemetry_dump ~mean ~hits =
     {|{"counters":{"portal.kbdd.cache_hits":%d,"portal.kbdd.submits":10},
        "timers":{"portal.kbdd.latency":{"count":10,"total_s":%f,"mean_s":%f,
                  "p50_s":%f,"p90_s":%f,"max_s":%f}},
-       "probes":{},"spans":0}|}
+       "probes":{}}|}
     hits (10.0 *. mean) mean mean mean mean
 
 let qor_dump ~latency ~wirelength =
@@ -488,7 +462,7 @@ let regress_tests =
         let dump ~speedup ~depth =
           Printf.sprintf
             {|{"counters":{},"gauges":{"server.w8.speedup":%f,
-               "server.queue_depth":%f},"timers":{},"probes":{},"spans":0}|}
+               "server.queue_depth":%f},"timers":{},"probes":{}}|}
             speedup depth
         in
         let base = parse_json (dump ~speedup:4.0 ~depth:3.0) in
@@ -513,7 +487,7 @@ let regress_tests =
         let dump depth =
           Printf.sprintf
             {|{"counters":{},"gauges":{"server.queue_depth":%f},
-               "timers":{},"probes":{},"spans":0}|}
+               "timers":{},"probes":{}}|}
             depth
         in
         let base = parse_json (dump 3.0) in
@@ -659,19 +633,17 @@ let portal_tests =
         ignore (psubmit s Portal.axb input);
         check Alcotest.int "two history entries" 2
           (List.length (Portal.history s Portal.axb)));
-    tc "submit opens a portal.execute span on miss only" (fun () ->
+    tc "submit times the execute phase on miss only" (fun () ->
         let s = fresh () in
         let input = "boolean a\nf = a\nsize f" in
-        ignore (psubmit s Portal.kbdd input);
-        ignore (psubmit s Portal.kbdd input);
-        let roots = T.spans () in
-        check Alcotest.int "one span" 1 (List.length roots);
-        match roots with
-        | [ sp ] ->
-          check Alcotest.string "named" "portal.execute" sp.T.span_name;
-          check Alcotest.bool "tool attr" true
-            (List.assoc_opt "tool" sp.T.attrs = Some "kbdd")
-        | _ -> ());
+        let phases () =
+          let ctx = Vc_util.Trace_ctx.make "deadbeef" in
+          Vc_util.Trace_ctx.with_current ctx (fun () ->
+              ignore (psubmit s Portal.kbdd input));
+          List.map fst (Vc_util.Trace_ctx.phases ctx)
+        in
+        check Alcotest.(list string) "miss" [ "cache"; "execute" ] (phases ());
+        check Alcotest.(list string) "hit" [ "cache" ] (phases ()));
     tc "counters stay monotone with the cache disabled" (fun () ->
         let s = fresh () in
         Portal.set_cache_capacity 0;
@@ -1339,6 +1311,29 @@ let journal_query_tests =
           check Alcotest.string "label" "flow/open" sp.Q.q_name;
           check (Alcotest.float 1e-9) "closed at last ts" 2.0 sp.Q.q_duration_s
         | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
+    tc "a stage.error closes its span like a stage.end" (fun () ->
+        let stage ts name event =
+          ev ~seq:(ts + 1) ~ts:(float_of_int ts) ~component:"flow"
+            ~attrs:[ ("stage", name) ]
+            event
+        in
+        match
+          Q.spans_of
+            [
+              stage 0 "placement" "stage.begin";
+              stage 1 "placement" "stage.error";
+              stage 2 "routing" "stage.begin";
+              stage 3 "routing" "stage.end";
+            ]
+        with
+        | [ placement; routing ] ->
+          check Alcotest.string "first root" "flow/placement"
+            placement.Q.q_name;
+          check (Alcotest.float 1e-9) "closed by the error" 1.0
+            placement.Q.q_duration_s;
+          check Alcotest.int "no child" 0 (List.length placement.Q.q_children);
+          check Alcotest.string "second root" "flow/routing" routing.Q.q_name
+        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
     tc "spans from interleaved traces reconstruct independently" (fun () ->
         (* two requests in flight at once: without per-trace streams the
            global stack would nest B inside A and corrupt both *)
@@ -1557,6 +1552,8 @@ let journal_query_tests =
 
 module Ts = Vc_util.Timeseries
 module Prof = Vc_util.Profile
+module Phase = Vc_util.Phase
+module Tc = Vc_util.Trace_ctx
 
 let check_raises_invalid_arg f =
   check Alcotest.bool "raises Invalid_argument" true
@@ -1761,28 +1758,58 @@ let timeseries_tests =
 (* continuous profiler                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let profile_tests =
+let phase_tests =
   [
-    tc "with_frame nests and restores on exception" (fun () ->
-        Prof.reset ();
-        Prof.with_frame "outer" (fun () ->
-            Prof.with_frame "inner" (fun () ->
+    tc "run nests frames and restores them on exception" (fun () ->
+        Phase.run "outer" (fun () ->
+            Phase.run "inner" (fun () ->
                 check
                   Alcotest.(list string)
                   "outermost first" [ "outer"; "inner" ]
-                  (Prof.current_stack ())));
-        check Alcotest.(list string) "popped" [] (Prof.current_stack ());
+                  (Phase.current_stack ())));
+        check Alcotest.(list string) "popped" [] (Phase.current_stack ());
+        let ctx = Tc.make "deadbeef" in
         (try
-           Prof.with_frame "boom" (fun () -> failwith "x")
+           Tc.with_current ctx (fun () ->
+               Phase.run "boom" (fun () -> failwith "x"))
          with Failure _ -> ());
         check Alcotest.(list string) "restored after raise" []
-          (Prof.current_stack ()));
+          (Phase.current_stack ());
+        check Alcotest.int "a raising phase adds no timeline entry" 0
+          (List.length (Tc.phases ctx)));
+    tc "a nested phase adds a frame but no timeline entry" (fun () ->
+        let ctx = Tc.make "deadbeef" in
+        Tc.with_current ctx (fun () ->
+            Phase.run "execute" (fun () ->
+                Phase.run "kbdd" (fun () ->
+                    check
+                      Alcotest.(list string)
+                      "both frames" [ "execute"; "kbdd" ]
+                      (Phase.current_stack ())));
+            Phase.run "reply" ignore);
+        check
+          Alcotest.(list string)
+          "outermost phases only" [ "execute"; "reply" ]
+          (List.map fst (Tc.phases ctx)));
+    tc "a phase outside a request records nothing" (fun () ->
+        let ctx = Tc.make "deadbeef" in
+        (* the server's worker frame wraps the request from outside *)
+        Phase.run "worker" (fun () ->
+            Tc.with_current ctx (fun () -> Phase.run "cache" ignore));
+        Phase.run "idle.work" ignore;
+        check
+          Alcotest.(list string)
+          "only the phase inside the request" [ "cache" ]
+          (List.map fst (Tc.phases ctx)));
+  ]
+
+let profile_tests =
+  [
     tc "ticks aggregate folded stacks and count idle domains" (fun () ->
         Prof.reset ();
         Prof.register ();
         Prof.tick ();
-        Prof.with_frame "worker" (fun () ->
-            Prof.with_frame "execute" (fun () -> Prof.tick ()));
+        Phase.run "worker" (fun () -> Phase.run "execute" (fun () -> Prof.tick ()));
         check Alcotest.int "two ticks" 2 (Prof.ticks ());
         check Alcotest.bool "at least one sample per tick" true
           (Prof.samples () >= 2);
@@ -1794,7 +1821,7 @@ let profile_tests =
     tc "journal:true emits one sample event per distinct stack" (fun () ->
         Prof.reset ();
         Journal.clear ();
-        Prof.with_frame "worker" (fun () -> Prof.tick ~journal:true ());
+        Phase.run "worker" (fun () -> Prof.tick ~journal:true ());
         let samples =
           List.filter
             (fun e ->
@@ -1844,13 +1871,13 @@ let profile_tests =
         check Alcotest.bool "svg" true (String.starts_with ~prefix:"<svg" svg);
         check Alcotest.bool "zero samples" true
           (contains svg "samples=0 root_samples=0"));
-    tc "reset clears aggregates and the caller's stack" (fun () ->
-        Prof.with_frame "x" (fun () -> Prof.tick ());
+    tc "reset clears aggregates and tick counts" (fun () ->
+        Phase.run "x" (fun () -> Prof.tick ());
         Prof.reset ();
         check Alcotest.int "ticks cleared" 0 (Prof.ticks ());
         check Alcotest.int "samples cleared" 0 (Prof.samples ());
-        check Alcotest.(list string) "stack cleared" []
-          (Prof.current_stack ()));
+        check Alcotest.(list (pair string int)) "folded cleared" []
+          (Prof.folded ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2005,6 +2032,7 @@ let () =
       ("journal-degrade", journal_degrade_tests);
       ("journal-query", journal_query_tests);
       ("timeseries", timeseries_tests);
+      ("phase", phase_tests);
       ("profile", profile_tests);
       ("profile-query", profile_query_tests);
     ]
