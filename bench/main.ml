@@ -193,7 +193,7 @@ let portal_bench () =
   Printf.printf "wrote BENCH_portal.json and BENCH_portal.jsonl\n"
 
 let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
-  header "Server - multicore worker pool throughput (BENCH_server.json)";
+  header "Server - multicore throughput by execution slots (BENCH_server.json)";
   let configs = List.sort_uniq compare configs in
   let module T = Vc_util.Telemetry in
   let module Portal = Vc_mooc.Portal in
@@ -204,7 +204,8 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
   (* a cache-miss workload: 96 distinct random 3-SAT instances (ratio 4,
      mostly satisfiable), so every job runs its kernel instead of being
      served from the result cache; sized so per-job kernel time dominates
-     the fixed dispatch cost (queue push/pop, domain wakeup) that a
+     the fixed admission cost (slot take and release, and a waiter's
+     wake-up while all W slots are held by the 8 clients) that a
      too-small workload would measure instead *)
   let dimacs_of_seed seed =
     let rng = Vc_util.Rng.create (1000 + seed) in
@@ -230,6 +231,8 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
   in
   let num_jobs = 96 and num_clients = 8 in
   let jobs = Array.init num_jobs dimacs_of_seed in
+  (* each client domain runs its own jobs; [workers] caps how many run
+     at once *)
   let run_config workers =
     Portal.clear_cache ();
     let server =
@@ -263,7 +266,7 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
   in
   let times = List.map (fun w -> (w, run_config w)) configs in
   (* speedups are relative to the smallest configuration (normally 1
-     worker), which runs first *)
+     slot), which runs first *)
   let t1 = match times with (_, t) :: _ -> t | [] -> 1.0 in
   Printf.printf "%d jobs (minisat, 60 vars / 240 clauses), %d client domains\n"
     num_jobs num_clients;
@@ -280,7 +283,7 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
         throughput;
       T.set_gauge (Printf.sprintf "server.bench.w%d.speedup" w) (t1 /. t);
       Printf.printf
-        "  %d worker(s): %6.3f s  %7.1f jobs/s  speedup %.2fx\n" w t
+        "  %d slot(s): %6.3f s  %7.1f jobs/s  speedup %.2fx\n" w t
         throughput (t1 /. t))
     times;
   let hits, misses = Portal.cache_stats () in
@@ -306,7 +309,8 @@ let loadgen_bench ?(participants = 1_000_000) ?(duration_s = 32.0)
   (* the SLO workload: a planet-scale cohort (1M registered participants,
      streamed at constant memory) derives a ~128k-submission trace with
      the default 4x deadline spike, replayed open-loop over TCP against
-     an in-process listener backed by the shared worker pool. The trace
+     an in-process listener whose connection domains run their own jobs
+     in the server's execution slots. The trace
      is fully determined by the seed, so every run offers the same load
      and the committed baseline stays comparable. *)
   let params =
@@ -375,8 +379,9 @@ let loadgen_bench ?(participants = 1_000_000) ?(duration_s = 32.0)
       report.Loadgen.rp_shed_rate )
   in
   Loadgen.set_slo_gauges report;
-  (* mean worker utilization over the run, from the sampler's
-     server.worker.<i>.util series; informational in the JSON (gauges
+  (* mean slot utilization over the run, from the sampler's
+     server.worker.<w>.util series, one per execution slot;
+     informational in the JSON (gauges
      present on one side of a bench compare are notes, not gates) *)
   let util_series =
     List.filter
@@ -1086,14 +1091,14 @@ let () =
   | [ _; "ablations" ] -> ablations ()
   | _ :: "compare" :: rest -> compare_reports rest
   | _ :: "server" :: (_ :: _ as rest) ->
-    (* e.g. `server 1 8` runs just those worker counts *)
+    (* e.g. `server 1 8` runs just those slot counts *)
     let configs =
       List.map
         (fun s ->
           match int_of_string_opt s with
           | Some w when w >= 1 -> w
           | Some _ | None ->
-            Printf.eprintf "server: bad worker count %S\n" s;
+            Printf.eprintf "server: bad slot count %S\n" s;
             exit 2)
         rest
     in

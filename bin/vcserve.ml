@@ -9,8 +9,9 @@
    Without -listen, requests are read from the script file (stdin when
    absent); with -listen PORT the same protocol is served over TCP
    (port 0 picks an ephemeral port, announced on stderr) to any number
-   of concurrent connections - one handler domain each, all funneling
-   into the shared worker pool. See Mooc.Wire for the protocol:
+   of concurrent connections - one handler domain each, which runs its
+   own jobs in the shared server's execution slots (-workers N of them).
+   See Mooc.Wire for the protocol:
 
      TOOL <name> [<session>] [TRACE <id>]
                               submit the following lines to a tool
@@ -36,7 +37,7 @@
    drives the continuous profiler.
 
    Shutdown is always graceful: on SHUTDOWN, SIGINT or SIGTERM the
-   server stops admitting, drains queued jobs, and flushes the journal
+   server stops admitting, lets admitted jobs finish, and flushes the journal
    and telemetry sinks before exiting - the tail of a replay run is
    never lost. *)
 
@@ -125,9 +126,9 @@ let start_console sample_interval =
     ~sources:Timeseries.server_sources ()
 
 (* Graceful drain shared by every exit path: stop admitting, let the
-   workers finish the queue, stop the sampler, then force the buffered
-   journal batches to the sinks - the fix for losing the tail of a run
-   to a SIGINT. *)
+   running and waiting jobs finish, stop the sampler, then force the
+   buffered journal batches to the sinks - the fix for losing the tail
+   of a run to a SIGINT. *)
 let drain_and_exit sampler server =
   Atomic.set draining true;
   Server.stop server;
@@ -185,9 +186,10 @@ let serve_tcp config sample_interval port =
      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
    with Invalid_argument _ | Sys_error _ -> ());
   Wire.serve listener ~submit:(Server.submit server);
-  (* accept loop has exited (SHUTDOWN verb or signal): drain the worker
-     queue so in-flight connections get their responses, give their
-     handler domains a moment to finish writing, then flush *)
+  (* accept loop has exited (SHUTDOWN verb or signal): let the running
+     and waiting jobs finish so in-flight connections get their
+     responses, give their handler domains a moment to finish writing,
+     then flush *)
   Atomic.set draining true;
   Server.stop server;
   if not (Wire.drain_connections listener) then

@@ -161,7 +161,7 @@ let resolve_tool name =
 (* ------------------------------------------------------------------ *)
 
 (* A session is one atomic, newest-first list of at most [history_limit]
-   runs across all tools. Several server workers may append at once, so
+   runs across all tools. Several domains may append at once, so
    an append is a compare-and-set loop over an immutable list: readers
    take a consistent snapshot without any lock. A run's strings are the
    result cache's own where the cache has the entry, so a re-upload adds

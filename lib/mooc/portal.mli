@@ -13,9 +13,10 @@
     [docs/OBSERVABILITY.md], [docs/PORTAL.md] and [docs/SERVER.md].
 
     {b Domain safety}: everything here may be called concurrently from
-    {!Vc_mooc.Server}'s worker domains. The result cache is sharded by
-    digest into independently-locked shards (see {!set_cache_shards}),
-    so concurrent submissions of different inputs rarely contend; a
+    the domains that submit to {!Vc_mooc.Server}, which runs each job
+    on its submitter. The result cache is sharded by digest into
+    independently-locked shards (see {!set_cache_shards}), so
+    concurrent submissions of different inputs rarely contend; a
     session is one atomic list that submissions append to lock-free;
     cache statistics live in process-wide atomics. Tools are pure
     functions of their input, so a duplicated cache-miss execution in
@@ -70,8 +71,8 @@ val resolve_tool : string -> (tool, string) result
 type session
 (** One participant's portal state: the newest {!history_limit} runs
     across all tools, held in one [Atomic.t] and appended by
-    compare-and-set, so a session may be used from several server
-    workers at once without a lock. A run holds the result cache's own
+    compare-and-set, so a session may be used from several domains at
+    once without a lock. A run holds the result cache's own
     strings whenever the cache has the entry, so a re-upload of cached
     work costs the session one fixed-size record, not a copy of the
     upload. *)

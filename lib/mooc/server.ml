@@ -1,7 +1,6 @@
 module T = Vc_util.Telemetry
 module J = Vc_util.Journal
 module Tc = Vc_util.Trace_ctx
-module Prof = Vc_util.Profile
 
 (* ------------------------------------------------------------------ *)
 (* token bucket                                                        *)
@@ -57,22 +56,16 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* jobs and server state                                               *)
+(* execution slots and server state                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each job carries its own mutex/condition pair: the submitting client
-   blocks on it while a worker domain runs the job, so completion wakes
-   exactly the one waiter and never contends with the queue lock. *)
-type job = {
-  j_tool : Portal.tool;
-  j_input : string;
-  j_session : Portal.session;
-  j_session_id : string;
-  j_trace : Tc.t;
-  j_enqueued : float;
-  j_mu : Mutex.t;
-  j_cond : Condition.t;
-  mutable j_result : Portal.outcome option;
+(* A submission that finds every slot taken waits in a FIFO for a
+   finishing job to hand it one: the finisher stores the slot number
+   and signals the waiter's own condition, so a hand-off wakes exactly
+   one domain. Only this contended path allocates a condition. *)
+type waiter = {
+  w_cond : Condition.t;
+  mutable w_slot : int;  (* -1 until a slot is handed over *)
 }
 
 type session_slot = {
@@ -82,15 +75,15 @@ type session_slot = {
 
 type t = {
   config : config;
-  mu : Mutex.t;  (* guards queue, stopping, domains, sessions, idle, rng *)
-  cond : Condition.t;  (* wakes one idle worker per enqueue; broadcast on stop *)
-  queue : job Queue.t;
+  mu : Mutex.t;  (* guards free, waiters, stopping, sessions, rng *)
+  drained : Condition.t;  (* stop waits here until no job runs or waits *)
+  mutable free : int list;  (* slots no job holds *)
+  waiters : waiter Queue.t;
   mutable stopping : bool;
-  mutable idle : int;  (* workers currently blocked in Condition.wait *)
-  mutable domains : unit Domain.t list;
   sessions : (string, session_slot) Hashtbl.t;
   rng : Vc_util.Rng.t;  (* mints trace ids for untraced submissions *)
-  busy : int Atomic.t;  (* workers currently processing a job *)
+  busy_timers : string array;  (* server.worker.<w>.busy, per slot *)
+  busy : int Atomic.t;  (* slots currently running a job *)
   depth_hwm : int Atomic.t;  (* queue-depth high-water mark *)
 }
 
@@ -125,120 +118,115 @@ let reject_server ~session_id ~tool_name ~ctx label msg reason =
   outcome
 
 (* ------------------------------------------------------------------ *)
-(* worker loop                                                         *)
+(* running a job                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec worker_loop t w =
-  let job_opt =
-    Mutex.protect t.mu (fun () ->
-        while Queue.is_empty t.queue && not t.stopping do
-          (* count ourselves idle so enqueuers only pay a signal when a
-             worker is actually asleep *)
-          t.idle <- t.idle + 1;
-          Condition.wait t.cond t.mu;
-          t.idle <- t.idle - 1
-        done;
-        if Queue.is_empty t.queue then None (* stopping, queue drained *)
-        else begin
-          let j = Queue.pop t.queue in
-          Some (j, Queue.length t.queue)
-        end)
+let process_job t ~tool ~input ~session ~session_id ~ctx ~enqueued =
+  let now = T.now () in
+  let wait_s = Float.max 0.0 (now -. enqueued) in
+  Tc.record_phase ctx "queue" wait_s;
+  J.emit ~component:"server"
+    ~attrs:
+      (Tc.to_attrs ctx
+      @ [
+          ("tool", tool.Portal.tool_name);
+          ("queue_wait_s", Printf.sprintf "%.6f" wait_s);
+        ])
+    "request.dequeued";
+  let outcome =
+    if deadline_expired ~enqueued ~deadline_s:t.config.deadline_s ~now
+    then begin
+      (* only the configured limit in the message - the measured wait
+         goes in the journal attrs, keeping wire output deterministic *)
+      let msg =
+        Printf.sprintf "queue wait exceeded the %.3f s deadline"
+          t.config.deadline_s
+      in
+      let outcome = Portal.Rejected (Portal.Deadline_exceeded msg) in
+      count_outcome outcome;
+      J.emit ~severity:J.Warn ~component:"server"
+        ~attrs:
+          (Tc.to_attrs ctx
+          @ [
+              ("tool", tool.Portal.tool_name);
+              ("wait_s", Printf.sprintf "%.6f" wait_s);
+              ("reason", msg);
+            ])
+        "job.rejected.deadline";
+      outcome
+    end
+    else begin
+      (* the ambient context lets the portal's Phase.run calls time
+         its cache-probe and execute phases into this request without
+         plumbing *)
+      let outcome =
+        Tc.with_current ctx (fun () ->
+            Portal.submit_result session tool input)
+      in
+      count_outcome outcome;
+      outcome
+    end
   in
-  match job_opt with
-  | None -> ()
-  | Some (job, depth) ->
-    T.set_gauge "server.queue_depth" (float_of_int depth);
-    (* per-worker busy accounting: the continuous profiler attributes
-       this job to "worker;..." and the busy-time timer feeds the
-       server.worker.<w>.util series *)
-    T.set_gauge "server.workers.busy"
-      (float_of_int (1 + Atomic.fetch_and_add t.busy 1));
-    let busy_from = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        T.observe
-          (Printf.sprintf "server.worker.%d.busy" w)
-          (Float.max 0.0 (Unix.gettimeofday () -. busy_from));
-        T.set_gauge "server.workers.busy"
-          (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1)))
-      (fun () -> Vc_util.Phase.run "worker" (fun () -> process_job t job));
-    worker_loop t w
+  (* close the timeline and journal it before returning, so a reader
+     that observes the outcome also observes the event *)
+  let total_s = Float.max 0.0 (T.now () -. enqueued) in
+  let reply_s = Float.max 0.0 (total_s -. Tc.phase_total ctx) in
+  Tc.record_phase ctx "reply" reply_s;
+  List.iter
+    (fun (name, d) -> T.observe ("server.phase." ^ name) d)
+    (Tc.phases ctx);
+  J.emit ~component:"server"
+    ~attrs:
+      (Tc.to_attrs ctx
+      @ [
+          ("tool", tool.Portal.tool_name);
+          ("session", session_id);
+          ( "outcome",
+            match outcome with
+            | Portal.Executed _ -> "executed"
+            | Portal.Cache_hit _ -> "cache_hit"
+            | Portal.Rejected _ -> "rejected" );
+          ("total_s", Printf.sprintf "%.6f" total_s);
+        ]
+      @ Tc.phase_attrs ctx)
+    "request.replied";
+  outcome
 
-and process_job t job =
-    let ctx = job.j_trace in
-    let now = T.now () in
-    let wait_s = Float.max 0.0 (now -. job.j_enqueued) in
-    Tc.record_phase ctx "queue" wait_s;
-    J.emit ~component:"server"
-      ~attrs:
-        (Tc.to_attrs ctx
-        @ [
-            ("tool", job.j_tool.Portal.tool_name);
-            ("queue_wait_s", Printf.sprintf "%.6f" wait_s);
-          ])
-      "request.dequeued";
-    let outcome =
-      if
-        deadline_expired ~enqueued:job.j_enqueued
-          ~deadline_s:t.config.deadline_s ~now
-      then begin
-        (* only the configured limit in the message - the measured wait
-           goes in the journal attrs, keeping wire output deterministic *)
-        let msg =
-          Printf.sprintf "queue wait exceeded the %.3f s deadline"
-            t.config.deadline_s
-        in
-        let outcome = Portal.Rejected (Portal.Deadline_exceeded msg) in
-        count_outcome outcome;
-        J.emit ~severity:J.Warn ~component:"server"
-          ~attrs:
-            (Tc.to_attrs ctx
-            @ [
-                ("tool", job.j_tool.Portal.tool_name);
-                ("wait_s", Printf.sprintf "%.6f" wait_s);
-                ("reason", msg);
-              ])
-          "job.rejected.deadline";
-        outcome
-      end
-      else begin
-        (* the ambient context lets the portal's Phase.run calls time
-           its cache-probe and execute phases into this request without
-           plumbing *)
-        let outcome =
-          Tc.with_current ctx (fun () ->
-              Portal.submit_result job.j_session job.j_tool job.j_input)
-        in
-        count_outcome outcome;
-        outcome
-      end
-    in
-    (* close the timeline and journal it before waking the client, so a
-       reader that observes the outcome also observes the event *)
-    let total_s = Float.max 0.0 (T.now () -. job.j_enqueued) in
-    let reply_s = Float.max 0.0 (total_s -. Tc.phase_total ctx) in
-    Tc.record_phase ctx "reply" reply_s;
-    List.iter
-      (fun (name, d) -> T.observe ("server.phase." ^ name) d)
-      (Tc.phases ctx);
-    J.emit ~component:"server"
-      ~attrs:
-        (Tc.to_attrs ctx
-        @ [
-            ("tool", job.j_tool.Portal.tool_name);
-            ("session", job.j_session_id);
-            ( "outcome",
-              match outcome with
-              | Portal.Executed _ -> "executed"
-              | Portal.Cache_hit _ -> "cache_hit"
-              | Portal.Rejected _ -> "rejected" );
-            ("total_s", Printf.sprintf "%.6f" total_s);
-          ]
-        @ Tc.phase_attrs ctx)
-      "request.replied";
-    Mutex.protect job.j_mu (fun () ->
-        job.j_result <- Some outcome;
-        Condition.signal job.j_cond)
+(* The slot goes straight to the head waiter, so slots are granted in
+   admission order and a freed slot never sits idle while one waits. *)
+let release t slot =
+  let handed =
+    Mutex.protect t.mu (fun () ->
+        match Queue.take_opt t.waiters with
+        | Some w ->
+          w.w_slot <- slot;
+          Condition.signal w.w_cond;
+          Some (Queue.length t.waiters)
+        | None ->
+          t.free <- slot :: t.free;
+          if t.stopping && List.length t.free = t.config.workers then
+            Condition.broadcast t.drained;
+          None)
+  in
+  Option.iter
+    (fun depth -> T.set_gauge "server.queue_depth" (float_of_int depth))
+    handed
+
+(* Runs on the submitting domain while it holds [slot]: the profiler
+   attributes the job to "worker;..." and the busy-time timer feeds the
+   server.worker.<slot>.util series. *)
+let run_job t slot job =
+  T.set_gauge "server.workers.busy"
+    (float_of_int (1 + Atomic.fetch_and_add t.busy 1));
+  let busy_from = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      T.observe t.busy_timers.(slot)
+        (Float.max 0.0 (Unix.gettimeofday () -. busy_from));
+      T.set_gauge "server.workers.busy"
+        (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1));
+      release t slot)
+    (fun () -> Vc_util.Phase.run "worker" job)
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle                                                           *)
@@ -257,11 +245,10 @@ let start ?(config = default_config) () =
     {
       config;
       mu = Mutex.create ();
-      cond = Condition.create ();
-      queue = Queue.create ();
+      drained = Condition.create ();
+      free = List.init config.workers Fun.id;
+      waiters = Queue.create ();
       stopping = false;
-      idle = 0;
-      domains = [];
       sessions = Hashtbl.create 16;
       (* wall clock, not Clock: server-minted ids must differ across
          runs even under a frozen test clock *)
@@ -269,17 +256,12 @@ let start ?(config = default_config) () =
         Vc_util.Rng.create
           (int_of_float (Unix.gettimeofday () *. 1e6)
           lxor (Unix.getpid () * 0x9E3779B1));
+      busy_timers =
+        Array.init config.workers (Printf.sprintf "server.worker.%d.busy");
       busy = Atomic.make 0;
       depth_hwm = Atomic.make 0;
     }
   in
-  t.domains <-
-    List.init config.workers (fun w ->
-        Domain.spawn (fun () ->
-            (* publish the empty frame stack before the first job, so
-               sampler ticks attribute worker idle time from the start *)
-            Prof.register ();
-            worker_loop t w));
   J.emit ~component:"server"
     ~attrs:
       [
@@ -297,19 +279,20 @@ let start ?(config = default_config) () =
   t
 
 let stop t =
-  let domains =
+  let first =
     Mutex.protect t.mu (fun () ->
-        if t.stopping then []
+        if t.stopping then false
         else begin
           t.stopping <- true;
-          Condition.broadcast t.cond;
-          let d = t.domains in
-          t.domains <- [];
-          d
+          (* every slot free means no job runs, and so none waits: a
+             waiter only queues while every slot is held *)
+          while List.length t.free < t.config.workers do
+            Condition.wait t.drained t.mu
+          done;
+          true
         end)
   in
-  if domains <> [] then begin
-    List.iter Domain.join domains;
+  if first then begin
     T.set_gauge "server.queue_depth" 0.0;
     J.emit ~component:"server"
       ~attrs:
@@ -328,7 +311,7 @@ let stop t =
       "server.stop"
   end
 
-let queue_depth t = Mutex.protect t.mu (fun () -> Queue.length t.queue)
+let queue_depth t = Mutex.protect t.mu (fun () -> Queue.length t.waiters)
 
 (* ------------------------------------------------------------------ *)
 (* sessions and submission                                             *)
@@ -384,31 +367,36 @@ let submit t (req : Portal.request) =
          (Printf.sprintf "session %S exceeded its submission rate limit"
             session_id))
   else begin
-    let job =
-      {
-        j_tool = tool;
-        j_input = input;
-        j_session = slot.sl_session;
-        j_session_id = session_id;
-        j_trace = ctx;
-        j_enqueued = T.now ();
-        j_mu = Mutex.create ();
-        j_cond = Condition.create ();
-        j_result = None;
-      }
-    in
+    let enqueued = T.now () in
     let admitted =
       Mutex.protect t.mu (fun () ->
           if t.stopping then `Stopped
-          else if Queue.length t.queue >= t.config.queue_capacity then `Full
-          else begin
-            Queue.push job t.queue;
-            (* wake exactly one worker, and only when one is actually
-               asleep: a busy worker re-checks the queue under the lock
-               before it ever waits, so a skipped signal is never lost *)
-            if t.idle > 0 then Condition.signal t.cond;
-            `Admitted (Queue.length t.queue)
-          end)
+          else if Queue.length t.waiters >= t.config.queue_capacity then `Full
+          else
+            match t.free with
+            | w :: rest ->
+              t.free <- rest;
+              `Run w
+            | [] ->
+              let waiter = { w_cond = Condition.create (); w_slot = -1 } in
+              Queue.push waiter t.waiters;
+              `Wait (waiter, Queue.length t.waiters))
+    in
+    let admit depth =
+      raise_hwm t depth;
+      J.emit ~component:"server"
+        ~attrs:
+          (Tc.to_attrs ctx
+          @ [
+              ("tool", tool_name);
+              ("session", session_id);
+              ("queue_depth", string_of_int depth);
+            ])
+        "request.admitted"
+    in
+    let job () =
+      process_job t ~tool ~input ~session:slot.sl_session ~session_id ~ctx
+        ~enqueued
     in
     match admitted with
     | `Stopped ->
@@ -422,21 +410,19 @@ let submit t (req : Portal.request) =
       in
       reject_server ~session_id ~tool_name ~ctx "overloaded" msg
         (Portal.Overloaded msg)
-    | `Admitted depth ->
+    | `Run w ->
+      (* the depth counts the job itself, as a queued job's does *)
+      admit 1;
+      run_job t w job
+    | `Wait (waiter, depth) ->
       T.set_gauge "server.queue_depth" (float_of_int depth);
-      raise_hwm t depth;
-      J.emit ~component:"server"
-        ~attrs:
-          (Tc.to_attrs ctx
-          @ [
-              ("tool", tool_name);
-              ("session", session_id);
-              ("queue_depth", string_of_int depth);
-            ])
-        "request.admitted";
-      Mutex.protect job.j_mu (fun () ->
-          while job.j_result = None do
-            Condition.wait job.j_cond job.j_mu
-          done;
-          Option.get job.j_result)
+      admit depth;
+      let w =
+        Mutex.protect t.mu (fun () ->
+            while waiter.w_slot < 0 do
+              Condition.wait waiter.w_cond t.mu
+            done;
+            waiter.w_slot)
+      in
+      run_job t w job
   end

@@ -1,16 +1,25 @@
-(** The multicore portal service: a pool of OCaml 5 worker domains
-    draining a bounded submission queue of {!Portal} jobs, with the
-    admission control a MOOC-scale deployment needs - the paper's
-    operations story ("the server must survive the homework-deadline
-    stampede") turned into code.
+(** The multicore portal service: {!Portal} jobs run on the domains
+    that submit them, at most [config.workers] at once, behind a
+    bounded queue of waiting submissions and the admission control a
+    MOOC-scale deployment needs - the paper's operations story ("the
+    server must survive the homework-deadline stampede") turned into
+    code.
+
+    {b Execution slots.} The server owns no domain. An admitted job
+    takes one of [config.workers] execution slots, numbered
+    [0 .. workers - 1], and runs on the calling domain (under [vcserve
+    -listen], the connection's handler domain); while every slot is
+    held, submissions wait in a FIFO. A finishing job hands its slot
+    straight to the head waiter, so slots are granted in admission
+    order, and it does so even when the job raises.
 
     {b Admission control.} A submission is rejected {e immediately} -
-    the caller never blocks - when the bounded queue is full
+    the caller never blocks - when the waiting queue is full
     ({!Portal.Overloaded}) or the session's token bucket is empty
-    ({!Portal.Rate_limited}). An admitted job that waits in queue past
-    the configured deadline is rejected at dequeue time
+    ({!Portal.Rate_limited}). An admitted job that waits for a slot past
+    the configured deadline is rejected when it gets one
     ({!Portal.Deadline_exceeded}) without running the tool - lazy
-    expiration: stale work is shed by the worker, not by a timer.
+    expiration: stale work is shed by the slot holder, not by a timer.
     Oversized inputs keep being rejected inside the portal itself
     ({!Portal.Runaway}). Every rejection path has its own outcome
     constructor, its own [server.outcome.rejected.*] counter and its
@@ -19,7 +28,8 @@
 
     {b Observability.} The server maintains the [server.queue_depth]
     gauge, the [server.phase.*] latency histograms ([server.phase.queue]
-    is the admission-to-dequeue wait), the [server.submitted] /
+    is the admission-to-slot wait), the per-slot
+    [server.worker.<w>.busy] timers, the [server.submitted] /
     [server.outcome.*] counters, and emits [server.start] /
     [server.stop] / [job.rejected.*] journal events - all exported over
     [/metrics] with the [vc_] prefix (see [docs/SERVER.md] and
@@ -28,21 +38,21 @@
     {b Request tracing.} Every submission gets a {!Vc_util.Trace_ctx}:
     the caller's trace id when one was supplied (the wire layer's
     [TRACE] operand), else a server-minted one. The request's lifecycle
-    is journaled as [request.admitted] -> [request.dequeued] ->
-    [request.replied] events carrying a [trace_id] attr, with the
+    is journaled as [request.admitted] -> [request.dequeued] (the job
+    holds a slot) -> [request.replied] events carrying a [trace_id]
+    attr, all from the submitting domain, with the
     replied event also carrying the per-phase timeline
     ([phase.queue] / [phase.cache] / [phase.execute] / [phase.reply]
     attrs, seconds; cache and execute are the portal's
     {!Vc_util.Phase.run} phases) whose aggregates feed the
-    [server.phase.<name>] histograms. [vcstat request] joins these against a [vcload] client
-    journal by trace id.
+    [server.phase.<name>] histograms. [vcstat request] joins these
+    against a [vcload] client journal by trace id.
 
-    {b Wake-up discipline.} The queue tracks how many workers are
-    blocked idle; each admitted job signals {e one} idle worker
-    ([Condition.signal]) instead of broadcasting to all of them, so an
-    enqueue under load does not stampede the whole pool through the
-    lock. Shutdown broadcasts so every worker observes the stop flag.
-    See [docs/CONCURRENCY.md].
+    {b Hand-off discipline.} A submission that finds a free slot runs
+    at once: no other domain is woken and nothing is allocated to carry
+    the reply. Only a waiting submission allocates a [Condition], which
+    the releasing job signals after storing the slot number in it - one
+    wake-up per hand-off, never a broadcast. See [docs/CONCURRENCY.md].
 
     {b Clocking.} All timestamps come from the injectable {!Vc_util.Clock}
     shared with telemetry and the journal, so rate-limit and deadline
@@ -81,14 +91,17 @@ val deadline_expired : enqueued:float -> deadline_s:float -> now:float -> bool
 (** {1 Configuration} *)
 
 type config = {
-  workers : int;  (** Worker domains; at least 1. *)
+  workers : int;
+      (** Execution slots: the most jobs that run at once, each on the
+          domain that submitted it; at least 1. *)
   queue_capacity : int;
-      (** Maximum queued (not yet running) jobs; a submission arriving
-          on a full queue is rejected [Overloaded] immediately. [0]
-          rejects everything - useful in tests. *)
+      (** Maximum waiting (admitted, not yet running) jobs; a
+          submission arriving on a full queue is rejected [Overloaded]
+          immediately, even when a slot is free. [0] rejects
+          everything - useful in tests. *)
   deadline_s : float;
-      (** Maximum queue wait; a job dequeued later than this is
-          rejected [Deadline_exceeded] without running.
+      (** Maximum wait for a slot; a job that gets its slot later than
+          this is rejected [Deadline_exceeded] without running.
           [Float.infinity] disables the check. *)
   rate_limit : (float * float) option;
       (** [(rate, burst)] token-bucket parameters applied per session;
@@ -96,24 +109,26 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers, queue capacity 64, no deadline, no rate limit. *)
+(** 4 slots, queue capacity 64, no deadline, no rate limit. *)
 
 (** {1 Lifecycle} *)
 
 type t
 
 val start : ?config:config -> unit -> t
-(** Spawn the worker domains and return the running server. Zeroes the
-    [server.queue_depth] gauge and emits a [server.start] journal
-    event.
+(** Return a running server with every slot free; no domain is
+    spawned. Zeroes the [server.queue_depth] gauge and emits a
+    [server.start] journal event.
     @raise Invalid_argument on [workers < 1] or a negative
     [queue_capacity]. *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop admitting, let the workers drain every
-    already-queued job, join them, then emit a [server.stop] journal
-    event carrying the final outcome counters. Idempotent; subsequent
-    {!submit} calls are rejected [Overloaded "server is shutting down"]. *)
+(** Graceful shutdown: stop admitting, wait until every running and
+    every waiting job has completed on its submitting domain, then
+    emit a [server.stop] journal event carrying the final outcome
+    counters. Idempotent: a second call returns at once. Subsequent
+    {!submit} calls are rejected [Overloaded "server is shutting down"].
+    Must not be called from inside a job. *)
 
 (** {1 Submission} *)
 
@@ -122,11 +137,13 @@ val submit : t -> Portal.request -> Portal.outcome
     from [req_session]; each holds a lock-free {!Portal.session}, capped
     at {!Portal.history_limit} runs, plus the rate-limit bucket; the
     session table itself is never evicted). Returns immediately with a
-    rejection when rate-limited or the queue is full; otherwise blocks
-    until a worker completes the
-    job and returns its outcome. Increments [server.submitted] on every
-    call and exactly one [server.outcome.*] counter per outcome. Safe
-    to call from any number of client domains concurrently.
+    rejection when rate-limited or the queue is full; otherwise runs
+    the job on the calling domain once it holds a slot - at once when
+    one is free, else after waiting its turn - and returns its outcome.
+    An exception raised by the tool propagates to the caller, and the
+    slot is released. Increments [server.submitted] on every call and
+    exactly one [server.outcome.*] counter per outcome. Safe to call
+    from any number of domains concurrently.
 
     [req_trace] is the client-supplied trace id; when absent or invalid
     ({!Vc_util.Trace_ctx.is_valid_id}) the server mints one. Either
@@ -136,8 +153,9 @@ val submit : t -> Portal.request -> Portal.outcome
 val session : t -> string -> Portal.session
 (** The portal session behind [session_id] (created on first use) -
     gives callers access to {!Portal.history}. The session is shared
-    with the workers: a snapshot read while jobs run sees every run
-    appended so far, up to the cap. *)
+    by every domain that submits to it: a snapshot read while jobs run
+    sees every run appended so far, up to the cap. *)
 
 val queue_depth : t -> int
-(** Jobs currently queued (admitted, not yet picked up by a worker). *)
+(** Submissions currently waiting for a slot (admitted, not yet
+    running). *)

@@ -244,11 +244,27 @@ let handle_connection t ~submit fd =
         (* peer reset mid-exchange; treat as EOF *)
         ())
 
+(* No domain to spare (OCaml 5.1 caps live domains at 128): shed the
+   connection with one reply instead of letting the failure stop the
+   accept loop. Counted before the reply, so a client that reads it
+   also sees the count; the fd is fresh, so the short write cannot
+   block. *)
+let reject_connection fd =
+  Vc_util.Telemetry.incr "wire.conn.rejected";
+  Vc_util.Journal.emit ~severity:Vc_util.Journal.Warn ~component:"wire"
+    ~attrs:[ ("reason", "too many connections") ]
+    "conn.rejected";
+  let reply = "ERR overloaded too many connections\n.\n" in
+  (try ignore (Unix.write_substring fd reply 0 (String.length reply))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let serve t ~submit =
   (* The accept loop polls instead of blocking indefinitely: a pending
      OCaml signal handler (SIGINT -> [shutdown]) only runs when a
      domain reaches a safepoint, and the kernel may deliver the signal
-     to a worker domain parked in [Condition.wait] that never will.
+     to a connection domain blocked in a read, or parked in
+     [Condition.wait] for an execution slot, that never will.
      Returning to OCaml every quarter second guarantees this domain
      processes pending signals itself, making Ctrl-C deterministic
      instead of a thread-delivery lottery. *)
@@ -258,12 +274,15 @@ let serve t ~submit =
       match Unix.accept t.l_sock with
       | fd, _ ->
         (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-        ignore
-          (Domain.spawn (fun () ->
+        (match
+           Domain.spawn (fun () ->
                try handle_connection t ~submit fd
                with e ->
                  Printf.eprintf "wire: connection handler failed: %s\n%!"
-                   (Printexc.to_string e)));
+                   (Printexc.to_string e))
+         with
+        | _ -> ()
+        | exception Failure _ -> reject_connection fd);
         accept_loop ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         (match Unix.select [ t.l_sock ] [] [] 0.25 with

@@ -49,8 +49,8 @@
 
     {b Concurrency.} The TCP listener accepts on the calling domain and
     spawns one domain per connection; all submissions funnel into the
-    shared {!Server.t}, whose worker pool and admission control do the
-    real scheduling. {!shutdown} is async-signal-safe: it only flips an
+    shared {!Server.t}, whose execution slots and admission control do
+    the real scheduling, and each job runs on its connection's domain. {!shutdown} is async-signal-safe: it only flips an
     atomic, closes the listening socket and half-closes the live
     connections (no locks), so a SIGINT handler can call it directly;
     the accept loop then returns and the caller runs the normal drain
@@ -112,8 +112,13 @@ val addr : listener -> string
 val serve : listener -> submit:submit_fn -> unit
 (** Accept connections until {!shutdown} (or a [SHUTDOWN] verb from any
     client) closes the listener, spawning one handler domain per
-    connection. Returns once the accept loop has exited; live handler
-    domains may still be draining - see {!drain_connections}. *)
+    connection. When no domain can be spawned (OCaml 5.1 allows 128
+    live domains), the connection is answered
+    [ERR overloaded too many connections] and closed, counted in
+    [wire.conn.rejected] and journaled as a [conn.rejected] warning,
+    and the loop keeps accepting. Returns once the accept loop has
+    exited; live handler domains may still be draining - see
+    {!drain_connections}. *)
 
 val shutdown : listener -> unit
 (** Stop accepting and half-close every live connection so handler

@@ -21,13 +21,18 @@ type cell = {
 let mu = Mutex.create ()
 let all_cells : cell list ref = ref []
 
+(* A spawned domain's cell leaves the registry when the domain exits, so
+   a server running one domain per connection holds only the live ones.
+   The main domain's cell is never retired. *)
 let cell_key : cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let c = { stack = []; timing = None } in
       Mutex.protect mu (fun () -> all_cells := c :: !all_cells);
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () ->
+            Mutex.protect mu (fun () ->
+                all_cells := List.filter (( != ) c) !all_cells));
       c)
-
-let register () = ignore (Domain.DLS.get cell_key)
 
 let run name f =
   let c = Domain.DLS.get cell_key in

@@ -8,10 +8,10 @@
     [(name, elapsed)] to that request's timeline ({!Trace_ctx.phases}),
     which [Vc_mooc.Server] turns into [server.phase.*] timers and
     [request.replied] attributes. The server marks ["worker"] around
-    each job; the portal marks ["cache"], ["execute"] and, inside
-    ["execute"], the tool's name, so the profiler folds
-    [worker;cache] and [worker;execute;<tool>] while the timeline gets
-    [cache] and [execute]. *)
+    each job, on the domain that submitted it; the portal marks
+    ["cache"], ["execute"] and, inside ["execute"], the tool's name, so
+    the profiler folds [worker;cache] and [worker;execute;<tool>] while
+    the timeline gets [cache] and [execute]. *)
 
 val run : string -> (unit -> 'a) -> 'a
 (** [run name f] runs [f ()] with [name] pushed on this domain's frame
@@ -25,11 +25,7 @@ val run : string -> (unit -> 'a) -> 'a
 val current_stack : unit -> string list
 (** The calling domain's frames, outermost first. *)
 
-val register : unit -> unit
-(** Publish the calling domain's (initially empty) stack to {!stacks},
-    so a sampler sees the domain idle before its first phase. {!run}
-    registers implicitly. *)
-
 val stacks : unit -> string list list
-(** Every registered domain's frames, outermost first - read without a
-    lock, so a stack may be one push or pop stale. *)
+(** The frames of every domain that has run a phase, outermost first -
+    read without a lock, so a stack may be one push or pop stale. A
+    spawned domain drops out when it exits; the main domain stays. *)

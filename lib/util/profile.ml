@@ -5,10 +5,8 @@
 
    Aggregates live under their own mutex (touched once per tick, never
    on the frame hot path). A domain with an empty stack at tick time is
-   attributed to "idle" - workers call [register] when they start so
-   their idle time is visible from the first tick. *)
-
-let register = Phase.register
+   attributed to "idle"; a domain is sampled from its first phase until
+   it exits. *)
 
 (* ------------------------------------------------------------------ *)
 (* folded-stack aggregates                                             *)

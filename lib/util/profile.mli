@@ -1,8 +1,8 @@
 (** Continuous profiler: every domain's {!Phase} frame stack, sampled on
     a timer into folded-stack aggregates and rendered as a flamegraph.
 
-    Request code marks its phases with {!Phase.run} (the server worker
-    marks ["worker"], the portal ["cache"] / ["execute"] / the tool name
+    Request code marks its phases with {!Phase.run} (the server marks
+    ["worker"] around each job, the portal ["cache"] / ["execute"] / the tool name
     beneath it); a sampler tick ({!tick}, driven by
     {!Timeseries.Sampler}) reads every domain's current stack and bumps
     one folded-stack counter per domain - the always-on "where is time
@@ -14,14 +14,9 @@
     race on an immutable list (see {!Phase.stacks}), so profiling
     overhead is near zero whether or not a sampler is running. *)
 
-val register : unit -> unit
-(** Publish the calling domain's (initially empty) frame stack to the
-    sampler, so the domain's idle time is attributed to ["idle"] from
-    the first tick ({!Phase.register}). Worker domains call this when
-    they start; {!Phase.run} registers implicitly. *)
-
 val tick : ?journal:bool -> unit -> unit
-(** Sample every registered domain's stack once: each domain
+(** Sample once the stack of every domain that has run a phase and not
+    exited ({!Phase.stacks}): each domain
     contributes one observation to the folded aggregate (["idle"] when
     its stack is empty). With [journal:true], one
     [profile.sample] journal event ([Debug] severity, component

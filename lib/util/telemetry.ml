@@ -22,7 +22,7 @@
    the domain exits: its counts are folded into the [retired] cell, which
    stays registered, and the cell leaves the registry - one step under
    [mu], so a renderer sees the counts exactly once. That keeps "spawn
-   workers, join them, then read the totals" exact ([Domain.join] returns
+   domains, join them, then read the totals" exact ([Domain.join] returns
    after the domain's exit hooks), while a server that runs one domain
    per connection keeps only its live domains' cells. *)
 

@@ -16,10 +16,11 @@
     All state is global to the process and {e domain-safe}, and the
     write path scales: every domain records counters, timer
     observations and gauge writes into its {e own}
-    per-domain cells ([Domain.DLS]), so {!Vc_mooc.Server}'s worker
-    domains instrument without contending on a shared lock - the
-    steady-state {!incr} / {!observe} / {!set_gauge} path is lock-free
-    (an atomic op or a bucket increment on domain-owned storage). Memory
+    per-domain cells ([Domain.DLS]), so the domains running
+    {!Vc_mooc.Server} jobs instrument without contending on a shared
+    lock - the steady-state {!incr} / {!observe} / {!set_gauge} path is
+    lock-free (an atomic op or a bucket increment on domain-owned
+    storage). Memory
     is bounded: a timer is one fixed-size histogram per domain, never a
     list of samples. The read side ({!counter}, {!timers}, {!report},
     {!to_json}, {!to_prometheus}, ...) merges all domains' cells on

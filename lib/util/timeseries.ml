@@ -9,7 +9,7 @@
    On top of the store sits [Sampler]: a background domain that, every
    [interval] seconds, snapshots selected telemetry counters / gauges /
    timer percentiles and derives rates from counter deltas (qps, shed
-   rate, cache hit-rate, per-worker utilization). Each tick also drives
+   rate, cache hit-rate, per-slot utilization). Each tick also drives
    the continuous profiler (Profile.tick). The sampler registers the
    [GET /varz] and [GET /profile] routes on Metrics_server, so any
    binary running one serves the live console that vctop polls. *)

@@ -13,7 +13,7 @@
     seconds ([-sample-interval] on [vcserve]/[vcload],
     [VC_SAMPLE_INTERVAL] in the environment, [<= 0] disables), derives
     rates from counter deltas (qps, shed rate, cache hit-rate,
-    per-worker utilization), and drives one {!Profile.tick} per tick.
+    per-slot utilization), and drives one {!Profile.tick} per tick.
     Starting a sampler also registers the [GET /varz] (JSON: all
     telemetry + recent series + profile counts) and [GET /profile]
     (folded stacks) routes on {!Metrics_server} - the live surface
@@ -85,7 +85,8 @@ type source =
 val server_sources : source list
 (** The vcserve console: queue depth (+ high-water mark), cache size,
     qps, shed rate, cache hit-rate, the four [server.phase.*]
-    percentile pairs and per-worker utilization. *)
+    percentile pairs and the utilization of each server execution slot
+    ([server.worker.<w>.util]). *)
 
 val client_sources : source list
 (** The vcload side: achieved qps and shed rate from the vcload.*

@@ -1,7 +1,8 @@
 (* Request-scoped trace context: a short hex id minted from Rng, an
    optional parent id, and a mutable per-phase duration list. The
-   ambient context is per-domain (Domain.DLS): the server worker
-   installs the job's context around Portal.submit_result, and
+   ambient context is per-domain (Domain.DLS): the server installs the
+   job's context around Portal.submit_result on the submitting domain,
+   and
    Phase.run times the portal's cache-probe / execute phases into
    whatever context is current without threading it through every
    signature. *)
@@ -43,9 +44,8 @@ let to_attrs t =
 (* phases                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Phases are recorded by whichever single domain is executing the
-   request at that moment (client -> worker hand-off is sequenced by
-   the job's mutex), so the unsynchronized mutable list is safe. *)
+(* A request's phases are all recorded by the one domain that submitted
+   and runs it, so the unsynchronized mutable list is safe. *)
 let record_phase t name dur =
   t.phases <- (name, Float.max 0.0 dur) :: t.phases
 

@@ -11,11 +11,12 @@
     journals on.
 
     {b Ambient propagation.} Rather than threading the context through
-    every signature between the server and the kernels, the worker
-    domain installs it with {!with_current}; downstream code reads it
-    back with {!current} / {!ambient_attrs}, and {!Phase.run} appends
-    the portal's phases to it. The slot is per-domain ([Domain.DLS]),
-    so concurrent workers never see each other's context. *)
+    every signature between the server and the kernels, the server
+    installs it with {!with_current} on the domain that submitted the
+    request, which also runs it; downstream code reads it back with
+    {!current} / {!ambient_attrs}, and {!Phase.run} appends the
+    portal's phases to it. The slot is per-domain ([Domain.DLS]), so
+    concurrent requests never see each other's context. *)
 
 type t
 

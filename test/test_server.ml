@@ -378,6 +378,165 @@ let server_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* execution slots: where a job runs and in what order                 *)
+(* ------------------------------------------------------------------ *)
+
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+(* A tool that blocks until its gate opens, holding its slot so later
+   submissions must wait; [entered] is set once it runs. *)
+let gate () =
+  let entered = Atomic.make false and opened = Atomic.make false in
+  let tool =
+    {
+      echo with
+      Portal.tool_name = "gate";
+      execute =
+        (fun s ->
+          Atomic.set entered true;
+          while not (Atomic.get opened) do Unix.sleepf 0.001 done;
+          "gate: " ^ s);
+    }
+  in
+  (tool, entered, opened)
+
+(* A tool that appends its input to [log] as it runs. *)
+let logging log =
+  {
+    echo with
+    Portal.tool_name = "logging";
+    execute =
+      (fun s ->
+        let rec add () =
+          let cur = Atomic.get log in
+          if not (Atomic.compare_and_set log cur (s :: cur)) then add ()
+        in
+        add ();
+        "logged: " ^ s);
+  }
+
+let one_slot ?(deadline_s = Float.infinity) () =
+  Server.start
+    ~config:{ Server.default_config with Server.workers = 1; deadline_s }
+    ()
+
+(* Occupy the only slot with a gated job, then queue one submission per
+   input, in order, each from its own domain. *)
+let hold_and_queue srv queued =
+  let gate_tool, entered, opened = gate () in
+  let holder =
+    Domain.spawn (fun () ->
+        Server.submit srv (Portal.request ~session:"h" gate_tool "hold"))
+  in
+  await "the gated job to start" (fun () -> Atomic.get entered);
+  let waiters =
+    List.mapi
+      (fun i (tool, input) ->
+        let d =
+          Domain.spawn (fun () ->
+              Server.submit srv (Portal.request ~session:"w" tool input))
+        in
+        await "the submission to queue" (fun () ->
+            Server.queue_depth srv = i + 1);
+        d)
+      queued
+  in
+  (holder, waiters, opened)
+
+let executed what = function
+  | Portal.Executed _ -> ()
+  | _ -> Alcotest.failf "%s: expected Executed" what
+
+let slot_tests =
+  [
+    tc "a job runs on the domain that submitted it" (fun () ->
+        fresh ();
+        let probe =
+          {
+            echo with
+            Portal.tool_name = "probe";
+            execute = (fun _ -> string_of_int (Domain.self () :> int));
+          }
+        in
+        let srv = Server.start () in
+        let ran_on input =
+          match Server.submit srv (Portal.request ~session:"s" probe input) with
+          | Portal.Executed id -> id
+          | _ -> Alcotest.fail "expected Executed"
+        in
+        let self () = string_of_int (Domain.self () :> int) in
+        check Alcotest.string "main domain" (self ()) (ran_on "a");
+        let here, there = Domain.join (Domain.spawn (fun () -> (self (), ran_on "b"))) in
+        check Alcotest.string "spawned domain" here there;
+        Server.stop srv);
+    tc "waiters get the slot in submission order" (fun () ->
+        fresh ();
+        let srv = one_slot () in
+        let log = Atomic.make [] in
+        let tool = logging log in
+        let holder, waiters, opened =
+          hold_and_queue srv [ (tool, "1"); (tool, "2"); (tool, "3") ]
+        in
+        Atomic.set opened true;
+        executed "holder" (Domain.join holder);
+        List.iter (fun d -> executed "waiter" (Domain.join d)) waiters;
+        Server.stop srv;
+        check Alcotest.(list string) "FIFO" [ "1"; "2"; "3" ]
+          (List.rev (Atomic.get log)));
+    tc "a waiter past its deadline is shed when it gets the slot" (fun () ->
+        fresh ();
+        let now = Atomic.make 0.0 in
+        Vc_util.Clock.set (fun () -> Atomic.get now);
+        Fun.protect
+          ~finally:(fun () -> Vc_util.Clock.set Unix.gettimeofday)
+          (fun () ->
+            let srv = one_slot ~deadline_s:1.0 () in
+            let holder, waiters, opened =
+              hold_and_queue srv [ (echo, "late") ]
+            in
+            Atomic.set now 10.0;
+            Atomic.set opened true;
+            executed "holder" (Domain.join holder);
+            (match List.map Domain.join waiters with
+            | [ Portal.Rejected (Portal.Deadline_exceeded _) ] -> ()
+            | _ -> Alcotest.fail "expected Deadline_exceeded");
+            Server.stop srv;
+            check Alcotest.int "counter" 1 (reject_counter "deadline")));
+    tc "stop returns after the running and the waiting job complete"
+      (fun () ->
+        fresh ();
+        let srv = one_slot () in
+        let log = Atomic.make [] in
+        let holder, waiters, opened =
+          hold_and_queue srv [ (logging log, "waiting") ]
+        in
+        let stopped = Atomic.make false in
+        let stopper =
+          Domain.spawn (fun () ->
+              Server.stop srv;
+              Atomic.set stopped true;
+              List.length (Atomic.get log))
+        in
+        Unix.sleepf 0.05;
+        check Alcotest.bool "stop waits for the held slot" false
+          (Atomic.get stopped);
+        Atomic.set opened true;
+        check Alcotest.int "both jobs ran before stop returned" 1
+          (Domain.join stopper);
+        executed "holder" (Domain.join holder);
+        List.iter (fun d -> executed "waiter" (Domain.join d)) waiters;
+        match Server.submit srv (Portal.request ~session:"s" echo "x") with
+        | Portal.Rejected (Portal.Overloaded msg) ->
+          check Alcotest.string "message" "server is shutting down" msg
+        | _ -> Alcotest.fail "expected Overloaded after stop");
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* wire protocol: the TRACE operand round-trips                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,13 +672,6 @@ let wire_tests =
               Wire.serve listener ~submit:(fun _ -> Portal.Cache_hit ""))
         in
         let port = Wire.port listener in
-        let await what cond =
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while (not (cond ())) && Unix.gettimeofday () < deadline do
-            Unix.sleepf 0.001
-          done;
-          if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
-        in
         (* a round trip proves the handler is registered and running *)
         let connect () =
           let c = Wire.Client.connect ~port () in
@@ -538,6 +690,113 @@ let wire_tests =
         Wire.shutdown listener;
         Domain.join acceptor;
         check Alcotest.bool "drained" true (Wire.drain_connections listener));
+    tc "a connection with no domain to spare is shed; the listener lives"
+      (fun () ->
+        T.reset ();
+        let listener = Wire.listen ~port:0 () in
+        let serving = Atomic.make true in
+        let acceptor =
+          Domain.spawn (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Atomic.set serving false)
+                (fun () ->
+                  Wire.serve listener ~submit:(fun _ -> Portal.Cache_hit "")))
+        in
+        let port = Wire.port listener in
+        (* raw sockets with a receive timeout, so a connection nobody
+           answers fails the test instead of hanging it *)
+        let connect () =
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+        in
+        let ask (ic, oc) line =
+          (try
+             Out_channel.output_string oc (line ^ "\n");
+             Out_channel.flush oc
+           with Sys_error _ -> ());
+          (* every reply here is a status line and the "." terminator *)
+          match In_channel.input_line ic with
+          | Some status ->
+            (try ignore (In_channel.input_line ic) with Sys_error _ -> ());
+            status
+          | None -> "EOF"
+          | exception Sys_error e -> e
+          | exception Sys_blocked_io -> "no reply"
+        in
+        let shed_reply = "ERR overloaded too many connections" in
+        (* 150 held connections exceed OCaml 5.1's 128 live domains *)
+        let conns =
+          List.init 150 (fun i ->
+              let c = connect () in
+              match ask c "HELLO 2" with
+              | "OK proto 2" -> (c, false)
+              | r when r = shed_reply -> (c, true)
+              | r -> Alcotest.failf "connection %d: %S" i r)
+        in
+        let shed = List.length (List.filter snd conns) in
+        check Alcotest.bool "some connections were shed" true (shed > 0);
+        check Alcotest.int "each shed connection is counted" shed
+          (T.counter "wire.conn.rejected");
+        List.iter (fun ((ic, _), _) -> In_channel.close ic) conns;
+        await "the handlers to finish" (fun () ->
+            Wire.active_connections listener = 0);
+        (* a handler domain may outlive its connection for a moment, so
+           the first fresh connection can still be shed *)
+        await "a fresh connection to be served" (fun () ->
+            let c = connect () in
+            let ok = ask c "HELLO 2" = "OK proto 2" && ask c "PING" = "OK pong" in
+            In_channel.close (fst c);
+            ok);
+        check Alcotest.bool "serve has not returned" true (Atomic.get serving);
+        Wire.shutdown listener;
+        Domain.join acceptor;
+        check Alcotest.bool "drained" true (Wire.drain_connections listener));
+    tc "sequential connections keep the live heap flat" (fun () ->
+        fresh ();
+        let srv = Server.start () in
+        let listener = Wire.listen ~port:0 () in
+        let acceptor =
+          Domain.spawn (fun () ->
+              Wire.serve listener ~submit:(Server.submit srv))
+        in
+        let port = Wire.port listener in
+        let one () =
+          let c = Wire.Client.connect ~port () in
+          (match Wire.Client.submit c ~tool:"axb" "n 1\nrow 2\nrhs 4" with
+          | status, _ when String.starts_with ~prefix:"OK" status -> ()
+          | status, _ -> Alcotest.failf "reply %S" status);
+          Wire.Client.close c;
+          await "the handler to finish" (fun () ->
+              Wire.active_connections listener = 0)
+        in
+        let live () =
+          (* let the last handler domain run its exit hooks *)
+          Unix.sleepf 0.05;
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let allocated () =
+          let g = Gc.quick_stat () in
+          g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+        in
+        for _ = 1 to 100 do one () done;
+        let before = live () and alloc0 = allocated () in
+        for _ = 1 to 1000 do one () done;
+        let per_conn = (allocated () -. alloc0) /. 1000.0 in
+        let grown = live () - before in
+        Wire.shutdown listener;
+        Domain.join acceptor;
+        Server.stop srv;
+        (* each handler domain builds its own histograms for the timers
+           it observes and folds them into the retired cell at exit *)
+        Printf.printf
+          "live heap %+d words over 1,000 connections; %.0f words \
+           allocated per connection\n"
+          grown per_conn;
+        if grown * (Sys.word_size / 8) >= 256 * 1024 then
+          Alcotest.failf "heap grew %d words over 1,000 connections" grown);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -889,6 +1148,7 @@ let () =
       ("resolve", resolve_tests);
       ("outcomes", outcome_tests);
       ("admission", server_tests);
+      ("slots", slot_tests);
       ("wire-trace", wire_tests);
       ("cache-shards", shard_tests);
       ("telemetry-merge", merge_tests);

@@ -1801,13 +1801,22 @@ let phase_tests =
           Alcotest.(list string)
           "only the phase inside the request" [ "cache" ]
           (List.map fst (Tc.phases ctx)));
+    tc "exited domains leave no frame stack behind" (fun () ->
+        Phase.run "main" ignore;
+        let before = List.length (Phase.stacks ()) in
+        for _ = 1 to 2000 do
+          Domain.join (Domain.spawn (fun () -> Phase.run "x" ignore))
+        done;
+        check Alcotest.int "one stack per live domain" before
+          (List.length (Phase.stacks ())));
   ]
 
 let profile_tests =
   [
     tc "ticks aggregate folded stacks and count idle domains" (fun () ->
         Prof.reset ();
-        Prof.register ();
+        (* a phase publishes this domain's stack, empty again on return *)
+        Phase.run "register" ignore;
         Prof.tick ();
         Phase.run "worker" (fun () -> Phase.run "execute" (fun () -> Prof.tick ()));
         check Alcotest.int "two ticks" 2 (Prof.ticks ());
