@@ -105,13 +105,18 @@ let parse_backend spec =
 (* ------------------------------------------------------------------ *)
 
 (* Each connection-handler domain keeps one upstream connection per
-   backend, created lazily and dropped on the first error. The cache
-   dies with its domain (a handler domain exits when its client
-   disconnects), so idle upstream connections never outlive the
-   downstream connection they serve. *)
+   backend, created lazily and dropped on the first error. A handler
+   domain exits when its client disconnects, and its exit hook closes
+   the cache: OCaml does not close a channel it collects, so without
+   the hook every client connection would leak one upstream
+   connection. *)
 let conns_key :
     (string, Wire.Client.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+  Domain.DLS.new_key (fun () ->
+      let tbl = Hashtbl.create 4 in
+      Domain.at_exit (fun () ->
+          Hashtbl.iter (fun _ c -> try Wire.Client.close c with _ -> ()) tbl);
+      tbl)
 
 let get_conn b =
   let tbl = Domain.DLS.get conns_key in

@@ -163,10 +163,12 @@ let resolve_tool name =
 (* A session is one atomic, newest-first list of at most [history_limit]
    runs across all tools. Several domains may append at once, so
    an append is a compare-and-set loop over an immutable list: readers
-   take a consistent snapshot without any lock. A run's strings are the
-   result cache's own where the cache has the entry, so a re-upload adds
-   one small record to the session, never a copy of the upload. *)
-type run = { tool : string; input : string; output : string }
+   take a consistent snapshot without any lock. A run keeps the tool
+   name, the result cache's 16-byte key for the upload (the string the
+   cache entry holds, so a hit adds no copy) and, for a rejection, its
+   message. It never holds the upload or its output: [history] resolves
+   the output through the cache when it is read. *)
+type run = { tool : string; key : string; rejection : string option }
 type session = run list Atomic.t
 
 let history_limit = 32
@@ -266,15 +268,9 @@ let request ?trace ~session tool input =
 module T = Vc_util.Telemetry
 module Phase = Vc_util.Phase
 
-(* [input] is the upload the output was computed from, so a hit can
-   hand out the cache's copy. The spill file stores only digest ->
-   output, so a warm-started entry starts at [None] and adopts the input
-   of its first hit. *)
-type cache_entry = {
-  mutable input : string option;
-  output : string;
-  mutable last_used : int;
-}
+(* [key] is the string the entry is filed under, so a hit can hand out
+   the cache's copy of it *)
+type cache_entry = { key : string; output : string; mutable last_used : int }
 
 type cache_shard = {
   sh_mu : Mutex.t;
@@ -448,26 +444,27 @@ let cache_stats () = (Atomic.get stat_hits, Atomic.get stat_misses)
 let cache_evictions () = Atomic.get stat_evictions
 let cache_disk_hits () = Atomic.get stat_disk_hits
 
-(* A hit returns the entry's own (input, output) strings; a warm-started
-   entry adopts [input] here, under the shard mutex. *)
-let cache_find key input =
+(* A hit returns the entry's own (key, output) strings. *)
+let cache_find key =
   let sh = shard_of key in
   Mutex.protect sh.sh_mu (fun () ->
       match Hashtbl.find_opt sh.sh_tbl key with
       | Some e ->
         sh.sh_tick <- sh.sh_tick + 1;
         e.last_used <- sh.sh_tick;
-        (match e.input with
-        | Some stored -> Some (stored, e.output)
-        | None ->
-          e.input <- Some input;
-          Some (input, e.output))
+        Some (e.key, e.output)
       | None -> None)
+
+(* [history]'s read: no recency bump, no statistics *)
+let cache_peek key =
+  let sh = shard_of key in
+  Mutex.protect sh.sh_mu (fun () ->
+      Option.map (fun e -> e.output) (Hashtbl.find_opt sh.sh_tbl key))
 
 (* [spill:false] is the load path from the disk tier (warm start, or a
    disk hit being promoted): an eviction it forces must not be written
-   back. Only the warm start omits [input]. *)
-let cache_add ?(spill = true) ?input key output =
+   back. *)
+let cache_add ?(spill = true) key output =
   let sh = shard_of key in
   let victim =
     Mutex.protect sh.sh_mu (fun () ->
@@ -480,8 +477,7 @@ let cache_add ?(spill = true) ?input key output =
             then evict_lru sh
             else None
           in
-          Hashtbl.replace sh.sh_tbl key
-            { input; output; last_used = sh.sh_tick };
+          Hashtbl.replace sh.sh_tbl key { key; output; last_used = sh.sh_tick };
           v
         end
         else None)
@@ -538,29 +534,38 @@ let set_cache_dir dirname =
 (* instrumented submission                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* the line count [String.split_on_char '\n'] would give, without
+   building the lines *)
+let count_lines s =
+  let n = ref 1 in
+  for i = 0 to String.length s - 1 do
+    if s.[i] = '\n' then incr n
+  done;
+  !n
+
 let submit_result session tool input =
   let pre = "portal." ^ tool.tool_name in
   let key = cache_key tool.tool_name input in
   T.incr (pre ^ ".submits");
   let t0 = T.now () in
-  (* [input] is rebound to the cache's copy of the upload where there
-     is one: that is what the session's history keeps *)
-  let outcome, input =
-    let lines = List.length (String.split_on_char '\n' input) in
+  (* [key] is rebound to the cache's copy of it where there is one:
+     that is what the session's run keeps *)
+  let outcome, key =
+    let lines = count_lines input in
     if lines > tool.max_input_lines then begin
       T.incr (pre ^ ".rejected");
       ( Rejected
           (Runaway
              (Printf.sprintf "input too large (%d lines; portal limit %d)"
                 lines tool.max_input_lines)),
-        input )
+        key )
     end
     else begin
       (* the cache and execute phases land on the request's timeline;
          profiler ticks inside the kernel fold to "worker;execute;<tool>" *)
       let probed =
         Phase.run "cache" (fun () ->
-            match cache_find key input with
+            match cache_find key with
             | Some _ as hit -> hit
             | None -> (
               (* memory miss: probe the disk tier, promoting a hit back
@@ -569,9 +574,9 @@ let submit_result session tool input =
               | Some out ->
                 Atomic.incr stat_disk_hits;
                 T.incr "portal.cache.disk_hits";
-                cache_add ~spill:false ~input key out;
+                cache_add ~spill:false key out;
                 publish_size ();
-                Some (input, out)
+                Some (key, out)
               | None -> None))
       in
       match probed with
@@ -588,13 +593,13 @@ let submit_result session tool input =
           Phase.run "execute" (fun () ->
               Phase.run tool.tool_name (fun () -> tool.execute input))
         in
-        cache_add ~input key out;
+        cache_add key out;
         publish_size ();
         (* write-through: the result is durable the moment it is
            computed, not only when LRU pressure spills it - this is what
            a killed-and-restarted server warm-starts from *)
         store_append key out;
-        (Executed out, input)
+        (Executed out, key)
     end
   in
   (* one measurement feeds the latency timer and the journal event; a
@@ -632,14 +637,22 @@ let submit_result session tool input =
            reason)
       ()
   | None -> ());
-  record session
-    { tool = tool.tool_name; input; output = outcome_output outcome };
+  record session { tool = tool.tool_name; key; rejection = reject_reason };
   outcome
+
+(* memory shard first, then the disk tier; neither read counts a hit or
+   promotes the entry *)
+let run_output r =
+  match r.rejection with
+  | Some reason -> Some ("error: " ^ reason)
+  | None -> (
+    match cache_peek r.key with Some _ as out -> out | None -> store_find r.key)
 
 (* newest-first runs, so prepending the matches yields oldest first *)
 let history session tool =
   List.fold_left
     (fun acc r ->
-      if String.equal r.tool tool.tool_name then (r.input, r.output) :: acc
+      if String.equal r.tool tool.tool_name then
+        (Digest.to_hex r.key, run_output r) :: acc
       else acc)
     [] (Atomic.get session)

@@ -72,10 +72,11 @@ type session
 (** One participant's portal state: the newest {!history_limit} runs
     across all tools, held in one [Atomic.t] and appended by
     compare-and-set, so a session may be used from several domains at
-    once without a lock. A run holds the result cache's own
-    strings whenever the cache has the entry, so a re-upload of cached
-    work costs the session one fixed-size record, not a copy of the
-    upload. *)
+    once without a lock. A run holds the tool name, the result cache's
+    16-byte key for the upload and, for a rejection only, its reason.
+    The key is the string the cache entry holds, so a hit adds no copy.
+    A run never holds the upload or its output: {!history} resolves the
+    output through the cache when it is read. *)
 
 val create_session : unit -> session
 
@@ -162,15 +163,19 @@ val submit_result : session -> tool -> string -> outcome
     journal's flight recorder, so the trailing window of events that
     led up to it is preserved. *)
 
-val history : session -> tool -> (string * string) list
-(** The tool's (input, output) pairs among the session's newest
-    {!history_limit} runs, oldest first - the "older outputs available
-    by scrolling" behaviour. Cache hits and rejections are logged like
-    real runs (the rendered {!outcome_output} string is what is
-    recorded). A cache hit records the cached entry's input and output
-    strings themselves (physically equal, [==], across every session
-    that submitted the same upload); a miss records the uploaded
-    strings the new cache entry also holds. *)
+val history : session -> tool -> (string * string option) list
+(** The tool's runs among the session's newest {!history_limit} runs,
+    oldest first - the "older outputs available by scrolling"
+    behaviour. Each run is a pair: its hex content digest, which is the
+    [digest] attr of its ["submission"] journal event, and its rendered
+    {!outcome_output}. Cache hits and rejections are logged like real
+    runs.
+
+    The output is resolved when [history] is called: first from the
+    memory shards, then from the disk tier ({!set_cache_dir}). A read
+    counts no hit and promotes nothing. The output is [None] once
+    neither tier holds the run's result; a rejection always renders its
+    ["error: ..."] text. *)
 
 (** {1 Result cache}
 
@@ -244,13 +249,12 @@ val cache_evictions : unit -> int
 val set_cache_dir : string -> unit
 (** Open (or create) the spill directory and {e warm-start}: promote
     every result the store holds into the memory shards (up to
-    capacity; the remainder stays served by the disk probe). The store
-    keeps no inputs, so a warm-started entry adopts the upload of its
-    first hit as the input later hits record. Emits a
-    [cache.warm_start] journal event with the loaded count. A store
-    that cannot be opened degrades with one warning and a
-    [cache.disk_error] event instead of raising. Replaces (and closes)
-    any previously configured store. *)
+    capacity; the remainder stays served by the disk probe). While the
+    store is open, {!history} also resolves outputs evicted from memory
+    through it. Emits a [cache.warm_start] journal event with the
+    loaded count. A store that cannot be opened degrades with one
+    warning and a [cache.disk_error] event instead of raising. Replaces
+    (and closes) any previously configured store. *)
 
 val cache_dir : unit -> string option
 (** The active spill directory, if the disk tier is enabled. *)

@@ -135,7 +135,8 @@ val stop : t -> unit
 val submit : t -> Portal.request -> Portal.outcome
 (** Submit one {!Portal.request} (sessions are created on first use
     from [req_session]; each holds a lock-free {!Portal.session}, capped
-    at {!Portal.history_limit} runs, plus the rate-limit bucket; the
+    at {!Portal.history_limit} runs, plus the rate-limit bucket; a run
+    keeps the upload's cache key, never the upload or its output; the
     session table itself is never evicted). Returns immediately with a
     rejection when rate-limited or the queue is full; otherwise runs
     the job on the calling domain once it holds a slot - at once when
@@ -152,9 +153,11 @@ val submit : t -> Portal.request -> Portal.outcome
 
 val session : t -> string -> Portal.session
 (** The portal session behind [session_id] (created on first use) -
-    gives callers access to {!Portal.history}. The session is shared
-    by every domain that submits to it: a snapshot read while jobs run
-    sees every run appended so far, up to the cap. *)
+    gives callers access to {!Portal.history}, which looks each run's
+    output up in the result cache and its disk tier when it is read.
+    The session is shared by every domain that submits to it: a
+    snapshot read while jobs run sees every run appended so far, up to
+    the cap. *)
 
 val queue_depth : t -> int
 (** Submissions currently waiting for a slot (admitted, not yet

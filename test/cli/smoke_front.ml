@@ -21,6 +21,14 @@
    checks in its post-restart journal segments (a cache.warm_start
    event with nonzero entries, and cache_hit submission outcomes).
 
+   Then 500 sequential client connections, each sending one TOOL
+   request under one session id, go through the front to one backend;
+   every reply must read OK. A front handler domain must close its
+   upstream connections when its client leaves: a leaked one holds a
+   backend connection domain, and the backend sheds connections once
+   its domains run out. On Linux each backend's open-fd count must come
+   back to within 8 of its count before the loop.
+
    Shutdown is one SIGINT per process, each required to exit 0. The
    final artifact is `vcstat summary --format json` over shard A's
    rotated segment set, addressed by base name - the dune rule feeds it
@@ -165,6 +173,37 @@ let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* Open fds of PID, where /proc lists them (Linux); None elsewhere. *)
+let fd_count pid =
+  let dir = Printf.sprintf "/proc/%d/fd" pid in
+  if Sys.file_exists dir then Some (Array.length (Sys.readdir dir)) else None
+
+(* One client connection sending one TOOL request: the reply's status
+   line, after reading its body. *)
+let one_request port ~session =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      try
+        Printf.fprintf oc "TOOL kbdd %s\nboolean a b\nf = a & b\nprint f\n.\n%!"
+          session;
+        match In_channel.input_line ic with
+        | None -> "connection closed"
+        | Some status ->
+          let rec body () =
+            match In_channel.input_line ic with
+            | Some "." | None -> ()
+            | Some _ -> body ()
+          in
+          body ();
+          status
+      with Sys_error e -> e)
+
 let () =
   let vcserve_exe, vcfront_exe, vcload_exe, vcstat_exe =
     match Sys.argv with
@@ -300,6 +339,39 @@ let () =
         die "phase-2 vcload printed no replay summary:\n%s" summary2;
       if not (contains summary2 "cache_hit") then
         die "phase-2 vcload summary has no outcome breakdown:\n%s" summary2;
+      (* phase 3: 500 sequential one-request connections under one
+         session id, so all land on one backend. Only the front's
+         handler domains can close their upstream connections; each
+         leaked one would pin a backend connection domain. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let shards = [ ("shard A", !pid_a); ("shard B", !pid_b) ] in
+      let fds_before = List.map (fun (_, pid) -> fd_count pid) shards in
+      for i = 1 to 500 do
+        let status = one_request port_front ~session:"smoke-front-conns" in
+        if not (starts_with "OK " status) then
+          die "connection %d through the front read %S, not OK" i status
+      done;
+      (* the last few upstream connections may still be closing *)
+      List.iter2
+        (fun (name, pid) before ->
+          match before with
+          | None -> ()
+          | Some before ->
+            let deadline = Unix.gettimeofday () +. 10.0 in
+            let rec settle () =
+              match fd_count pid with
+              | Some now when now > before + 8 ->
+                if Unix.gettimeofday () > deadline then
+                  die "%s holds %d fds after 500 front connections (%d before)"
+                    name now before
+                else begin
+                  Unix.sleepf 0.05;
+                  settle ()
+                end
+              | Some _ | None -> ()
+            in
+            settle ())
+        shards fds_before;
       (* graceful shutdown: front first (stop accepting), then the
          shards; each journal flushes on the way out *)
       sigint_and_expect_clean !pid_front ~what:"vcfront";

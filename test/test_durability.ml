@@ -428,8 +428,7 @@ let portal_tests =
               check Alcotest.string "spilled payload" "echo: one" out
             | Portal.Executed _ -> Alcotest.fail "lost the evicted result"
             | Portal.Rejected _ -> Alcotest.fail "rejected?"));
-    tc "a warm-started entry records the upload, not a placeholder"
-      (fun () ->
+    tc "a warm-started entry's run resolves to its output" (fun () ->
         let dir = temp_dir "vc_portal_cache" in
         Fun.protect
           ~finally:(fun () ->
@@ -443,21 +442,66 @@ let portal_tests =
             Portal.unset_cache_dir ();
             Portal.clear_cache ();
             Portal.set_cache_dir dir;
-            let hit () =
+            let s = Portal.create_session () in
+            (match Portal.submit_result s echo "warm" with
+            | Portal.Cache_hit _ -> ()
+            | _ -> Alcotest.fail "expected a warm hit");
+            check
+              Alcotest.(list (pair string (option string)))
+              "the run" [ (upload_digest "echo" "warm", Some "echo: warm") ]
+              (Portal.history s echo)));
+    tc "an evicted run resolves through the disk tier; reads count nothing"
+      (fun () ->
+        let dir = temp_dir "vc_portal_cache" in
+        let shards = Portal.cache_shards () in
+        Fun.protect
+          ~finally:(fun () ->
+            Portal.unset_cache_dir ();
+            Portal.clear_cache ();
+            Portal.set_cache_shards shards;
+            Portal.set_cache_capacity 512;
+            rm_rf dir)
+          (fun () ->
+            (* one memory slot: "two" evicts "one" *)
+            let two_runs () =
+              Portal.clear_cache ();
+              Portal.set_cache_shards 1;
+              Portal.set_cache_capacity 1;
               let s = Portal.create_session () in
-              let upload = Bytes.to_string (Bytes.of_string "warm") in
-              (match Portal.submit_result s echo upload with
-              | Portal.Cache_hit _ -> ()
-              | _ -> Alcotest.fail "expected a warm hit");
-              match Portal.history s echo with
-              | [ (input, output) ] ->
-                check Alcotest.string "input" "warm" input;
-                check Alcotest.string "output" "echo: warm" output;
-                input
-              | _ -> Alcotest.fail "expected one run"
+              ignore (Portal.submit_result s echo "one");
+              ignore (Portal.submit_result s echo "two");
+              let stats = Portal.cache_stats ()
+              and disk_hits = Portal.cache_disk_hits ()
+              and size = Portal.cache_size () in
+              let h = Portal.history s echo in
+              check Alcotest.(pair int int) "no hit or miss counted" stats
+                (Portal.cache_stats ());
+              check Alcotest.int "no disk hit counted" disk_hits
+                (Portal.cache_disk_hits ());
+              check Alcotest.int "size unchanged" size (Portal.cache_size ());
+              (* had the read promoted "one", it would have evicted "two" *)
+              (match Portal.submit_result s echo "two" with
+              | Portal.Cache_hit _ ->
+                check Alcotest.int "\"two\" still in memory" disk_hits
+                  (Portal.cache_disk_hits ())
+              | _ -> Alcotest.fail "expected a cache hit");
+              h
             in
-            let first = hit () in
-            check Alcotest.bool "adopted by the entry" true (hit () == first)));
+            let runs = Alcotest.(list (pair string (option string))) in
+            Portal.set_cache_dir dir;
+            check runs "the disk tier resolves the evicted run"
+              [
+                (upload_digest "echo" "one", Some "echo: one");
+                (upload_digest "echo" "two", Some "echo: two");
+              ]
+              (two_runs ());
+            Portal.unset_cache_dir ();
+            check runs "with no disk tier it is gone"
+              [
+                (upload_digest "echo" "one", None);
+                (upload_digest "echo" "two", Some "echo: two");
+              ]
+              (two_runs ())));
     tc "unset_cache_dir degrades to memory-only cleanly" (fun () ->
         Portal.clear_cache ();
         Portal.unset_cache_dir ();

@@ -227,6 +227,19 @@ let survey_tests =
 let psubmit s tool input =
   M.Portal.outcome_output (M.Portal.submit_result s tool input)
 
+(* a synthetic tool: pure, fast, no kernel dependency *)
+let echo =
+  {
+    M.Portal.tool_name = "echo";
+    description = "test tool";
+    max_input_lines = 3;
+    execute = (fun s -> "echo: " ^ s);
+  }
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
 let portal_tests =
   [
     tc "all five paper tools are deployed" (fun () ->
@@ -318,15 +331,15 @@ let portal_tests =
           ignore (psubmit s tool (input i))
         done;
         check Alcotest.int "limit" 32 M.Portal.history_limit;
-        let inputs tool = List.map fst (M.Portal.history s tool) in
-        let expect parity =
+        let digests tool = List.map fst (M.Portal.history s tool) in
+        let expect tool parity =
           List.filter (fun i -> i mod 2 = parity) (List.init 32 (( + ) 8))
-          |> List.map input
+          |> List.map (fun i -> upload_digest tool.M.Portal.tool_name (input i))
         in
-        check Alcotest.(list string) "axb: runs 8..38" (expect 0)
-          (inputs M.Portal.axb);
-        check Alcotest.(list string) "kbdd: runs 9..39" (expect 1)
-          (inputs M.Portal.kbdd));
+        check Alcotest.(list string) "axb: runs 8..38" (expect M.Portal.axb 0)
+          (digests M.Portal.axb);
+        check Alcotest.(list string) "kbdd: runs 9..39"
+          (expect M.Portal.kbdd 1) (digests M.Portal.kbdd));
     tc "a re-upload records the cache's strings, not the caller's copy"
       (fun () ->
         let u = "n 1\nrow 5\nrhs 35\n# shared" in
@@ -341,11 +354,11 @@ let portal_tests =
         match
           (M.Portal.history s1 M.Portal.axb, M.Portal.history s2 M.Portal.axb)
         with
-        | [ (i1, o1) ], [ (i2, o2) ] ->
-          check Alcotest.string "same bytes" u i2;
-          check Alcotest.bool "input shared" true (i1 == i2);
+        | [ (d1, Some o1) ], [ (d2, Some o2) ] ->
+          check Alcotest.string "the upload's digest" (upload_digest "axb" u) d1;
+          check Alcotest.string "same digest" d1 d2;
           check Alcotest.bool "output shared" true (o1 == o2)
-        | _ -> Alcotest.fail "expected one run per session");
+        | _ -> Alcotest.fail "expected one resolved run per session");
     tc "re-uploads across 1,000 sessions keep the heap flat" (fun () ->
         let uploads =
           List.init 5 (fun i -> Printf.sprintf "n 1\nrow %d\nrhs 1\n" (i + 2))
@@ -363,14 +376,10 @@ let portal_tests =
                M.Portal.axb
                (Bytes.to_string (Bytes.of_string u)))
         in
-        let live () =
-          Gc.full_major ();
-          (Gc.stat ()).Gc.live_words
-        in
         for k = 0 to 39_999 do submit k done;
-        let at_40k = live () in
+        let at_40k = live_words () in
         for k = 40_000 to 99_999 do submit k done;
-        let grown_bytes = (live () - at_40k) * (Sys.word_size / 8) in
+        let grown_bytes = (live_words () - at_40k) * (Sys.word_size / 8) in
         (* reading a session after the measurement keeps them all live
            through it *)
         check Alcotest.int "a session keeps its newest runs"
@@ -379,6 +388,80 @@ let portal_tests =
         if grown_bytes >= 256 * 1024 then
           Alcotest.failf "heap grew %d bytes over 60,000 re-uploads"
             grown_bytes);
+    tc "20,000 distinct uploads over 200 sessions keep the heap flat"
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            M.Portal.clear_cache ();
+            M.Portal.set_cache_capacity 512)
+          (fun () ->
+            M.Portal.clear_cache ();
+            M.Portal.set_cache_capacity 64;
+            let sessions = Array.init 200 (fun _ -> M.Portal.create_session ()) in
+            (* 1 KB, one line, distinct by its leading index *)
+            let upload k = Printf.sprintf "%08d%s" k (String.make 1016 'x') in
+            let before = live_words () in
+            for k = 0 to 19_999 do
+              ignore (M.Portal.submit_result sessions.(k mod 200) echo (upload k))
+            done;
+            let grown_bytes = (live_words () - before) * (Sys.word_size / 8) in
+            (* reading a session after the measurement keeps them all live
+               through it *)
+            check Alcotest.int "a session keeps its newest runs"
+              M.Portal.history_limit
+              (List.length (M.Portal.history sessions.(199) echo));
+            if grown_bytes >= 2 * 1024 * 1024 then
+              Alcotest.failf "live heap grew %d bytes over 20,000 uploads"
+                grown_bytes));
+    tc "rejected uploads leave the live heap where it was" (fun () ->
+        Vc_util.Journal.set_dump_printer ignore;
+        Fun.protect
+          ~finally:(fun () -> Vc_util.Journal.set_dump_printer prerr_string)
+          (fun () ->
+            (* four lines, one over echo's limit *)
+            let upload k pad = Printf.sprintf "%d\n\n\n%s" k pad in
+            (* fill the flight-recorder ring first, so the measurement
+               sees only what the session keeps *)
+            let warm = M.Portal.create_session () in
+            for k = 0 to 299 do
+              ignore (M.Portal.submit_result warm echo (upload k ""))
+            done;
+            let s = M.Portal.create_session () in
+            let pad = String.make 65536 'x' in
+            let before = live_words () in
+            for k = 1 to M.Portal.history_limit do
+              match M.Portal.submit_result s echo (upload k pad) with
+              | M.Portal.Rejected (M.Portal.Runaway _) -> ()
+              | _ -> Alcotest.fail "expected a runaway rejection"
+            done;
+            let grown_bytes = (live_words () - before) * (Sys.word_size / 8) in
+            check
+              Alcotest.(list (option string))
+              "each run renders its error text"
+              (List.init M.Portal.history_limit (fun _ ->
+                   Some "error: input too large (4 lines; portal limit 3)"))
+              (List.map snd (M.Portal.history s echo));
+            if grown_bytes >= 64 * 1024 then
+              Alcotest.failf "live heap grew %d bytes over %d rejected 64 KB uploads"
+                grown_bytes M.Portal.history_limit));
+    tc "the line guard passes exactly the limit and rejects one more line"
+      (fun () ->
+        let s = M.Portal.create_session () in
+        let limit = echo.M.Portal.max_input_lines in
+        (* the guard counts 1 + the newlines, as splitting on '\n' does,
+           so a trailing newline adds one (empty) line *)
+        let lines n = String.concat "\n" (List.init n (fun _ -> "x")) in
+        let trailing n = lines (n - 1) ^ "\n" in
+        List.iter
+          (fun (what, make) ->
+            (match M.Portal.submit_result s echo (make limit) with
+            | M.Portal.Executed _ | M.Portal.Cache_hit _ -> ()
+            | M.Portal.Rejected _ -> Alcotest.failf "%s: limit rejected" what);
+            check Alcotest.string what
+              (Printf.sprintf "error: input too large (%d lines; portal limit %d)"
+                 (limit + 1) limit)
+              (psubmit s echo (make (limit + 1))))
+          [ ("no trailing newline", lines); ("trailing newline", trailing) ]);
     tc "oversized input rejected with the limit in the message" (fun () ->
         let s = M.Portal.create_session () in
         let big = String.concat "\n" (List.init 3000 (fun _ -> "boolean a")) in
