@@ -319,16 +319,18 @@ let stat_disk_hits = Atomic.make 0
 (* ---- the disk tier under the memory shards --------------------------
 
    An optional Cache_store (vcserve -cache-dir / VC_CACHE_DIR): every
-   executed result is written through to it, an entry evicted from a
-   memory shard is spilled to it (if not already there), and a memory
-   miss probes it before re-executing the tool. At [set_cache_dir] the
-   spilled results are promoted back into the memory shards - the warm
-   start that makes a restarted server serve cache hits for work its
-   previous incarnation did. The handle lives in an Atomic so the hot
-   path never takes a configuration lock; store I/O always happens
-   OUTSIDE the shard mutexes (lanes have their own locks). A failing
-   store (disk full, yanked volume) is dropped with one warning - the
-   portal degrades to memory-only rather than failing submissions. *)
+   executed result is written through to it when it is computed - the
+   only write - and a memory miss probes it before re-executing the
+   tool. An entry evicted from a memory shard is therefore already on
+   disk, unless it was cached before the store was opened. At
+   [set_cache_dir] the stored results are promoted into the memory
+   shards - the warm start that makes a restarted server serve cache
+   hits for work its previous incarnation did. The handle lives in an
+   Atomic so the hot path never takes a configuration lock; store I/O
+   always happens OUTSIDE the shard mutexes (lanes have their own
+   locks). A failing store (disk full, yanked volume) is dropped with
+   one warning - the portal degrades to memory-only rather than failing
+   submissions. *)
 
 module Store = Vc_util.Cache_store
 module J = Vc_util.Journal
@@ -356,34 +358,22 @@ let store_find key =
   | None -> None
   | Some st -> ( try Store.find st key with e -> drop_store st e; None)
 
-let store_mem key =
-  match Atomic.get store with
-  | None -> false
-  | Some st -> ( try Store.mem st key with e -> drop_store st e; false)
-
-(* call with the shard's mutex held; returns the evicted entry so the
-   caller can spill it to the disk tier outside the lock *)
+(* call with the shard's mutex held *)
 let evict_lru sh =
   let victim =
     Hashtbl.fold
-      (fun k e acc ->
+      (fun _ e acc ->
         match acc with
-        | Some (_, stalest) when stalest.last_used <= e.last_used -> acc
-        | Some _ | None -> Some (k, e))
+        | Some stalest when stalest.last_used <= e.last_used -> acc
+        | Some _ | None -> Some e)
       sh.sh_tbl None
   in
   match victim with
-  | Some (k, e) ->
-    Hashtbl.remove sh.sh_tbl k;
+  | Some e ->
+    Hashtbl.remove sh.sh_tbl e.key;
     Atomic.incr stat_evictions;
-    T.incr "portal.cache.evictions";
-    Some (k, e.output)
-  | None -> None
-
-let spill victims =
-  List.iter
-    (fun (k, out) -> if not (store_mem k) then store_append k out)
-    victims
+    T.incr "portal.cache.evictions"
+  | None -> ()
 
 let cache_shard_sizes () =
   Array.to_list
@@ -407,18 +397,11 @@ let set_cache_capacity n =
       let caps = shard_caps n (Array.length a) in
       Array.iteri
         (fun i sh ->
-          let victims =
-            Mutex.protect sh.sh_mu (fun () ->
-                sh.sh_cap <- caps.(i);
-                let acc = ref [] in
-                while Hashtbl.length sh.sh_tbl > sh.sh_cap do
-                  match evict_lru sh with
-                  | Some v -> acc := v :: !acc
-                  | None -> ()
-                done;
-                !acc)
-          in
-          spill victims)
+          Mutex.protect sh.sh_mu (fun () ->
+              sh.sh_cap <- caps.(i);
+              while Hashtbl.length sh.sh_tbl > sh.sh_cap do
+                evict_lru sh
+              done))
         a);
   publish_size ()
 
@@ -461,30 +444,17 @@ let cache_peek key =
   Mutex.protect sh.sh_mu (fun () ->
       Option.map (fun e -> e.output) (Hashtbl.find_opt sh.sh_tbl key))
 
-(* [spill:false] is the load path from the disk tier (warm start, or a
-   disk hit being promoted): an eviction it forces must not be written
-   back. *)
-let cache_add ?(spill = true) key output =
+let cache_add key output =
   let sh = shard_of key in
-  let victim =
-    Mutex.protect sh.sh_mu (fun () ->
-        if sh.sh_cap > 0 then begin
-          sh.sh_tick <- sh.sh_tick + 1;
-          let v =
-            if
-              (not (Hashtbl.mem sh.sh_tbl key))
-              && Hashtbl.length sh.sh_tbl >= sh.sh_cap
-            then evict_lru sh
-            else None
-          in
-          Hashtbl.replace sh.sh_tbl key { key; output; last_used = sh.sh_tick };
-          v
-        end
-        else None)
-  in
-  match victim with
-  | Some (k, out) when spill && not (store_mem k) -> store_append k out
-  | Some _ | None -> ()
+  Mutex.protect sh.sh_mu (fun () ->
+      if sh.sh_cap > 0 then begin
+        sh.sh_tick <- sh.sh_tick + 1;
+        if
+          (not (Hashtbl.mem sh.sh_tbl key))
+          && Hashtbl.length sh.sh_tbl >= sh.sh_cap
+        then evict_lru sh;
+        Hashtbl.replace sh.sh_tbl key { key; output; last_used = sh.sh_tick }
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* disk-tier configuration                                             *)
@@ -500,8 +470,8 @@ let unset_cache_dir () =
 let set_cache_dir dirname =
   match Store.open_store dirname with
   | exception e ->
-    (* same degrade contract as the journal: a portal that cannot spill
-       must still serve *)
+    (* same degrade contract as the journal: a portal that cannot write
+       its results through must still serve *)
     Printf.eprintf
       "portal: cannot open cache dir %s (%s); continuing without it\n%!"
       dirname (Printexc.to_string e);
@@ -512,12 +482,12 @@ let set_cache_dir dirname =
     (match Atomic.exchange store (Some st) with
     | Some old -> ( try Store.close old with _ -> ())
     | None -> ());
-    (* warm start: promote the spilled results into the memory shards
+    (* warm start: promote the stored results into the memory shards
        (up to capacity - anything over stays served by the disk probe) *)
     let loaded = ref 0 in
     Store.iter st (fun key output ->
         incr loaded;
-        cache_add ~spill:false key output);
+        cache_add key output);
     publish_size ();
     T.set_gauge "portal.cache.disk_entries" (float_of_int (Store.length st));
     J.emit ~component:"portal"
@@ -574,7 +544,7 @@ let submit_result session tool input =
               | Some out ->
                 Atomic.incr stat_disk_hits;
                 T.incr "portal.cache.disk_hits";
-                cache_add ~spill:false key out;
+                cache_add key out;
                 publish_size ();
                 Some (key, out)
               | None -> None))
@@ -595,9 +565,9 @@ let submit_result session tool input =
         in
         cache_add key out;
         publish_size ();
-        (* write-through: the result is durable the moment it is
-           computed, not only when LRU pressure spills it - this is what
-           a killed-and-restarted server warm-starts from *)
+        (* write-through, the disk tier's only write: the result is
+           durable the moment it is computed - this is what a
+           killed-and-restarted server warm-starts from *)
         store_append key out;
         (Executed out, key)
     end

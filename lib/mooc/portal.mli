@@ -238,18 +238,22 @@ val cache_evictions : unit -> int
     An optional {!Vc_util.Cache_store} under the memory shards
     ([vcserve -cache-dir DIR], or the [VC_CACHE_DIR] environment
     variable). When enabled: every executed result is written through
-    to disk the moment it is computed, an entry evicted from a memory
-    shard is spilled to disk if not already there, and a memory miss
-    probes the disk tier (promoting a hit back into its shard) before
-    re-executing the tool. Store I/O always happens outside the shard
-    mutexes. A store that starts failing mid-run (disk full) is dropped
-    with one warning and a [cache.disk_disabled] journal event - the
-    portal degrades to memory-only rather than failing submissions. *)
+    to disk the moment it is computed - the tier's only write - and a
+    memory miss probes the disk tier (promoting a hit back into its
+    shard) before re-executing the tool. An entry evicted from a memory
+    shard is therefore already on disk. Store I/O always happens
+    outside the shard mutexes. A store that starts failing mid-run
+    (disk full) is dropped with one warning and a [cache.disk_disabled]
+    journal event - the portal degrades to memory-only rather than
+    failing submissions. *)
 
 val set_cache_dir : string -> unit
 (** Open (or create) the spill directory and {e warm-start}: promote
     every result the store holds into the memory shards (up to
-    capacity; the remainder stays served by the disk probe). While the
+    capacity; the remainder stays served by the disk probe). From then
+    on every executed result is written through to it. A result cached
+    in memory before the call is not copied to disk, so a server opens
+    its directory before serving ([vcserve -cache-dir] does). While the
     store is open, {!history} also resolves outputs evicted from memory
     through it. Emits a [cache.warm_start] journal event with the
     loaded count. A store that cannot be opened degrades with one

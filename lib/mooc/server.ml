@@ -82,7 +82,7 @@ type t = {
   mutable stopping : bool;
   sessions : (string, session_slot) Hashtbl.t;
   rng : Vc_util.Rng.t;  (* mints trace ids for untraced submissions *)
-  busy_timers : string array;  (* server.worker.<w>.busy, per slot *)
+  busy_ns : string array;  (* server.worker.<w>.busy_ns, per slot *)
   busy : int Atomic.t;  (* slots currently running a job *)
   depth_hwm : int Atomic.t;  (* queue-depth high-water mark *)
 }
@@ -213,7 +213,7 @@ let release t slot =
     handed
 
 (* Runs on the submitting domain while it holds [slot]: the profiler
-   attributes the job to "worker;..." and the busy-time timer feeds the
+   attributes the job to "worker;..." and the busy-time counter feeds the
    server.worker.<slot>.util series. *)
 let run_job t slot job =
   T.set_gauge "server.workers.busy"
@@ -221,8 +221,8 @@ let run_job t slot job =
   let busy_from = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () ->
-      T.observe t.busy_timers.(slot)
-        (Float.max 0.0 (Unix.gettimeofday () -. busy_from));
+      let busy_s = Float.max 0.0 (Unix.gettimeofday () -. busy_from) in
+      T.incr ~by:(int_of_float (busy_s *. 1e9)) t.busy_ns.(slot);
       T.set_gauge "server.workers.busy"
         (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1));
       release t slot)
@@ -256,8 +256,8 @@ let start ?(config = default_config) () =
         Vc_util.Rng.create
           (int_of_float (Unix.gettimeofday () *. 1e6)
           lxor (Unix.getpid () * 0x9E3779B1));
-      busy_timers =
-        Array.init config.workers (Printf.sprintf "server.worker.%d.busy");
+      busy_ns =
+        Array.init config.workers (Printf.sprintf "server.worker.%d.busy_ns");
       busy = Atomic.make 0;
       depth_hwm = Atomic.make 0;
     }

@@ -29,7 +29,9 @@
     {b Observability.} The server maintains the [server.queue_depth]
     gauge, the [server.phase.*] latency histograms ([server.phase.queue]
     is the admission-to-slot wait), the per-slot
-    [server.worker.<w>.busy] timers, the [server.submitted] /
+    [server.worker.<w>.busy_ns] counters (nanoseconds the slot spent
+    running jobs; the sampler's [server.worker.<w>.util] series reads
+    them), the [server.submitted] /
     [server.outcome.*] counters, and emits [server.start] /
     [server.stop] / [job.rejected.*] journal events - all exported over
     [/metrics] with the [vc_] prefix (see [docs/SERVER.md] and

@@ -40,8 +40,9 @@
     exact dialect every pre-[HELLO] client spoke, pinned byte-for-byte
     by the [vcserve] golden transcripts. A client may send
     [HELLO <version>] at any time; the server answers
-    [OK proto <negotiated>] where [negotiated = min requested
-    {!max_protocol_version}] and the connection switches to that
+    [OK proto <negotiated>] where [negotiated] is the smaller of the
+    requested version and the newest this engine speaks (currently 2),
+    and the connection switches to that
     version. Version 2 adds the [PING] -> [OK pong] liveness probe
     (what [vcfront]'s health checker uses); at version 1, [PING] is an
     [ERR protocol] like any other unknown verb, exactly as before. A
@@ -56,15 +57,6 @@
     the accept loop then returns and the caller runs the normal drain
     path. *)
 
-(** {1 Dot-stuffing} *)
-
-val stuff : string -> string
-val unstuff : string -> string
-
-val read_body : In_channel.t -> string
-(** Read dot-stuffed lines up to the terminating ["."] (or EOF) and
-    return the unstuffed payload. *)
-
 (** {1 The protocol engine} *)
 
 type submit_fn = Portal.request -> Portal.outcome
@@ -73,13 +65,6 @@ type submit_fn = Portal.request -> Portal.outcome
     the validated [TRACE] operand, if any) and hands it over -
     [vcserve] plugs in {!Server.submit}, [vcfront] a forwarding
     closure. *)
-
-val max_protocol_version : int
-(** The newest protocol version this engine speaks (currently 2);
-    [HELLO] negotiation never settles above it. *)
-
-val protocol_help : string
-(** The [ERR protocol ...] message listing the verbs. *)
 
 val trace_of_status : string -> string option
 (** The trailing [trace=<id>] operand of a response status line, if
@@ -155,8 +140,8 @@ module Client : sig
 
   val hello : t -> int -> int
   (** [hello c v] negotiates the protocol version: sends [HELLO v] and
-      returns the server's negotiated version
-      ([min v] {!max_protocol_version}).
+      returns the server's negotiated version ([v], capped at the
+      newest version the server speaks).
       @raise Failure if the server rejects the handshake. *)
 
   val ping : t -> bool

@@ -261,11 +261,6 @@ let find t key =
       | Some e -> read_verified ln key e
       | None -> None)
 
-let mem t key =
-  check_open t;
-  let ln = lane_of t key in
-  Mutex.protect ln.ln_mu (fun () -> Hashtbl.mem ln.ln_tbl key)
-
 let length t =
   check_open t;
   Array.fold_left

@@ -2,7 +2,9 @@
     a keyed append-only spill store on disk, so a restarted server
     warm-starts with the results the previous process computed instead
     of an empty cache - the crash-recovery half of the MOOC operations
-    story.
+    story. The portal writes to it in one place: each executed result
+    is {!append}ed when it is computed (write-through); everything else
+    only reads.
 
     A store is a directory of per-lane spill files ([lane-NN.spill]).
     Each {!append} writes one length-prefixed, checksummed binary
@@ -57,9 +59,6 @@ val find : t -> string -> string option
     checksum on every read; [None] when absent (or when the record on
     disk fails verification - a damaged record is treated as absent,
     never returned corrupt). *)
-
-val mem : t -> string -> bool
-(** Index-only membership test - no disk read. *)
 
 val length : t -> int
 (** Number of distinct live keys. *)

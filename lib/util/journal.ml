@@ -75,13 +75,7 @@ let buffers : buffer list ref = ref []
 (* Info/Debug events buffer up to this many per domain before forcing a
    flush; Warn/Error always flush immediately so the flight recorder and
    any sink see trouble as it happens. *)
-let batch = ref 64
-
-let batch_capacity () = locked (fun () -> !batch)
-
-let set_batch_capacity n =
-  if n < 1 then invalid_arg "Journal.set_batch_capacity: capacity under 1";
-  locked (fun () -> batch := n)
+let batch = 64
 
 (* ------------------------------------------------------------------ *)
 (* sinks + flush                                                       *)
@@ -189,7 +183,7 @@ let emit ?(severity = Info) ?(attrs = []) ~component name =
   let full =
     Mutex.protect b.b_mu (fun () ->
         Queue.push p b.b_q;
-        Queue.length b.b_q >= !batch)
+        Queue.length b.b_q >= batch)
   in
   match severity with
   | Warn | Error -> flush ()
@@ -276,73 +270,64 @@ let next_segment_index file =
         else acc)
       0 entries
 
+(* append, never truncate: a crash-restart writing to the same path
+   must not overwrite the pre-crash tail *)
+let open_append =
+  Out_channel.open_gen [ Open_wronly; Open_creat; Open_append; Open_text ] 0o644
+
 (* A journal that cannot be written must never take the tool down: warn
    once and run without the sink (write failures mid-run are handled
    the same way by the flush guard, which detaches a raising sink). *)
 let open_sink_file file =
-  (* append, never truncate: a crash-restart writing to the same path
-     must not overwrite the pre-crash tail *)
-  match
-    Out_channel.open_gen
-      [ Open_wronly; Open_creat; Open_append; Open_text ]
-      0o644 file
-  with
+  match open_append file with
   | oc -> Some oc
   | exception Sys_error msg ->
     Printf.eprintf "journal: cannot open %s (%s); continuing without it\n%!"
       file msg;
     None
 
+(* An unsegmented journal is one segment that never rolls: it writes
+   [file] itself. A segmented one writes FILE.00000.jsonl,
+   FILE.00001.jsonl, ... starting past any segments already on disk,
+   rolling to the next segment once the current one reaches the limit.
+   The finished segment is flushed and fsynced before the roll, so every
+   completed segment is durable even against power loss. *)
 let open_jsonl ?segment_bytes file =
-  match segment_bytes with
-  | None -> (
-    match open_sink_file file with
-    | None -> ()
-    | Some oc ->
-      (* drain events still buffered in the domains before the channel
-         closes at exit *)
-      at_exit (fun () ->
-          flush ();
-          try Out_channel.close oc with Sys_error _ -> ());
-      add_sink ("jsonl:" ^ file) (fun e ->
-          Out_channel.output_string oc (event_to_json e);
-          Out_channel.output_char oc '\n';
-          Out_channel.flush oc))
-  | Some limit ->
-    if limit < 1 then invalid_arg "Journal.open_jsonl: segment_bytes under 1";
-    (* segment rotation: write FILE.00000.jsonl, FILE.00001.jsonl, ...
-       starting past any segments already on disk, rolling to the next
-       segment once the current one reaches [limit] bytes. The finished
-       segment is flushed and fsynced before the roll, so every
-       completed segment is durable even against power loss. *)
-    let idx = ref (next_segment_index file) in
-    (match open_sink_file (segment_path file !idx) with
-    | None -> ()
-    | Some first ->
-      let oc = ref first in
-      let bytes = ref 0 in
-      at_exit (fun () ->
-          flush ();
-          try Out_channel.close !oc with Sys_error _ -> ());
-      add_sink ("jsonl:" ^ file) (fun e ->
-          let line = event_to_json e ^ "\n" in
-          Out_channel.output_string !oc line;
-          Out_channel.flush !oc;
-          bytes := !bytes + String.length line;
-          if !bytes >= limit then begin
-            (try Unix.fsync (Unix.descr_of_out_channel !oc)
-             with Unix.Unix_error _ -> ());
-            (try Out_channel.close !oc with Sys_error _ -> ());
-            incr idx;
-            (* a failed open raises out of the sink; the flush guard
-               detaches it with a warning, same as any write failure *)
-            oc :=
-              Out_channel.open_gen
-                [ Open_wronly; Open_creat; Open_append; Open_text ]
-                0o644
-                (segment_path file !idx);
-            bytes := 0
-          end))
+  let path, idx, limit =
+    match segment_bytes with
+    | None -> ((fun _ -> file), 0, max_int)
+    | Some limit ->
+      if limit < 1 then
+        invalid_arg "Journal.open_jsonl: segment_bytes under 1";
+      (segment_path file, next_segment_index file, limit)
+  in
+  let idx = ref idx in
+  match open_sink_file (path !idx) with
+  | None -> ()
+  | Some first ->
+    let oc = ref first in
+    let bytes = ref 0 in
+    (* drain events still buffered in the domains before the channel
+       closes at exit *)
+    at_exit (fun () ->
+        flush ();
+        try Out_channel.close !oc with Sys_error _ -> ());
+    add_sink ("jsonl:" ^ file) (fun e ->
+        let json = event_to_json e in
+        Out_channel.output_string !oc json;
+        Out_channel.output_char !oc '\n';
+        Out_channel.flush !oc;
+        bytes := !bytes + String.length json + 1;
+        if !bytes >= limit then begin
+          (try Unix.fsync (Unix.descr_of_out_channel !oc)
+           with Unix.Unix_error _ -> ());
+          (try Out_channel.close !oc with Sys_error _ -> ());
+          incr idx;
+          (* a failed open raises out of the sink; the flush guard
+             detaches it with a warning, same as any write failure *)
+          oc := open_append (path !idx);
+          bytes := 0
+        end)
 
 (* ------------------------------------------------------------------ *)
 (* flight recorder dumps                                               *)

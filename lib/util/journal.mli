@@ -28,7 +28,7 @@
     per domain: {!emit} appends to the calling domain's private buffer
     (its own uncontended mutex), and batches drain to the ring and the
     sinks under the single sink lock on a {e flush} - forced by a full
-    buffer (see {!set_batch_capacity}), by any [Warn]/[Error] event, by
+    buffer (64 events), by any [Warn]/[Error] event, by
     every read ({!events}, {!event_count}, {!to_jsonl}) and by sink
     (de)registration, or explicitly via {!flush}. Sequence numbers are
     assigned at flush time, so sinks still observe a strictly
@@ -73,14 +73,6 @@ val flush : unit -> unit
     assigning sequence numbers. Idempotent; called implicitly by every
     read and on sink changes, and at process exit for the
     {!open_jsonl} sink. *)
-
-val set_batch_capacity : int -> unit
-(** Events a domain buffers (default 64) before an [Info]/[Debug]
-    {!emit} forces a flush. [1] makes every emit flush - the
-    pre-buffering synchronous behaviour.
-    @raise Invalid_argument under 1. *)
-
-val batch_capacity : unit -> int
 
 val events : unit -> event list
 (** Current flight-recorder contents, oldest first (at most
@@ -134,7 +126,8 @@ val open_jsonl : ?segment_bytes:int -> string -> unit
     power loss. A reopen (restart) starts one past the highest segment
     index on disk, never overwriting; [vcstat] expands the base [FILE]
     name back to the whole segment set. This is what
-    [--journal-segments BYTES] selects.
+    [--journal-segments BYTES] selects. Both layouts share one sink:
+    without [?segment_bytes], [FILE] is a segment that never rolls.
 
     Degrades instead of failing: if the file cannot be opened, one
     warning goes to stderr and no sink is installed; if a write (or a

@@ -37,9 +37,6 @@ val to_str : t -> string option
     is what the hot telemetry/journal paths want. [obj] and [arr] take
     already-rendered fragments. *)
 
-val escape : string -> string
-(** Backslash-escape for inclusion inside a JSON string literal. *)
-
 val str : string -> string
 (** A quoted, escaped JSON string. *)
 

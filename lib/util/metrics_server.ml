@@ -224,18 +224,11 @@ let accept_one t =
   | exception Unix.Unix_error (Unix.EBADF, _, _) -> false (* stopped *)
   | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false (* stopped *)
 
-let serve ?max_requests t =
-  match max_requests with
-  | Some n ->
-    let i = ref 0 in
-    while !i < n && not t.stopped do
-      if accept_one t then incr i else i := n
-    done
-  | None ->
-    let live = ref true in
-    while !live && not t.stopped do
-      live := accept_one t
-    done
+let serve t =
+  let live = ref true in
+  while !live && not t.stopped do
+    live := accept_one t
+  done
 
 let serve_forever t =
   serve t;

@@ -62,16 +62,14 @@ val handle_client : t -> Unix.file_descr -> unit
     malformed request or client error). Exposed so tests can drive the
     routing logic over a [socketpair] without real TCP accept loops. *)
 
-val serve : ?max_requests:int -> t -> unit
-(** Accept-and-serve loop. With [max_requests] it returns after that
-    many connections; without it it loops until {!stop} closes the
-    socket from another context (or forever). [EINTR] is retried;
-    per-connection handler errors are reported to stderr and do not
-    stop the loop. *)
+val serve : t -> unit
+(** Accept-and-serve loop: serves until {!stop} closes the socket from
+    another context (or forever). [EINTR] is retried; per-connection
+    handler errors are reported to stderr and do not stop the loop. *)
 
 val serve_forever : t -> 'a
-(** {!serve} without a bound; never returns normally. This is what the
-    [--metrics-port] at-exit hook runs. *)
+(** {!serve}, then exit once it returns; never returns normally. This
+    is what the [--metrics-port] at-exit hook runs. *)
 
 val stop : t -> unit
 (** Close the listening socket. Idempotent. *)

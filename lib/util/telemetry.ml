@@ -1,7 +1,9 @@
 (* Global instrumentation state, sharded per domain for multicore
-   scaling. Every domain owns a private cell of counters, timer
-   histograms and gauges (reached through [Domain.DLS]); the renderers
-   merge all cells lazily on the way out.
+   scaling. Every domain owns a private cell of counters and timer
+   histograms (reached through [Domain.DLS]); the renderers merge all
+   cells lazily on the way out. Gauges are not sharded: each name is one
+   shared atomic slot, written lock-free and emptied by [reset] (see the
+   gauges section).
 
    Domain safety: the per-job fast path is lock-free for the owning
    domain - a counter bump is one [Atomic.fetch_and_add] on a cell the
@@ -92,7 +94,6 @@ type cells = {
   c_mu : Mutex.t; (* guards structural growth of the tables below *)
   c_counters : (string, int Atomic.t) Hashtbl.t;
   c_timers : (string, hist) Hashtbl.t;
-  c_gauges : (string, (int * float) ref) Hashtbl.t; (* (stamp, value) *)
 }
 
 let new_cells () =
@@ -100,7 +101,6 @@ let new_cells () =
     c_mu = Mutex.create ();
     c_counters = Hashtbl.create 32;
     c_timers = Hashtbl.create 32;
-    c_gauges = Hashtbl.create 16;
   }
 
 (* The totals of every exited domain; registered for good *)
@@ -125,10 +125,7 @@ let retire c =
       Mutex.protect retired.c_mu (fun () ->
           absorb retired.c_counters c.c_counters (fun d a ->
               ignore (Atomic.fetch_and_add d (Atomic.get a)));
-          absorb retired.c_timers c.c_timers merge_into;
-          (* newest stamp wins, as in a merged read *)
-          absorb retired.c_gauges c.c_gauges (fun d r ->
-              if fst !r > fst !d then d := !r));
+          absorb retired.c_timers c.c_timers merge_into);
       all_cells := List.filter (( != ) c) !all_cells)
 
 let cells_key : cells Domain.DLS.key =
@@ -322,30 +319,28 @@ let histograms () = List.map (fun (k, h) -> (k, fold_buckets h)) (snapshots ())
 (* gauges                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Each domain stores its own last write, stamped from a global atomic;
-   the merge keeps the newest stamp per name so a gauge still reads as
-   last-write-wins across domains. *)
-let gauge_stamp = Atomic.make 0
+module Smap = Map.Make (String)
 
-let set_gauge name v =
-  let c = my_cells () in
-  let stamp = Atomic.fetch_and_add gauge_stamp 1 in
-  match Hashtbl.find_opt c.c_gauges name with
-  | Some r -> r := (stamp, v)
-  | None ->
-    Mutex.protect c.c_mu (fun () ->
-        Hashtbl.add c.c_gauges name (ref (stamp, v)))
+(* One shared slot per name, so the last write wins across domains. The
+   name map is replaced by compare-and-set when a name is first set;
+   every later write is one [Atomic.set] on its slot, with no lock. *)
+let gauge_slots : float Atomic.t Smap.t Atomic.t = Atomic.make Smap.empty
 
-(* newest stamp wins *)
-let merged_gauges =
-  merged (fun c -> c.c_gauges) ~init:(fun () -> (-1, nan)) ~add:(fun a r ->
-      let g = !r in
-      if fst a > fst g then a else g)
+let rec set_gauge name v =
+  let m = Atomic.get gauge_slots in
+  (* [find], not [find_opt]: the hit path allocates nothing *)
+  match Smap.find name m with
+  | slot -> Atomic.set slot v
+  | exception Not_found ->
+    let m' = Smap.add name (Atomic.make v) m in
+    if not (Atomic.compare_and_set gauge_slots m m') then set_gauge name v
 
 let gauge name =
-  Option.map snd (List.assoc_opt name (merged_gauges ~only:name ()))
+  Option.map Atomic.get (Smap.find_opt name (Atomic.get gauge_slots))
 
-let gauges () = List.map (fun (k, (_, v)) -> (k, v)) (merged_gauges ())
+let gauges () =
+  Smap.bindings (Atomic.get gauge_slots)
+  |> List.map (fun (k, slot) -> (k, Atomic.get slot))
 
 (* The clock is wall time, not monotonic: an NTP step mid-measurement can
    make [now () -. t0] negative, so computed durations clamp at zero. *)
@@ -539,9 +534,9 @@ let reset () =
   fold_cells
     (fun () c ->
       Hashtbl.reset c.c_counters;
-      Hashtbl.reset c.c_timers;
-      Hashtbl.reset c.c_gauges)
-    ()
+      Hashtbl.reset c.c_timers)
+    ();
+  Atomic.set gauge_slots Smap.empty
 
 type cli_options = {
   cli_argv : string array;

@@ -14,18 +14,17 @@
     through {!Phase.run}.
 
     All state is global to the process and {e domain-safe}, and the
-    write path scales: every domain records counters, timer
-    observations and gauge writes into its {e own}
-    per-domain cells ([Domain.DLS]), so the domains running
-    {!Vc_mooc.Server} jobs instrument without contending on a shared
-    lock - the steady-state {!incr} / {!observe} / {!set_gauge} path is
-    lock-free (an atomic op or a bucket increment on domain-owned
-    storage). Memory
+    write path scales: every domain records counters and timer
+    observations into its {e own} per-domain cell ([Domain.DLS]), so
+    the domains running {!Vc_mooc.Server} jobs instrument without
+    contending on a shared lock - the steady-state {!incr} /
+    {!observe} path is lock-free (an atomic op or a bucket increment on
+    domain-owned storage). A gauge is one slot shared by every domain:
+    {!set_gauge} is one atomic store, so the last write wins. Memory
     is bounded: a timer is one fixed-size histogram per domain, never a
     list of samples. The read side ({!counter}, {!timers}, {!report},
     {!to_json}, {!to_prometheus}, ...) merges all domains' cells on
-    demand: counters and histogram buckets sum, gauges resolve
-    last-write-wins via a global version stamp. When a spawned domain
+    demand: counters and histogram buckets sum. When a spawned domain
     exits, its cell is folded into one that stays registered and then
     dropped, so totals stay exact after [Domain.join] while the cells
     held are those of the live domains. See
@@ -118,10 +117,12 @@ val histograms : unit -> (string * hist_summary) list
 (** {1 Gauges}
 
     A gauge is a named value that can go up or down - queue depths,
-    cache occupancy. Unlike counters they are set, not incremented. *)
+    cache occupancy. Unlike counters they are set, not incremented.
+    Each name is one slot shared by every domain. *)
 
 val set_gauge : string -> float -> unit
-(** Set the named gauge, creating it on first use. *)
+(** Set the named gauge, creating it on first use: lock-free, and the
+    last write from any domain wins. *)
 
 val gauge : string -> float option
 (** Current value; [None] if never set. *)
@@ -175,8 +176,8 @@ val to_prometheus : unit -> string
 (** {1 Control} *)
 
 val reset : unit -> unit
-(** Clear counters, gauges and timers across {e all} domains' cells,
-    exited domains' totals included. Registered probes and the clock
+(** Clear counters and timers across {e all} domains' cells, exited
+    domains' totals included, and every gauge. Registered probes and the clock
     survive (their counters live in their own modules). Call while
     other domains are quiescent (between test cases, between bench
     configurations) - a racing writer may land an update in a cell that

@@ -1,10 +1,6 @@
-(* Fixed-capacity time series, sharded per domain like Telemetry: each
-   domain appends points into its own ring cell (own mutex, uncontended
-   in practice - the background sampler is normally the only writer),
-   and readers merge every cell's points by timestamp on the way out,
-   keeping the newest [capacity] per series. The same merge-on-read
-   architecture as the telemetry cells (docs/CONCURRENCY.md), applied
-   to the time dimension.
+(* Fixed-capacity time series: one table of rings under one mutex. The
+   background sampler is the only writer in a running host, so the lock
+   is uncontended; readers copy a ring out under it.
 
    On top of the store sits [Sampler]: a background domain that, every
    [interval] seconds, snapshots selected telemetry counters / gauges /
@@ -19,109 +15,60 @@ type point = { p_ts : float; p_value : float }
 let default_capacity = 240
 
 (* ------------------------------------------------------------------ *)
-(* per-domain ring cells                                               *)
+(* the series store                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type ring = {
-  r_data : point array; (* capacity-sized circular buffer *)
+  r_data : point array; (* [default_capacity]-sized circular buffer *)
   mutable r_next : int; (* next write slot *)
   mutable r_len : int;
 }
 
-type cell = {
-  tc_mu : Mutex.t;
-  tc_rings : (string, ring) Hashtbl.t;
-}
-
 let mu = Mutex.create ()
-let all_cells : cell list ref = ref []
-
-(* per-series capacity, fixed at first definition; guarded by [mu] *)
-let capacities : (string, int) Hashtbl.t = Hashtbl.create 16
-
-let cell_key : cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c = { tc_mu = Mutex.create (); tc_rings = Hashtbl.create 16 } in
-      Mutex.protect mu (fun () -> all_cells := c :: !all_cells);
-      c)
-
-let define ?(capacity = default_capacity) name =
-  if capacity < 1 then invalid_arg "Timeseries.define: capacity under 1";
-  Mutex.protect mu (fun () ->
-      if not (Hashtbl.mem capacities name) then
-        Hashtbl.add capacities name capacity)
-
-let capacity_of name =
-  Mutex.protect mu (fun () ->
-      match Hashtbl.find_opt capacities name with
-      | Some c -> c
-      | None ->
-        Hashtbl.add capacities name default_capacity;
-        default_capacity)
+let rings : (string, ring) Hashtbl.t = Hashtbl.create 32
 
 let record ?ts name value =
   let ts = match ts with Some t -> t | None -> Clock.now () in
-  let c = Domain.DLS.get cell_key in
-  Mutex.protect c.tc_mu (fun () ->
+  Mutex.protect mu (fun () ->
       let ring =
-        match Hashtbl.find_opt c.tc_rings name with
+        match Hashtbl.find_opt rings name with
         | Some r -> r
         | None ->
           let r =
             {
               r_data =
-                Array.make (capacity_of name) { p_ts = 0.0; p_value = 0.0 };
+                Array.make default_capacity { p_ts = 0.0; p_value = 0.0 };
               r_next = 0;
               r_len = 0;
             }
           in
-          Hashtbl.add c.tc_rings name r;
+          Hashtbl.add rings name r;
           r
       in
       ring.r_data.(ring.r_next) <- { p_ts = ts; p_value = value };
-      ring.r_next <- (ring.r_next + 1) mod Array.length ring.r_data;
-      ring.r_len <- min (ring.r_len + 1) (Array.length ring.r_data))
+      ring.r_next <- (ring.r_next + 1) mod default_capacity;
+      ring.r_len <- min (ring.r_len + 1) default_capacity)
 
-let ring_points r =
-  (* oldest first within one cell *)
-  let cap = Array.length r.r_data in
-  List.init r.r_len (fun i -> r.r_data.((r.r_next - r.r_len + i + cap * 2) mod cap))
-
-let snapshot_cells () = Mutex.protect mu (fun () -> !all_cells)
-
+(* a caller may pass its own timestamps, so order by them, not by
+   arrival *)
 let points name =
-  let merged =
-    List.fold_left
-      (fun acc c ->
-        Mutex.protect c.tc_mu (fun () ->
-            match Hashtbl.find_opt c.tc_rings name with
-            | Some r -> List.rev_append (ring_points r) acc
-            | None -> acc))
-      [] (snapshot_cells ())
-    |> List.stable_sort (fun a b -> compare a.p_ts b.p_ts)
-  in
-  (* the aggregate bound is the same as any one cell's *)
-  let cap = capacity_of name in
-  let excess = List.length merged - cap in
-  if excess > 0 then List.filteri (fun i _ -> i >= excess) merged else merged
+  Mutex.protect mu (fun () ->
+      match Hashtbl.find_opt rings name with
+      | Some r ->
+        let cap = default_capacity in
+        List.init r.r_len (fun i ->
+            r.r_data.((r.r_next - r.r_len + i + cap) mod cap))
+      | None -> [])
+  |> List.stable_sort (fun a b -> compare a.p_ts b.p_ts)
 
 let last name =
   match List.rev (points name) with [] -> None | p :: _ -> Some p
 
 let names () =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun c ->
-      Mutex.protect c.tc_mu (fun () ->
-          Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) c.tc_rings))
-    (snapshot_cells ());
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
+  Mutex.protect mu (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) rings [])
+  |> List.sort compare
 
-let reset () =
-  List.iter
-    (fun c -> Mutex.protect c.tc_mu (fun () -> Hashtbl.reset c.tc_rings))
-    (snapshot_cells ());
-  Mutex.protect mu (fun () -> Hashtbl.reset capacities)
+let reset () = Mutex.protect mu (fun () -> Hashtbl.reset rings)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -173,8 +120,8 @@ type source =
       (** timer -> [name.p50_ms] and [name.p99_ms] series over the
           observations since the previous tick *)
   | Utilization of { prefix : string; suffix : string }
-      (** every timer [prefix*suffix] -> a [<base>.util] series: the
-          per-second rate of its accumulated total, i.e. busy fraction *)
+      (** every counter [prefix*suffix] of busy nanoseconds -> a
+          [<base>.util] series: busy seconds per second *)
 
 let server_sources =
   [
@@ -198,7 +145,7 @@ let server_sources =
     Percentiles "server.phase.cache";
     Percentiles "server.phase.execute";
     Percentiles "server.phase.reply";
-    Utilization { prefix = "server.worker."; suffix = ".busy" };
+    Utilization { prefix = "server.worker."; suffix = ".busy_ns" };
   ]
 
 let client_sources =
@@ -275,21 +222,21 @@ let sample_sources t ~now ~dt =
             record ~ts:now (name ^ ".p99_ms") (1e3 *. s.Telemetry.p99_s)))
       | Utilization { prefix; suffix } ->
         List.iter
-          (fun (name, (s : Telemetry.timer_summary)) ->
+          (fun (name, ns) ->
             if
               String.starts_with ~prefix name
               && String.ends_with ~suffix name
               && String.length name > String.length prefix + String.length suffix
             then begin
-              let d = snap_delta t (name ^ "#u") s.Telemetry.total_s in
+              let d = snap_delta t (name ^ "#u") (float_of_int ns) in
               if dt > 0.0 then
                 let base =
                   String.sub name 0 (String.length name - String.length suffix)
                 in
                 record ~ts:now (base ^ ".util")
-                  (Float.min 1.0 (Float.max 0.0 d /. dt))
+                  (Float.min 1.0 (Float.max 0.0 d *. 1e-9 /. dt))
             end)
-          (Telemetry.timers ()))
+          counts)
     t.sp_sources
 
 let tick t =

@@ -1,12 +1,11 @@
 (** Fixed-capacity telemetry time series plus the background sampler
     that feeds them - the time dimension of the observability layer.
 
-    The store follows the sharded-Telemetry architecture
-    (docs/CONCURRENCY.md): every domain appends {!record}ed points into
-    its own ring-buffer cell under its own (uncontended) mutex, and
-    {!points} merges all cells by timestamp on the way out, keeping the
-    newest [capacity] points per series. Series are created on first
-    write; {!define} pins a non-default capacity.
+    The store is one table of {!default_capacity}-point rings, one per
+    series, under one mutex: the sampler is its only writer in a
+    running host, so the lock is uncontended. Series are created on
+    first write, and any domain may {!record}; a ring keeps the newest
+    points written to it.
 
     {!Sampler} is the producer: a background domain that snapshots
     selected counters / gauges / timer percentiles every [interval]
@@ -22,30 +21,21 @@
 type point = { p_ts : float; p_value : float }
 
 val default_capacity : int
-(** Points kept per series when {!define} was not called (240). *)
-
-val define : ?capacity:int -> string -> unit
-(** Pin [name]'s ring capacity before its first write. First call wins;
-    later calls (and plain {!record}s) keep the existing capacity.
-    @raise Invalid_argument when [capacity < 1]. *)
+(** Points kept per series (240). *)
 
 val record : ?ts:float -> string -> float -> unit
 (** Append one point (timestamp defaults to {!Telemetry.now}) to the
-    calling domain's ring for the series, evicting its oldest point
-    when full. *)
+    series' ring, evicting its oldest point when full. *)
 
 val points : string -> point list
-(** All cells' points for the series merged by timestamp, oldest first,
-    capped at the series capacity. Empty for an unknown series. *)
+(** The series' points ordered by timestamp, oldest first. Empty for an
+    unknown series. *)
 
 val last : string -> point option
 (** Newest point of the series, if any. *)
 
 val names : unit -> string list
-(** Every series any domain has written, sorted. *)
-
-val series_json : string -> string
-(** One series as a JSON array of [[ts, value]] pairs. *)
+(** Every series written so far, sorted. *)
 
 val to_json : unit -> string
 (** All series as one JSON object ([{"name": [[ts, value], ...]}]). *)
@@ -56,7 +46,7 @@ val varz_json : unit -> string
     the profiler's tick/sample/stack counts under ["profile"]. *)
 
 val reset : unit -> unit
-(** Drop every cell's points and all capacity pins. Tests only. *)
+(** Drop every series. Tests only. *)
 
 (** {1 Background sampler} *)
 
@@ -78,15 +68,20 @@ type source =
       (** timer [name] -> [name.p50_ms] / [name.p99_ms] series over the
           observations since the previous tick; an idle tick adds none *)
   | Utilization of { prefix : string; suffix : string }
-      (** every timer named [prefix<id>suffix] -> a [prefix<id>.util]
-          series: the per-second growth rate of its accumulated total,
-          clamped to [0, 1] - busy fraction *)
+      (** every counter named [prefix<id>suffix], counting busy
+          nanoseconds -> a [prefix<id>.util] series: busy seconds per
+          second since the previous tick, clamped to [0, 1]. Read from
+          the counter snapshot the tick already takes. Unlike {!Rate},
+          which sums its counters into one named series, it makes one
+          series per [<id>], so a constant source list covers however
+          many execution slots a server has. *)
 
 val server_sources : source list
 (** The vcserve console: queue depth (+ high-water mark), cache size,
     qps, shed rate, cache hit-rate, the four [server.phase.*]
     percentile pairs and the utilization of each server execution slot
-    ([server.worker.<w>.util]). *)
+    ([server.worker.<w>.util], from the [server.worker.<w>.busy_ns]
+    counters). *)
 
 val client_sources : source list
 (** The vcload side: achieved qps and shed rate from the vcload.*

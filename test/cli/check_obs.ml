@@ -277,7 +277,9 @@ let check_seq_gaps file =
 
 (* FILE must be a /varz snapshot from a live, sampled vcserve: valid
    JSON, a telemetry object, and the console's load-bearing series -
-   qps with >= 3 points and the queue/reply phase p99s with >= 2. *)
+   qps with >= 3 points, the queue/reply phase p99s with >= 2, and slot
+   utilization: some server.worker.<w>.util series with >= 2 points,
+   every util value in [0, 1] and at least one above 0. *)
 let check_varz file =
   let j = parse file (read file) in
   (match Json.member "telemetry" j with
@@ -301,12 +303,38 @@ let check_varz file =
       | Json.Arr [ Json.Num ts; Json.Num v ] ->
         if ts <= 0.0 || v < 0.0 then die "%s: bad qps point" file
       | _ -> die "%s: malformed series point" file)
-    (series "server.qps")
+    (series "server.qps");
+  let utils =
+    match Json.member "series" j with
+    | Some (Json.Obj fields) ->
+      List.filter_map
+        (fun (name, _) ->
+          if
+            String.starts_with ~prefix:"server.worker." name
+            && String.ends_with ~suffix:".util" name
+          then
+            Some
+              (List.map
+                 (function
+                   | Json.Arr [ Json.Num _; Json.Num v ] ->
+                     if v < 0.0 || v > 1.0 then
+                       die "%s: %s value %g outside [0, 1]" file name v;
+                     v
+                   | _ -> die "%s: malformed series point" file)
+                 (series name))
+          else None)
+        fields
+    | _ -> die "%s: no series object" file
+  in
+  if not (List.exists (fun vs -> List.compare_length_with vs 2 >= 0) utils)
+  then die "%s: no server.worker.<w>.util series with >= 2 points" file;
+  if not (List.exists (List.exists (fun v -> v > 0.0)) utils) then
+    die "%s: no server.worker.<w>.util value above 0" file
 
 (* FILE must be a `vctop -once` snapshot captured mid-replay: a qps row
    whose max is positive over >= 3 ticks, a queue_depth row with a
-   positive high-water mark, and at least one phase row with >= 3
-   ticks. *)
+   positive high-water mark, at least one phase row with >= 3 ticks,
+   and a `worker <w> util` row. *)
 let check_vctop file =
   let lines = String.split_on_char '\n' (read file) in
   let tokens l = String.split_on_char ' ' l |> List.filter (( <> ) "") in
@@ -347,7 +375,16 @@ let check_vctop file =
         && match field toks "ticks" with Some n -> n >= 3.0 | None -> false)
       lines
   in
-  if not phase_ok then die "%s: no phase row with p99 and >= 3 ticks" file
+  if not phase_ok then die "%s: no phase row with p99 and >= 3 ticks" file;
+  let util_ok =
+    List.exists
+      (fun l ->
+        match tokens l with
+        | "worker" :: _ :: "util" :: v :: _ -> float_of_string_opt v <> None
+        | _ -> false)
+      lines
+  in
+  if not util_ok then die "%s: no worker <w> util row" file
 
 (* FILE must be a `vcstat flame` SVG over a sampled server journal:
    well-formed framing, at least one frame rectangle, and root frames

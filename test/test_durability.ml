@@ -402,7 +402,7 @@ let portal_tests =
             | Portal.Cache_hit out ->
               check Alcotest.string "warm payload" "echo: payload" out
             | _ -> Alcotest.fail "expected Cache_hit after warm start"));
-    tc "evictions spill to disk instead of being lost" (fun () ->
+    tc "write-through keeps evicted results on disk" (fun () ->
         let dir = temp_dir "vc_portal_cache" in
         Fun.protect
           ~finally:(fun () ->

@@ -1547,7 +1547,7 @@ let journal_query_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* time series (per-domain rings, merge-on-read, the sampler)          *)
+(* time series (one series store, the sampler)                         *)
 (* ------------------------------------------------------------------ *)
 
 module Ts = Vc_util.Timeseries
@@ -1575,25 +1575,16 @@ let timeseries_tests =
              (Ts.points "ts.a")));
     tc "the ring keeps only the newest capacity points" (fun () ->
         Ts.reset ();
-        Ts.define ~capacity:4 "ts.ring";
-        for i = 1 to 10 do
+        let n = Ts.default_capacity + 6 in
+        for i = 1 to n do
           Ts.record ~ts:(float_of_int i) "ts.ring" (float_of_int i)
         done;
         check
           Alcotest.(list (float 1e-9))
-          "last four" [ 7.0; 8.0; 9.0; 10.0 ]
+          "the newest default_capacity"
+          (List.init Ts.default_capacity (fun i -> float_of_int (i + 7)))
           (List.map (fun p -> p.Ts.p_value) (Ts.points "ts.ring")));
-    tc "define validates capacity and first definition wins" (fun () ->
-        Ts.reset ();
-        check_raises_invalid_arg (fun () -> Ts.define ~capacity:0 "ts.bad");
-        Ts.define ~capacity:2 "ts.pin";
-        Ts.define ~capacity:99 "ts.pin";
-        for i = 1 to 5 do
-          Ts.record ~ts:(float_of_int i) "ts.pin" (float_of_int i)
-        done;
-        check Alcotest.int "capacity 2 held" 2
-          (List.length (Ts.points "ts.pin")));
-    tc "cells from different domains merge on read" (fun () ->
+    tc "points from several domains share one series" (fun () ->
         Ts.reset ();
         Ts.record ~ts:1.0 "ts.merge" 1.0;
         Domain.join
@@ -1719,22 +1710,22 @@ let timeseries_tests =
             Ts.Sampler.tick sampler;
             check Alcotest.int "idle window skipped" 2
               (List.length (p99s ()))));
-    tc "sampler derives per-worker utilization from busy timers"
+    tc "sampler derives per-worker utilization from busy counters"
       (fun () ->
         T.reset ();
         Ts.reset ();
         with_fake_clock [ 100.0; 102.0; 104.0 ] (fun () ->
             let sources =
-              [ Ts.Utilization { prefix = "w."; suffix = ".busy" } ]
+              [ Ts.Utilization { prefix = "w."; suffix = ".busy_ns" } ]
             in
             let sampler =
               Ts.Sampler.create ~profile:false ~sources ~interval:1.0 ()
             in
             Ts.Sampler.tick sampler;
             (* the first tick snapshots the (empty) totals *)
-            T.observe "w.0.busy" 0.5;
-            T.observe "w.0.busy" 0.5;
-            T.observe "w.1.busy" 10.0;
+            T.incr ~by:500_000_000 "w.0.busy_ns";
+            T.incr ~by:500_000_000 "w.0.busy_ns";
+            T.incr ~by:10_000_000_000 "w.1.busy_ns";
             Ts.Sampler.tick sampler;
             (* dt = 2s: worker 0 was busy 1.0s -> 0.5; worker 1's 10s
                clamps to 1.0 *)
@@ -1746,6 +1737,39 @@ let timeseries_tests =
               (match Ts.last "w.1.util" with
               | Some p -> p.Ts.p_value
               | None -> nan)));
+    tc "sampler lifetimes leave no per-domain series behind" (fun () ->
+        T.set_gauge "life.gauge" 1.0;
+        let sources =
+          [
+            Ts.Gauge "life.gauge";
+            Ts.Rate { counters = [ "life.count" ]; series = "life.qps" };
+          ]
+        in
+        let newest () =
+          Option.map (fun p -> p.Ts.p_ts) (Ts.last "life.gauge")
+        in
+        (* each lifetime's sampler domain records at least one point *)
+        let lifetime () =
+          let before = newest () in
+          let s =
+            Ts.Sampler.start ~profile:false ~sources ~interval:0.002 ()
+          in
+          while newest () = before do
+            Unix.sleepf 0.0005
+          done;
+          Ts.Sampler.stop s
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        for _ = 1 to 20 do lifetime () done;
+        let before = live () in
+        for _ = 1 to 300 do lifetime () done;
+        let grown_bytes = (live () - before) * (Sys.word_size / 8) in
+        if grown_bytes >= 64 * 1024 then
+          Alcotest.failf "heap grew by %d bytes over 300 sampler lifetimes"
+            grown_bytes);
     tc "sampler start/stop with a zero interval never spawns" (fun () ->
         let s =
           Ts.Sampler.start ~profile:false ~sources:[] ~interval:0.0 ()
