@@ -75,13 +75,16 @@ type session_slot = {
 
 type t = {
   config : config;
-  mu : Mutex.t;  (* guards free, waiters, stopping, sessions, rng *)
+  mu : Mutex.t;  (* guards free, waiters, stopping, sessions *)
   drained : Condition.t;  (* stop waits here until no job runs or waits *)
   mutable free : int list;  (* slots no job holds *)
   waiters : waiter Queue.t;
   mutable stopping : bool;
   sessions : (string, session_slot) Hashtbl.t;
-  rng : Vc_util.Rng.t;  (* mints trace ids for untraced submissions *)
+  (* untraced submissions get ids minted from a seed fixed at start and
+     the next sequence number, without a lock *)
+  trace_seed : int;
+  trace_seq : int Atomic.t;
   busy_ns : string array;  (* server.worker.<w>.busy_ns, per slot *)
   busy : int Atomic.t;  (* slots currently running a job *)
   depth_hwm : int Atomic.t;  (* queue-depth high-water mark *)
@@ -252,10 +255,10 @@ let start ?(config = default_config) () =
       sessions = Hashtbl.create 16;
       (* wall clock, not Clock: server-minted ids must differ across
          runs even under a frozen test clock *)
-      rng =
-        Vc_util.Rng.create
-          (int_of_float (Unix.gettimeofday () *. 1e6)
-          lxor (Unix.getpid () * 0x9E3779B1));
+      trace_seed =
+        int_of_float (Unix.gettimeofday () *. 1e6)
+        lxor (Unix.getpid () * 0x9E3779B1);
+      trace_seq = Atomic.make 0;
       busy_ns =
         Array.init config.workers (Printf.sprintf "server.worker.%d.busy_ns");
       busy = Atomic.make 0;
@@ -349,7 +352,10 @@ let submit t (req : Portal.request) =
   let ctx =
     match Option.bind req.Portal.req_trace Tc.of_id with
     | Some ctx -> ctx
-    | None -> Tc.make (Mutex.protect t.mu (fun () -> Tc.mint t.rng))
+    | None ->
+      Tc.make
+        (Tc.mint_deterministic ~seed:t.trace_seed
+           ~seq:(Atomic.fetch_and_add t.trace_seq 1))
   in
   let rate_ok =
     match slot.sl_bucket with

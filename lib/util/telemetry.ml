@@ -1,32 +1,20 @@
-(* Global instrumentation state, sharded per domain for multicore
-   scaling. Every domain owns a private cell of counters and timer
-   histograms (reached through [Domain.DLS]); the renderers merge all
-   cells lazily on the way out. Gauges are not sharded: each name is one
-   shared atomic slot, written lock-free and emptied by [reset] (see the
-   gauges section).
+(* Global instrumentation state: one slot per metric name, shared by
+   every domain. A counter is an [int Atomic.t], a gauge a [float
+   Atomic.t], a timer one fixed-size histogram under its own mutex. Each
+   kind keeps its slots in an immutable name map held in one [Atomic.t]:
+   the first use of a name replaces the map by compare-and-set, and every
+   later use finds its slot without a lock ([find_slot] below).
 
-   Domain safety: the per-job fast path is lock-free for the owning
-   domain - a counter bump is one [Atomic.fetch_and_add] on a cell the
-   owner already created, a timer observation is a bucket increment on
-   arrays only the owner writes. The only lock a writer can touch is
-   its own cell mutex, taken once per (domain, metric-name) pair when
-   the name is first seen - structurally growing the cell's hashtable
-   must not race with a renderer walking it. Renderers take each cell's
-   mutex in turn while folding, all under the global mutex [mu], which
-   also guards the cell registry and the probe registry (touched at
-   registration, retirement and render time, never per job). Lock
-   ordering: [mu] before a cell mutex, never the reverse, and nothing in
-   this module calls back out, so telemetry locks are always innermost.
+   Domain safety: a counter bump is one [Atomic.fetch_and_add], a gauge
+   write one [Atomic.set], and a timer observation holds that timer's
+   mutex for one bucket increment. Readers read the slots directly, a
+   timer's under its mutex. [mu] guards only the probe registry. Nothing
+   in this module calls back out while holding a lock, so telemetry
+   locks are always innermost.
 
-   [reset] empties every registered cell; it assumes the quiescence any
-   exact-counting reader needs anyway (domains that raced a reset may
-   leave a stray count behind). A spawned domain's cell is retired when
-   the domain exits: its counts are folded into the [retired] cell, which
-   stays registered, and the cell leaves the registry - one step under
-   [mu], so a renderer sees the counts exactly once. That keeps "spawn
-   domains, join them, then read the totals" exact ([Domain.join] returns
-   after the domain's exit hooks), while a server that runs one domain
-   per connection keeps only its live domains' cells. *)
+   [reset] empties every map; it assumes the quiescence any
+   exact-counting reader needs anyway (a writer that raced it may land
+   its update in a slot that was already dropped). *)
 
 let set_clock = Clock.set
 let now = Clock.now
@@ -35,15 +23,39 @@ let mu = Mutex.create ()
 let locked f = Mutex.protect mu f
 
 (* ------------------------------------------------------------------ *)
+(* shared slots                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Smap = Map.Make (String)
+
+(* The slot of [name] in [slots]; on first use it is made by [make arg]
+   and published by compare-and-set, retrying if another first use
+   replaced the map meanwhile. [make] and [arg] come apart so that no
+   caller builds a closure. *)
+let rec find_slot slots make arg name =
+  let m = Atomic.get slots in
+  (* [find], not [find_opt]: the hit path allocates nothing *)
+  match Smap.find name m with
+  | s -> s
+  | exception Not_found ->
+    let s = make arg in
+    if Atomic.compare_and_set slots m (Smap.add name s m) then s
+    else find_slot slots make arg name
+
+(* Every slot's value, sorted by name *)
+let read_all slots read =
+  Smap.bindings (Atomic.get slots) |> List.map (fun (k, s) -> (k, read s))
+
+(* ------------------------------------------------------------------ *)
 (* timers: log-bucketed histograms                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One fixed-size histogram per (timer, domain), DDSketch-style (Masson
-   et al., VLDB 2019): bucket k holds (gamma^(k-1), gamma^k] with gamma =
+(* One fixed-size histogram per timer, DDSketch-style (Masson et al.,
+   VLDB 2019): bucket k holds (gamma^(k-1), gamma^k] with gamma =
    (1 + a) / (1 - a), so its representative 2 gamma^k / (gamma + 1) is
    within relative error a of every value in it. Slot 0 is the zero
    bucket (<= [lo], negative, NaN), the last slot the overflow bucket.
-   Sum, sum of squares and max are exact; histograms merge and subtract
+   Sum, sum of squares and max are exact; histograms subtract
    bucket-wise. *)
 
 type hist = {
@@ -70,7 +82,8 @@ let representative s =
 
 let new_hist () = { counts = Array.make n_slots 0; stats = Array.make 3 0.0 }
 
-(* The owner's write: no allocation, no lock *)
+(* No allocation, and it cannot raise: callers hold the timer's mutex
+   around it without [Mutex.protect] *)
 let record h v =
   let s = slot v in
   h.counts.(s) <- h.counts.(s) + 1;
@@ -80,114 +93,21 @@ let record h v =
   st.(1) <- st.(1) +. (v *. v);
   if v > st.(2) then st.(2) <- v
 
-let merge_into acc h =
-  Array.iteri (fun i c -> acc.counts.(i) <- acc.counts.(i) + c) h.counts;
-  acc.stats.(0) <- acc.stats.(0) +. h.stats.(0);
-  acc.stats.(1) <- acc.stats.(1) +. h.stats.(1);
-  acc.stats.(2) <- Float.max acc.stats.(2) h.stats.(2)
-
-(* ------------------------------------------------------------------ *)
-(* per-domain cells                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type cells = {
-  c_mu : Mutex.t; (* guards structural growth of the tables below *)
-  c_counters : (string, int Atomic.t) Hashtbl.t;
-  c_timers : (string, hist) Hashtbl.t;
-}
-
-let new_cells () =
-  {
-    c_mu = Mutex.create ();
-    c_counters = Hashtbl.create 32;
-    c_timers = Hashtbl.create 32;
-  }
-
-(* The totals of every exited domain; registered for good *)
-let retired = new_cells ()
-
-(* Registry of the live domains' cells and [retired], newest first.
-   Guarded by [mu]. *)
-let all_cells : cells list ref = ref [ retired ]
-
-(* Move [src]'s entries into [dst], combining names both hold *)
-let absorb dst src combine =
-  Hashtbl.iter
-    (fun k v ->
-      match Hashtbl.find_opt dst k with
-      | Some d -> combine d v
-      | None -> Hashtbl.add dst k v)
-    src
-
-(* Runs on the exiting domain, the only writer of [c] *)
-let retire c =
-  locked (fun () ->
-      Mutex.protect retired.c_mu (fun () ->
-          absorb retired.c_counters c.c_counters (fun d a ->
-              ignore (Atomic.fetch_and_add d (Atomic.get a)));
-          absorb retired.c_timers c.c_timers merge_into);
-      all_cells := List.filter (( != ) c) !all_cells)
-
-let cells_key : cells Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c = new_cells () in
-      locked (fun () -> all_cells := c :: !all_cells);
-      if not (Domain.is_main_domain ()) then
-        Domain.at_exit (fun () -> retire c);
-      c)
-
-let my_cells () = Domain.DLS.get cells_key
-
-(* Fold over every cell with its mutex held - the renderer-side half of
-   the structural-growth discipline described in the header - and with
-   [mu] held, so a cell being retired is seen exactly once. *)
-let fold_cells f init =
-  locked (fun () ->
-      List.fold_left
-        (fun acc c -> Mutex.protect c.c_mu (fun () -> f acc c))
-        init !all_cells)
-
-(* The one merge path of every metric kind: fold the named entries of
-   one table of every cell ([only] keeps a single name), sorted by name. *)
-let merged table ~init ~add ?only () =
-  let tbl = Hashtbl.create 64 in
-  fold_cells
-    (fun () c ->
-      Hashtbl.iter
-        (fun k v ->
-          if only = None || only = Some k then
-            let acc =
-              match Hashtbl.find_opt tbl k with Some a -> a | None -> init ()
-            in
-            Hashtbl.replace tbl k (add acc v))
-        (table c))
-    ();
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 (* ------------------------------------------------------------------ *)
 (* counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let incr ?(by = 1) name =
-  let c = my_cells () in
-  (* only the owner adds names to its cell, so the unlocked lookup never
-     races a structural change; the add takes the (uncontended) cell
-     mutex to stay ordered against a concurrently merging renderer *)
-  match Hashtbl.find_opt c.c_counters name with
-  | Some a -> ignore (Atomic.fetch_and_add a by)
-  | None ->
-    Mutex.protect c.c_mu (fun () ->
-        Hashtbl.add c.c_counters name (Atomic.make by))
+let counter_slots : int Atomic.t Smap.t Atomic.t = Atomic.make Smap.empty
 
-let merged_counters =
-  merged (fun c -> c.c_counters) ~init:(fun () -> 0) ~add:(fun n a ->
-      n + Atomic.get a)
+let incr ?(by = 1) name =
+  ignore (Atomic.fetch_and_add (find_slot counter_slots Atomic.make 0 name) by)
 
 let counter name =
-  Option.value ~default:0 (List.assoc_opt name (merged_counters ~only:name ()))
+  match Smap.find_opt name (Atomic.get counter_slots) with
+  | Some a -> Atomic.get a
+  | None -> 0
 
-let counters () = merged_counters ()
+let counters () = read_all counter_slots Atomic.get
 
 (* ------------------------------------------------------------------ *)
 (* timers                                                              *)
@@ -233,24 +153,27 @@ let summarize h =
         stddev_s = sqrt (Float.max 0.0 var);
       }
 
+type timer = { t_mu : Mutex.t; t_hist : hist }
+
+let timer_slots : timer Smap.t Atomic.t = Atomic.make Smap.empty
+let new_timer () = { t_mu = Mutex.create (); t_hist = new_hist () }
+
 let observe name v =
-  let c = my_cells () in
-  (* [find], not [find_opt]: the hit path allocates nothing *)
-  match Hashtbl.find c.c_timers name with
-  | h -> record h v
-  | exception Not_found ->
-    let h = new_hist () in
-    record h v;
-    Mutex.protect c.c_mu (fun () -> Hashtbl.add c.c_timers name h)
+  let t = find_slot timer_slots new_timer () name in
+  Mutex.lock t.t_mu;
+  record t.t_hist v;
+  Mutex.unlock t.t_mu
 
 type snapshot = hist
 
-let snapshots =
-  merged (fun c -> c.c_timers) ~init:new_hist ~add:(fun acc h ->
-      merge_into acc h;
-      acc)
+let copy { t_mu; t_hist = h } =
+  Mutex.protect t_mu (fun () ->
+      { counts = Array.copy h.counts; stats = Array.copy h.stats })
 
-let snapshot name = List.assoc_opt name (snapshots ~only:name ())
+let snapshots () = read_all timer_slots copy
+
+let snapshot name =
+  Option.map copy (Smap.find_opt name (Atomic.get timer_slots))
 
 let window ?prev cur =
   match prev with
@@ -319,28 +242,15 @@ let histograms () = List.map (fun (k, h) -> (k, fold_buckets h)) (snapshots ())
 (* gauges                                                              *)
 (* ------------------------------------------------------------------ *)
 
-module Smap = Map.Make (String)
-
-(* One shared slot per name, so the last write wins across domains. The
-   name map is replaced by compare-and-set when a name is first set;
-   every later write is one [Atomic.set] on its slot, with no lock. *)
+(* The last write wins across domains. A new slot starts at [v] itself,
+   so no reader sees a value that was never set. *)
 let gauge_slots : float Atomic.t Smap.t Atomic.t = Atomic.make Smap.empty
-
-let rec set_gauge name v =
-  let m = Atomic.get gauge_slots in
-  (* [find], not [find_opt]: the hit path allocates nothing *)
-  match Smap.find name m with
-  | slot -> Atomic.set slot v
-  | exception Not_found ->
-    let m' = Smap.add name (Atomic.make v) m in
-    if not (Atomic.compare_and_set gauge_slots m m') then set_gauge name v
+let set_gauge name v = Atomic.set (find_slot gauge_slots Atomic.make v name) v
 
 let gauge name =
   Option.map Atomic.get (Smap.find_opt name (Atomic.get gauge_slots))
 
-let gauges () =
-  Smap.bindings (Atomic.get gauge_slots)
-  |> List.map (fun (k, slot) -> (k, Atomic.get slot))
+let gauges () = read_all gauge_slots Atomic.get
 
 (* The clock is wall time, not monotonic: an NTP step mid-measurement can
    make [now () -. t0] negative, so computed durations clamp at zero. *)
@@ -531,11 +441,8 @@ let to_prometheus () =
 (* ------------------------------------------------------------------ *)
 
 let reset () =
-  fold_cells
-    (fun () c ->
-      Hashtbl.reset c.c_counters;
-      Hashtbl.reset c.c_timers)
-    ();
+  Atomic.set counter_slots Smap.empty;
+  Atomic.set timer_slots Smap.empty;
   Atomic.set gauge_slots Smap.empty
 
 type cli_options = {

@@ -13,24 +13,17 @@
     {!Journal_query.spans_of} ([vcstat spans]), and request phases go
     through {!Phase.run}.
 
-    All state is global to the process and {e domain-safe}, and the
-    write path scales: every domain records counters and timer
-    observations into its {e own} per-domain cell ([Domain.DLS]), so
-    the domains running {!Vc_mooc.Server} jobs instrument without
-    contending on a shared lock - the steady-state {!incr} /
-    {!observe} path is lock-free (an atomic op or a bucket increment on
-    domain-owned storage). A gauge is one slot shared by every domain:
-    {!set_gauge} is one atomic store, so the last write wins. Memory
-    is bounded: a timer is one fixed-size histogram per domain, never a
-    list of samples. The read side ({!counter}, {!timers}, {!report},
-    {!to_json}, {!to_prometheus}, ...) merges all domains' cells on
-    demand: counters and histogram buckets sum. When a spawned domain
-    exits, its cell is folded into one that stays registered and then
-    dropped, so totals stay exact after [Domain.join] while the cells
-    held are those of the live domains. See
-    [docs/CONCURRENCY.md] for the full model. Everything here is plain
-    OCaml + the [unix] library shipped with the compiler - no
-    third-party dependencies. *)
+    All state is global to the process and {e domain-safe}: each metric
+    name is one slot shared by every domain. {!incr} is one atomic
+    add, {!set_gauge} one atomic store (the last write wins), and
+    {!observe} holds the timer's own mutex for one bucket increment;
+    none of them allocates once the name exists. Memory is bounded: a
+    timer is one fixed-size histogram, never a list of samples, and a
+    domain that exits leaves nothing behind. The read side
+    ({!counter}, {!timers}, {!report}, {!to_json}, {!to_prometheus},
+    ...) reads the slots directly. See [docs/CONCURRENCY.md] for the
+    full model. Everything here is plain OCaml + the [unix] library
+    shipped with the compiler - no third-party dependencies. *)
 
 (** {1 Counters} *)
 
@@ -48,8 +41,8 @@ val counters : unit -> (string * int) list
 
 (** {1 Timers}
 
-    A timer is one fixed-size (~12 KB) log-bucketed histogram per
-    domain, DDSketch-style: each bucket's representative is within
+    A timer is one fixed-size (~12 KB) log-bucketed histogram shared by
+    every domain, DDSketch-style: each bucket's representative is within
     {!rel_error} of every value it holds, from 100 ns to 10{^6} s. A
     zero bucket takes smaller, negative and NaN values (reported as 0);
     an overflow bucket takes larger ones, clamped to 10{^6} s. [count],
@@ -62,8 +55,9 @@ val time : string -> (unit -> 'a) -> 'a
     named timer, and returns (or re-raises) [f]'s outcome. *)
 
 val observe : string -> float -> unit
-(** Record a duration (seconds): O(1), no allocation, lock-free once
-    the name exists in the calling domain; never raises. *)
+(** Record a duration (seconds): O(1), and no allocation once the name
+    exists; holds the timer's mutex for one bucket increment; never
+    raises. *)
 
 val rel_error : float
 (** Relative error bound of the percentiles: [0.01]. *)
@@ -80,13 +74,14 @@ type timer_summary = {
 }
 
 val timer : string -> timer_summary option
-(** Summary merged over every domain; [None] if nothing was recorded. *)
+(** Summary of every domain's observations; [None] if nothing was
+    recorded. *)
 
 val timers : unit -> (string * timer_summary) list
 (** All timers, sorted by name. *)
 
 type snapshot
-(** A copy of one timer's merged histogram. *)
+(** A copy of one timer's histogram. *)
 
 val snapshot : string -> snapshot option
 
@@ -176,12 +171,11 @@ val to_prometheus : unit -> string
 (** {1 Control} *)
 
 val reset : unit -> unit
-(** Clear counters and timers across {e all} domains' cells, exited
-    domains' totals included, and every gauge. Registered probes and the clock
-    survive (their counters live in their own modules). Call while
-    other domains are quiescent (between test cases, between bench
-    configurations) - a racing writer may land an update in a cell that
-    was already cleared. *)
+(** Drop every counter, timer and gauge, whichever domain wrote it.
+    Registered probes and the clock survive (their counters live in
+    their own modules). Call while other domains are quiescent (between
+    test cases, between bench configurations) - a racing writer may
+    land an update in a slot that was already dropped. *)
 
 val set_clock : (unit -> float) -> unit
 (** Replace the time source (default [Unix.gettimeofday]) - an alias of

@@ -1,18 +1,15 @@
-(* Request-scoped trace context: a short hex id minted from Rng, an
-   optional parent id, and a mutable per-phase duration list. The
-   ambient context is per-domain (Domain.DLS): the server installs the
-   job's context around Portal.submit_result on the submitting domain,
-   and
-   Phase.run times the portal's cache-probe / execute phases into
-   whatever context is current without threading it through every
-   signature. *)
+(* Request-scoped trace context: a short hex id minted from Rng and a
+   mutable per-phase duration list. The ambient context is per-domain
+   (Domain.DLS): the server installs the job's context around
+   Portal.submit_result on the submitting domain, and Phase.run times
+   the portal's cache-probe / execute phases into whatever context is
+   current without threading it through every signature. *)
 
 let id_length = 16
 let hex = "0123456789abcdef"
 
 type t = {
   id : string;
-  parent : string option;
   mutable phases : (string * float) list;  (* newest first *)
 }
 
@@ -29,16 +26,13 @@ let mint rng = String.init id_length (fun _ -> hex.[Rng.int rng 16])
 
 let mint_deterministic ~seed ~seq = mint (Rng.create ((seed lsl 24) lxor seq))
 
-let make ?parent id = { id; parent; phases = [] }
+let make id = { id; phases = [] }
 
-let of_id ?parent id = if is_valid_id id then Some (make ?parent id) else None
+let of_id id = if is_valid_id id then Some (make id) else None
 
 let id t = t.id
-let parent t = t.parent
 
-let to_attrs t =
-  ("trace_id", t.id)
-  :: (match t.parent with Some p -> [ ("trace_parent", p) ] | None -> [])
+let to_attrs t = [ ("trace_id", t.id) ]
 
 (* ------------------------------------------------------------------ *)
 (* phases                                                              *)

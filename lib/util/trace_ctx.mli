@@ -3,8 +3,8 @@
     into the portal and its kernels.
 
     A context is a short hex {e trace id} (minted from {!Rng}, or
-    accepted from a client), an optional parent id, and a mutable list
-    of named {e phase} durations (queue wait, cache probe, kernel
+    accepted from a client) and a mutable list of named {e phase}
+    durations (queue wait, cache probe, kernel
     execution, ...) accumulated while the request is serviced. Every
     journal event on the request's path carries the id as a [trace_id]
     attribute, which is what [vcstat request] joins client and server
@@ -42,26 +42,24 @@ val is_valid_id : string -> bool
 (** Accept 4-64 lowercase hex chars - what the wire protocol admits as
     a [TRACE] operand. *)
 
-val make : ?parent:string -> string -> t
+val make : string -> t
 (** Wrap an id (not validated) in a fresh context with no phases. *)
 
-val of_id : ?parent:string -> string -> t option
+val of_id : string -> t option
 (** {!make} after {!is_valid_id}; [None] on an invalid id. *)
 
 val id : t -> string
-val parent : t -> string option
 
 val to_attrs : t -> (string * string) list
-(** [("trace_id", id)] plus [("trace_parent", p)] when present - the
-    attrs every event on the request path carries. *)
+(** [[("trace_id", id)]] - the attrs every event on the request path
+    carries. *)
 
 (** {1 Phases} *)
 
 val record_phase : t -> string -> float -> unit
 (** Append a named duration (clamped [>= 0]) to the context's timeline.
-    Phases are recorded by the single domain servicing the request at
-    that moment; the hand-offs between domains are already sequenced by
-    the job's completion mutex. *)
+    Not synchronized: every phase of a request is recorded by the one
+    domain that submitted the request and runs it. *)
 
 val phases : t -> (string * float) list
 (** Recorded phases, oldest first. *)

@@ -83,7 +83,7 @@ let telemetry_tests =
         match T.timer "t.boom" with
         | Some s -> check Alcotest.int "one sample" 1 s.T.count
         | None -> Alcotest.fail "no sample");
-    tc "exited domains retire their cells and buffers with exact totals"
+    tc "exited domains retire their journal buffers; totals stay exact"
       (fun () ->
         T.reset ();
         Journal.clear ();
@@ -885,6 +885,17 @@ let histogram_tests =
           Alcotest.failf "heap grew by %d words" grown;
         if minor > 64.0 then
           Alcotest.failf "observe allocated %.0f minor words" minor);
+    tc "a million counter bumps allocate nothing" (fun () ->
+        T.reset ();
+        T.incr "c.mem";
+        let minor0 = Gc.minor_words () in
+        for _ = 2 to 1_000_000 do
+          T.incr "c.mem"
+        done;
+        let minor = Gc.minor_words () -. minor0 in
+        check Alcotest.int "count" 1_000_000 (T.counter "c.mem");
+        if minor > 64.0 then
+          Alcotest.failf "incr allocated %.0f minor words" minor);
     prop ~count:60
       "percentiles within rel_error of Stats.percentile, log-uniform 1us..10s"
       QCheck.(

@@ -278,16 +278,13 @@ let trace_ctx_tests =
         (match Trace_ctx.of_id "NotHex!" with
         | None -> ()
         | Some _ -> Alcotest.fail "invalid id accepted");
-        match Trace_ctx.of_id ~parent:"beefbeef" "deadbeef" with
+        match Trace_ctx.of_id "deadbeef" with
         | Some t ->
           check Alcotest.string "id" "deadbeef" (Trace_ctx.id t);
           check
-            Alcotest.(option string)
-            "parent" (Some "beefbeef") (Trace_ctx.parent t);
-          check
             Alcotest.(list (pair string string))
-            "attrs carry both"
-            [ ("trace_id", "deadbeef"); ("trace_parent", "beefbeef") ]
+            "attrs carry the id"
+            [ ("trace_id", "deadbeef") ]
             (Trace_ctx.to_attrs t)
         | None -> Alcotest.fail "valid id rejected");
     tc "phases accumulate in order, clamped non-negative" (fun () ->
