@@ -323,9 +323,10 @@ let stat_disk_hits = Atomic.make 0
    only write - and a memory miss probes it before re-executing the
    tool. An entry evicted from a memory shard is therefore already on
    disk, unless it was cached before the store was opened. At
-   [set_cache_dir] the stored results are promoted into the memory
-   shards - the warm start that makes a restarted server serve cache
-   hits for work its previous incarnation did. The handle lives in an
+   [set_cache_dir] as many stored results as the memory shards hold are
+   promoted into them, in the same pass that opens the store - the warm
+   start that makes a restarted server serve cache hits for work its
+   previous incarnation did. The handle lives in an
    Atomic so the hot path never takes a configuration lock; store I/O
    always happens OUTSIDE the shard mutexes (lanes have their own
    locks). A failing store (disk full, yanked volume) is dropped with
@@ -468,10 +469,30 @@ let unset_cache_dir () =
   | None -> ()
 
 let set_cache_dir dirname =
-  match Store.open_store dirname with
+  let t0 = T.now () in
+  (* the warm start, fed by the store's one pass over its spill files:
+     each verified record, in file order, goes into its memory shard if
+     the shard has room or already holds that key (the latest record
+     wins). The rest stay served by the disk probe, so a warm start
+     evicts nothing, and only a promoted record's payload is copied. *)
+  let promoted = ref 0 in
+  let promote key payload =
+    let sh = shard_of key in
+    Mutex.protect sh.sh_mu (fun () ->
+        let held = Hashtbl.mem sh.sh_tbl key in
+        if held || Hashtbl.length sh.sh_tbl < sh.sh_cap then begin
+          if not held then incr promoted;
+          sh.sh_tick <- sh.sh_tick + 1;
+          Hashtbl.replace sh.sh_tbl key
+            { key; output = payload (); last_used = sh.sh_tick }
+        end)
+  in
+  match Store.open_store ~on_record:promote dirname with
   | exception e ->
     (* same degrade contract as the journal: a portal that cannot write
-       its results through must still serve *)
+       its results through must still serve. A lane that failed to open
+       may follow lanes whose records were already promoted. *)
+    publish_size ();
     Printf.eprintf
       "portal: cannot open cache dir %s (%s); continuing without it\n%!"
       dirname (Printexc.to_string e);
@@ -482,21 +503,18 @@ let set_cache_dir dirname =
     (match Atomic.exchange store (Some st) with
     | Some old -> ( try Store.close old with _ -> ())
     | None -> ());
-    (* warm start: promote the stored results into the memory shards
-       (up to capacity - anything over stays served by the disk probe) *)
-    let loaded = ref 0 in
-    Store.iter st (fun key output ->
-        incr loaded;
-        cache_add key output);
     publish_size ();
-    T.set_gauge "portal.cache.disk_entries" (float_of_int (Store.length st));
+    let entries = Store.length st in
+    T.set_gauge "portal.cache.disk_entries" (float_of_int entries);
     J.emit ~component:"portal"
       ~attrs:
         [
           ("dir", dirname);
-          ("entries", string_of_int !loaded);
+          ("entries", string_of_int entries);
+          ("promoted", string_of_int !promoted);
           ("bytes", string_of_int (Store.file_bytes st));
           ("lanes", string_of_int (Store.lanes st));
+          ("elapsed_s", Printf.sprintf "%.6f" (Float.max 0.0 (T.now () -. t0)));
         ]
       "cache.warm_start"
 

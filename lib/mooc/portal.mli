@@ -248,17 +248,21 @@ val cache_evictions : unit -> int
     failing submissions. *)
 
 val set_cache_dir : string -> unit
-(** Open (or create) the spill directory and {e warm-start}: promote
-    every result the store holds into the memory shards (up to
-    capacity; the remainder stays served by the disk probe). From then
-    on every executed result is written through to it. A result cached
-    in memory before the call is not copied to disk, so a server opens
-    its directory before serving ([vcserve -cache-dir] does). While the
-    store is open, {!history} also resolves outputs evicted from memory
-    through it. Emits a [cache.warm_start] journal event with the
-    loaded count. A store that cannot be opened degrades with one
-    warning and a [cache.disk_error] event instead of raising. Replaces
-    (and closes) any previously configured store. *)
+(** Open (or create) the spill directory and {e warm-start} in the same
+    pass: as the store reads each stored result, in file order, it is
+    promoted into its memory shard if that shard has room or already
+    holds the key (the latest stored result wins). The remainder stays
+    served by the disk probe, so a warm start counts no eviction. From
+    then on every executed result is written through to the store. A
+    result cached in memory before the call is not copied to disk, so a
+    server opens its directory before serving ([vcserve -cache-dir]
+    does). While the store is open, {!history} also resolves outputs
+    evicted from memory through it. Emits a [cache.warm_start] journal
+    event whose attrs are [entries] (the results the store holds),
+    [promoted] (those put into memory), [bytes], [lanes] and
+    [elapsed_s] (the time the call took). A store that cannot be opened
+    degrades with one warning and a [cache.disk_error] event instead of
+    raising. Replaces (and closes) any previously configured store. *)
 
 val cache_dir : unit -> string option
 (** The active spill directory, if the disk tier is enabled. *)

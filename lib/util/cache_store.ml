@@ -12,13 +12,18 @@
      8+K     N     payload bytes
      8+K+N   4     checksum: first 4 bytes of MD5(key ^ payload)
 
+   Key and payload are adjacent, so the checksum is the MD5 of record
+   bytes [8, 8+K+N): it is computed and verified in place, with no
+   concatenation and no per-field strings.
+
    A lane file is a sequence of records; the latest record for a key
-   wins. Opening a store replays each lane front to back and stops at
-   the first record that is truncated or fails its checksum - the valid
-   prefix is kept and the file is truncated back to it, so appends
-   after a torn write never land behind garbage. Appends are raw
-   Unix.write calls (no userland buffering): once append returns the
-   record is in the OS page cache and survives the process dying. *)
+   wins. Opening a store scans each lane once, front to back, and stops
+   at the first record that is truncated or fails its checksum - the
+   valid prefix is kept and the file is truncated back to it, so
+   appends after a torn write never land behind garbage. Appends are
+   raw Unix.write calls (no userland buffering): once append returns
+   the record is in the OS page cache and survives the process
+   dying. *)
 
 type entry = { e_off : int; e_dlen : int (* record start, payload len *) }
 
@@ -41,7 +46,6 @@ type t = {
 let header_bytes = 8
 let trailer_bytes = 4
 let record_bytes klen dlen = header_bytes + klen + dlen + trailer_bytes
-let checksum key data = String.sub (Digest.string (key ^ data)) 0 trailer_bytes
 
 let lane_path dir i = Filename.concat dir (Printf.sprintf "lane-%02d.spill" i)
 
@@ -50,25 +54,42 @@ let lane_of t key =
   let a = t.st_lanes in
   a.(((Char.code d.[0] lsl 8) lor Char.code d.[1]) mod Array.length a)
 
+(* magic and format version, at [off] in [b] *)
+let header_ok b off =
+  Bytes.get b off = 'V'
+  && Bytes.get b (off + 1) = 'S'
+  && Bytes.get b (off + 2) = '\001'
+
+let payload_len b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
+
+(* the first [len] bytes of [s] are the bytes at [off] in [b] *)
+let bytes_match b off s len =
+  let rec go i = i = len || (Bytes.get b (off + i) = s.[i] && go (i + 1)) in
+  go 0
+
+(* [len] bytes of key and payload at [off] in [b] are followed by their
+   checksum *)
+let checksum_ok b ~off ~len =
+  bytes_match b (off + len) (Digest.subbytes b off len) trailer_bytes
+
 let encode_record key data =
   let klen = String.length key and dlen = String.length data in
   if klen > 0xff then invalid_arg "Cache_store: key longer than 255 bytes";
-  let b = Buffer.create (record_bytes klen dlen) in
-  Buffer.add_string b "VS";
-  Buffer.add_char b '\001';
-  Buffer.add_char b (Char.chr klen);
-  Buffer.add_char b (Char.chr (dlen land 0xff));
-  Buffer.add_char b (Char.chr ((dlen lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((dlen lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((dlen lsr 24) land 0xff));
-  Buffer.add_string b key;
-  Buffer.add_string b data;
-  Buffer.add_string b (checksum key data);
-  Buffer.contents b
+  let b = Bytes.create (record_bytes klen dlen) in
+  Bytes.blit_string "VS\001" 0 b 0 3;
+  Bytes.set b 3 (Char.chr klen);
+  Bytes.set_int32_le b 4 (Int32.of_int dlen);
+  Bytes.blit_string key 0 b header_bytes klen;
+  Bytes.blit_string data 0 b (header_bytes + klen) dlen;
+  Bytes.blit_string
+    (Digest.subbytes b header_bytes (klen + dlen))
+    0 b
+    (header_bytes + klen + dlen)
+    trailer_bytes;
+  b
 
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
+let write_all fd b =
+  let len = Bytes.length b in
   let rec go off =
     if off < len then go (off + Unix.write fd b off (len - off))
   in
@@ -79,7 +100,7 @@ let read_at fd ~off ~len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
   let b = Bytes.create len in
   let rec go got =
-    if got >= len then Some (Bytes.unsafe_to_string b)
+    if got >= len then Some b
     else
       match Unix.read fd b got (len - got) with
       | 0 -> None
@@ -88,54 +109,80 @@ let read_at fd ~off ~len =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* replay                                                              *)
+(* open: one scan per lane                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay one lane file into [tbl]; returns (valid_bytes, live_bytes).
-   Any malformed, truncated or checksum-failing record ends the scan at
-   the last good offset. *)
-let replay_file ic tbl =
-  let live = ref 0 in
-  let valid = ref 0 in
-  (try
-     while true do
-       let pos = !valid in
-       let header = Bytes.create header_bytes in
-       really_input ic header 0 header_bytes;
-       if Bytes.get header 0 <> 'V' || Bytes.get header 1 <> 'S' then raise Exit;
-       if Bytes.get header 2 <> '\001' then raise Exit;
-       let klen = Char.code (Bytes.get header 3) in
-       let dlen =
-         Char.code (Bytes.get header 4)
-         lor (Char.code (Bytes.get header 5) lsl 8)
-         lor (Char.code (Bytes.get header 6) lsl 16)
-         lor (Char.code (Bytes.get header 7) lsl 24)
-       in
-       let key = really_input_string ic klen in
-       let data = really_input_string ic dlen in
-       let sum = really_input_string ic trailer_bytes in
-       if sum <> checksum key data then raise Exit;
-       (match Hashtbl.find_opt tbl key with
-       | Some prev ->
-         live := !live - record_bytes klen prev.e_dlen
-       | None -> ());
-       Hashtbl.replace tbl key { e_off = pos; e_dlen = dlen };
-       live := !live + record_bytes klen dlen;
-       valid := pos + record_bytes klen dlen
-     done
-   with End_of_file | Exit -> ());
-  (!valid, !live)
+let scan_chunk = 65536
 
-let open_lane path =
+(* Scan one lane file of [size] bytes once, front to back, indexing each
+   verified record in [tbl] and passing it to [on_record]; returns
+   (valid_bytes, live_bytes). The file is read through one buffer that
+   is refilled as records are consumed and grown only to fit a record
+   longer than it. A record that is malformed, runs past the end of the
+   file or fails its checksum ends the scan at the last good offset. *)
+let scan_lane fd ~size tbl on_record =
+  let buf = ref (Bytes.create (min size scan_chunk)) in
+  (* buf's bytes [lo, hi) are the file's next unconsumed bytes *)
+  let lo = ref 0 and hi = ref 0 in
+  (* make [n] bytes available at [lo]; false at end of file *)
+  let rec fill n =
+    !hi - !lo >= n
+    || begin
+         if !lo + n > Bytes.length !buf then begin
+           let dst = if n > Bytes.length !buf then Bytes.create n else !buf in
+           Bytes.blit !buf !lo dst 0 (!hi - !lo);
+           hi := !hi - !lo;
+           lo := 0;
+           buf := dst
+         end;
+         match Unix.read fd !buf !hi (Bytes.length !buf - !hi) with
+         | 0 -> false
+         | got ->
+           hi := !hi + got;
+           fill n
+       end
+  in
+  let rec next valid live =
+    if valid + header_bytes > size || not (fill header_bytes) then (valid, live)
+    else if not (header_ok !buf !lo) then (valid, live)
+    else
+      let klen = Char.code (Bytes.get !buf (!lo + 3)) in
+      let dlen = payload_len !buf (!lo + 4) in
+      let n = record_bytes klen dlen in
+      (* a length past the end of the file is a torn record: stop before
+         growing the buffer to fit it *)
+      if valid + n > size || not (fill n) then (valid, live)
+      else
+        let b = !buf and body = !lo + header_bytes in
+        if not (checksum_ok b ~off:body ~len:(klen + dlen)) then (valid, live)
+        else begin
+          let key = Bytes.sub_string b body klen in
+          let live =
+            match Hashtbl.find_opt tbl key with
+            | Some prev -> live - record_bytes klen prev.e_dlen
+            | None -> live
+          in
+          Hashtbl.replace tbl key { e_off = valid; e_dlen = dlen };
+          on_record key (fun () -> Bytes.sub_string b (body + klen) dlen);
+          lo := !lo + n;
+          next (valid + n) (live + n)
+        end
+  in
+  next 0 0
+
+let open_lane on_record path =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let size = (Unix.fstat fd).Unix.st_size in
   let tbl = Hashtbl.create 256 in
   let valid, live =
-    if Sys.file_exists path then
-      In_channel.with_open_bin path (fun ic -> replay_file ic tbl)
-    else (0, 0)
+    match scan_lane fd ~size tbl on_record with
+    | r -> r
+    | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
   in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   (* drop any torn tail so future appends follow the last good record *)
-  if (Unix.fstat fd).Unix.st_size > valid then Unix.ftruncate fd valid;
+  if size > valid then Unix.ftruncate fd valid;
   {
     ln_mu = Mutex.create ();
     ln_path = path;
@@ -152,7 +199,8 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_store ?(lanes = 8) ?(compact_bytes = 1 lsl 20) dir =
+let open_store ?(lanes = 8) ?(compact_bytes = 1 lsl 20)
+    ?(on_record = fun _ _ -> ()) dir =
   if lanes < 1 || lanes > 256 then
     invalid_arg "Cache_store.open_store: lanes out of range";
   mkdir_p dir;
@@ -167,7 +215,7 @@ let open_store ?(lanes = 8) ?(compact_bytes = 1 lsl 20) dir =
   let n = match existing with [] -> lanes | l -> 1 + List.fold_left max 0 l in
   {
     st_dir = dir;
-    st_lanes = Array.init n (fun i -> open_lane (lane_path dir i));
+    st_lanes = Array.init n (fun i -> open_lane on_record (lane_path dir i));
     st_compact_bytes = compact_bytes;
     st_closed = false;
   }
@@ -177,19 +225,20 @@ let lanes t = Array.length t.st_lanes
 
 let check_open t = if t.st_closed then invalid_arg "Cache_store: closed"
 
-let read_verified ln key e =
-  let klen = String.length key in
-  match
-    read_at ln.ln_fd
-      ~off:(e.e_off + header_bytes + klen)
-      ~len:(e.e_dlen + trailer_bytes)
-  with
-  | Some blob ->
-    let data = String.sub blob 0 e.e_dlen in
-    if String.sub blob e.e_dlen trailer_bytes = checksum key data then
-      Some data
-    else None
-  | None -> None
+(* Call with the lane mutex held: the whole record [e] indexes for
+   [key], in one read. None unless it is intact and is [key]'s: its
+   header, its on-disk key and its checksum are all checked. *)
+let read_record ln key e =
+  let klen = String.length key and dlen = e.e_dlen in
+  match read_at ln.ln_fd ~off:e.e_off ~len:(record_bytes klen dlen) with
+  | Some b
+    when header_ok b 0
+         && Char.code (Bytes.get b 3) = klen
+         && payload_len b 4 = dlen
+         && bytes_match b header_bytes key klen
+         && checksum_ok b ~off:header_bytes ~len:(klen + dlen) ->
+    Some b
+  | Some _ | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* compaction                                                          *)
@@ -205,11 +254,11 @@ let compact_locked ln =
   (match
      Hashtbl.iter
        (fun key e ->
-         match read_verified ln key e with
-         | Some data ->
-           write_all out (encode_record key data);
-           Hashtbl.replace fresh key { e_off = !pos; e_dlen = e.e_dlen };
-           pos := !pos + record_bytes (String.length key) e.e_dlen
+         match read_record ln key e with
+         | Some record ->
+           write_all out record;
+           Hashtbl.replace fresh key { e with e_off = !pos };
+           pos := !pos + Bytes.length record
          | None -> () (* damaged record: drop it *))
        ln.ln_tbl
    with
@@ -239,8 +288,9 @@ let maybe_compact_locked t ln =
 let append t ~key data =
   check_open t;
   let ln = lane_of t key in
+  let record = encode_record key data in
+  let n = Bytes.length record in
   Mutex.protect ln.ln_mu (fun () ->
-      let record = encode_record key data in
       ignore (Unix.lseek ln.ln_fd ln.ln_size Unix.SEEK_SET);
       write_all ln.ln_fd record;
       let klen = String.length key in
@@ -249,8 +299,8 @@ let append t ~key data =
       | None -> ());
       Hashtbl.replace ln.ln_tbl key
         { e_off = ln.ln_size; e_dlen = String.length data };
-      ln.ln_size <- ln.ln_size + String.length record;
-      ln.ln_live <- ln.ln_live + String.length record;
+      ln.ln_size <- ln.ln_size + n;
+      ln.ln_live <- ln.ln_live + n;
       maybe_compact_locked t ln)
 
 let find t key =
@@ -258,7 +308,11 @@ let find t key =
   let ln = lane_of t key in
   Mutex.protect ln.ln_mu (fun () ->
       match Hashtbl.find_opt ln.ln_tbl key with
-      | Some e -> read_verified ln key e
+      | Some e ->
+        Option.map
+          (fun record ->
+            Bytes.sub_string record (header_bytes + String.length key) e.e_dlen)
+          (read_record ln key e)
       | None -> None)
 
 let length t =
@@ -267,24 +321,6 @@ let length t =
     (fun acc ln ->
       acc + Mutex.protect ln.ln_mu (fun () -> Hashtbl.length ln.ln_tbl))
     0 t.st_lanes
-
-let iter t f =
-  check_open t;
-  Array.iter
-    (fun ln ->
-      (* snapshot the index under the lock, read outside per entry
-         re-acquiring it - [f] may call back into the store *)
-      let entries =
-        Mutex.protect ln.ln_mu (fun () ->
-            Hashtbl.fold (fun k e acc -> (k, e) :: acc) ln.ln_tbl [])
-      in
-      List.iter
-        (fun (key, e) ->
-          match Mutex.protect ln.ln_mu (fun () -> read_verified ln key e) with
-          | Some data -> f key data
-          | None -> ())
-        entries)
-    t.st_lanes
 
 let live_bytes t =
   check_open t;

@@ -10,17 +10,25 @@
     Each {!append} writes one length-prefixed, checksummed binary
     record - [magic, version, key, payload, checksum] - to the lane its
     key hashes to and keeps an in-memory index of the latest record per
-    key, so {!find} is one seek+read. Re-appending a key supersedes the
-    earlier record; superseded ("dead") bytes accumulate until the lane
-    is {e compacted} (automatic once dead bytes exceed both the live
-    bytes and a threshold; {!compact} forces it), which rewrites the
-    live records to a temp file and renames it into place.
+    key, so {!find} is one seek and one read of the whole record. The
+    key and payload are adjacent in a record and the checksum covers
+    that byte range, so it is computed and verified in place.
+    Re-appending a key supersedes the earlier record; superseded
+    ("dead") bytes accumulate until the lane is {e compacted}
+    (automatic once dead bytes exceed both the live bytes and a
+    threshold; {!compact} forces it), which copies the live records to
+    a temp file and renames it into place.
 
-    {b Corruption tolerance.} {!open_store} replays each lane file
-    record by record; the first truncated or checksum-failing record
-    ends the scan, the valid prefix is kept and the file is truncated
-    back to it, so a torn write from a killed process costs at most the
-    final record and never poisons later appends.
+    {b Opening is one pass.} {!open_store} reads each lane file once,
+    front to back, through a bounded buffer, verifying every record's
+    checksum as it goes. The caller's [on_record] sees each verified
+    record in that same pass - the portal's warm start - so nothing is
+    read twice.
+
+    {b Corruption tolerance.} The first truncated or checksum-failing
+    record ends a lane's scan, the valid prefix is kept and the file is
+    truncated back to it, so a torn write from a killed process costs
+    at most the final record and never poisons later appends.
 
     {b Durability model.} Appends are unbuffered [write(2)] calls: the
     record is in the OS page cache the moment {!append} returns, so it
@@ -35,12 +43,26 @@
 
 type t
 
-val open_store : ?lanes:int -> ?compact_bytes:int -> string -> t
-(** Open (creating the directory if needed) and replay the spill files
+val open_store :
+  ?lanes:int ->
+  ?compact_bytes:int ->
+  ?on_record:(string -> (unit -> string) -> unit) ->
+  string ->
+  t
+(** Open (creating the directory if needed) and scan the spill files
     under [dir]. [lanes] (default 8) is the spill-file fan-out - the
     value is only used when the directory is empty; an existing store
     reopens with the lane files it has. [compact_bytes] (default
     1 MiB) is the dead-byte threshold past which a lane auto-compacts.
+
+    [on_record key payload] (default: ignore) is called once for every
+    record that passes verification, lane by lane and in file order
+    within a lane, so a later record for a key comes after an earlier
+    one and the last call for a key carries its live payload.
+    [payload ()] copies the record's payload out of the scan buffer; it
+    is only valid during the call, and a caller that does not want the
+    payload pays no copy. A record after a torn or corrupt one is never
+    passed.
     @raise Sys_error / Unix.Unix_error when the directory cannot be
     created or a lane file cannot be opened. *)
 
@@ -55,18 +77,13 @@ val append : t -> key:string -> string -> unit
     digests). *)
 
 val find : t -> string -> string option
-(** The latest payload recorded for [key], re-verified against its
-    checksum on every read; [None] when absent (or when the record on
-    disk fails verification - a damaged record is treated as absent,
-    never returned corrupt). *)
+(** The latest payload recorded for [key]. Each read re-verifies the
+    record: its on-disk key must be [key] and its checksum must hold.
+    [None] when absent (or when the record on disk fails verification -
+    a damaged record is treated as absent, never returned corrupt). *)
 
 val length : t -> int
 (** Number of distinct live keys. *)
-
-val iter : t -> (string -> string -> unit) -> unit
-(** [iter t f] calls [f key payload] for every live entry (unspecified
-    order) - the warm-start load loop. Entries failing verification are
-    skipped. *)
 
 val live_bytes : t -> int
 (** Bytes occupied by live records across all lanes. *)

@@ -19,7 +19,8 @@
    A second replay with the same seed then re-submits the same trace;
    the restarted shard must answer from the warm cache, which the smoke
    checks in its post-restart journal segments (a cache.warm_start
-   event with nonzero entries, and cache_hit submission outcomes).
+   event with 0 < promoted <= entries and an elapsed_s, and cache_hit
+   submission outcomes).
 
    Then 500 sequential client connections, each sending one TOOL
    request under one session id, go through the front to one backend;
@@ -399,14 +400,23 @@ let () =
       if run2 = [] then
         die "the restarted shard appended no new journal segments";
       let run2_text = String.concat "" (List.map read_all run2) in
-      if not (contains run2_text "cache.warm_start") then
-        die "restarted shard journal has no cache.warm_start event";
-      String.split_on_char '\n' run2_text
-      |> List.iter (fun line ->
-             if
-               contains line "cache.warm_start"
-               && contains line "\"entries\":\"0\""
-             then die "warm start loaded 0 entries: %s" line);
+      (match
+         List.find_opt
+           (fun e -> e.Vc_util.Journal.ev_name = "cache.warm_start")
+           (Q.load_files run2).Q.events
+       with
+      | None -> die "restarted shard journal has no cache.warm_start event"
+      | Some e ->
+        let attr conv name =
+          match Option.bind (List.assoc_opt name e.ev_attrs) conv with
+          | Some v -> v
+          | None -> die "cache.warm_start has no numeric %s attr" name
+        in
+        let entries = attr int_of_string_opt "entries"
+        and promoted = attr int_of_string_opt "promoted" in
+        ignore (attr float_of_string_opt "elapsed_s" : float);
+        if not (0 < promoted && promoted <= entries) then
+          die "warm start promoted %d of %d entries" promoted entries);
       if not (contains run2_text "\"outcome\":\"cache_hit\"") then
         die "restarted shard served no cache hits after its warm start";
       let front_text = read_all front_journal in

@@ -8,10 +8,12 @@ module Cover = Vc_cube.Cover
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
-(* the hex digest [Portal.history] reports for an upload: the result
-   cache's key, MD5 of the tool name, a NUL and the input *)
-let upload_digest tool_name input =
-  Digest.to_hex (Digest.string (tool_name ^ "\x00" ^ input))
+(* the result cache's key for an upload: MD5 of the tool name, a NUL
+   and the input *)
+let upload_key tool_name input = Digest.string (tool_name ^ "\x00" ^ input)
+
+(* the hex digest [Portal.history] reports for an upload *)
+let upload_digest tool_name input = Digest.to_hex (upload_key tool_name input)
 
 let prop ?(count = 100) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)

@@ -149,17 +149,56 @@ let store_tests =
             check Alcotest.(option string) "cold survives compaction"
               (Some "stable") (Store.find st "cold");
             Store.close st));
-    tc "iter visits every live entry exactly once" (fun () ->
-        with_store ~lanes:4 (fun _dir st ->
+    tc "open passes every verified record once, in file order" (fun () ->
+        with_store ~lanes:4 (fun dir st ->
             for i = 0 to 19 do
               Store.append st ~key:(Printf.sprintf "k%d" i)
                 (Printf.sprintf "v%d" i)
             done;
-            let seen = Hashtbl.create 16 in
-            Store.iter st (fun k v -> Hashtbl.replace seen k v);
-            check Alcotest.int "20 entries" 20 (Hashtbl.length seen);
-            check Alcotest.(option string) "payload matches" (Some "v7")
-              (Hashtbl.find_opt seen "k7");
+            Store.append st ~key:"k7" "v7 again";
+            Store.close st;
+            let seen = ref [] in
+            let st =
+              Store.open_store dir ~on_record:(fun k payload ->
+                  seen := (k, payload ()) :: !seen)
+            in
+            let seen = List.rev !seen in
+            check Alcotest.int "21 records" 21 (List.length seen);
+            check Alcotest.(list string) "k7's records, oldest first"
+              [ "v7"; "v7 again" ]
+              (List.filter_map
+                 (fun (k, v) -> if k = "k7" then Some v else None)
+                 seen);
+            check Alcotest.(option string) "payload matches" (Some "v3")
+              (List.assoc_opt "k3" seen);
+            check Alcotest.int "20 live keys" 20 (Store.length st);
+            Store.close st));
+    tc "open reads across buffer refills and records longer than it"
+      (fun () ->
+        (* one ~350 KB lane: small records straddle the 64 KiB refills,
+           and one 200 KB record is longer than the buffer *)
+        with_store ~lanes:1 (fun dir st ->
+            let expect =
+              List.init 1000 (fun i ->
+                  ( string_of_int i,
+                    String.make (100 + (i mod 50)) (Char.chr (65 + (i mod 26)))
+                  ))
+              @ [ ("big", String.init 200_000 (fun j -> Char.chr (j mod 256))) ]
+              @ List.init 10 (fun i -> (Printf.sprintf "after %d" i, "tail"))
+            in
+            List.iter (fun (k, v) -> Store.append st ~key:k v) expect;
+            Store.close st;
+            let seen = ref [] in
+            let st =
+              Store.open_store dir ~on_record:(fun k payload ->
+                  seen := (k, payload ()) :: !seen)
+            in
+            check Alcotest.int "every record passed" (List.length expect)
+              (List.length !seen);
+            check Alcotest.bool "payloads passed intact, in file order" true
+              (List.rev !seen = expect);
+            check Alcotest.bool "every payload found" true
+              (List.for_all (fun (k, v) -> Store.find st k = Some v) expect);
             Store.close st));
     tc "closed store raises instead of corrupting" (fun () ->
         with_store (fun _dir st ->
@@ -363,8 +402,121 @@ let echo =
     execute = (fun s -> "echo: " ^ s);
   }
 
+(* a scratch cache dir and a store holding [records] in one lane, with
+   the memory cache at one shard of [capacity]; the default config is
+   restored after [f dir] *)
+let with_stored_records ?(capacity = 512) records f =
+  let dir = temp_dir "vc_portal_cache" in
+  let shards0 = Portal.cache_shards () in
+  Fun.protect
+    ~finally:(fun () ->
+      Portal.unset_cache_dir ();
+      Portal.set_cache_shards shards0;
+      Portal.set_cache_capacity 512;
+      Portal.clear_cache ();
+      rm_rf dir)
+    (fun () ->
+      let st = Store.open_store ~lanes:1 dir in
+      List.iter
+        (fun (input, out) -> Store.append st ~key:(upload_key "echo" input) out)
+        records;
+      Store.close st;
+      Portal.unset_cache_dir ();
+      Portal.set_cache_shards 1;
+      Portal.set_cache_capacity capacity;
+      Portal.clear_cache ();
+      f dir)
+
+let lane0 dir = Filename.concat dir "lane-00.spill"
+
 let portal_tests =
   [
+    tc "a warm start fills memory to capacity and evicts nothing" (fun () ->
+        let inputs = List.init 20 (Printf.sprintf "input %d") in
+        let records = List.map (fun i -> (i, "echo: " ^ i)) inputs in
+        with_stored_records ~capacity:4 records (fun dir ->
+            let counted = Vc_util.Telemetry.counter "portal.cache.evictions" in
+            let warm = ref [] in
+            Journal.add_sink "warm" (fun e ->
+                if e.Journal.ev_name = "cache.warm_start" then
+                  warm := e.Journal.ev_attrs);
+            Fun.protect
+              ~finally:(fun () -> Journal.remove_sink "warm")
+              (fun () -> Portal.set_cache_dir dir);
+            check Alcotest.int "no evictions" 0 (Portal.cache_evictions ());
+            check Alcotest.int "no portal.cache.evictions counted" counted
+              (Vc_util.Telemetry.counter "portal.cache.evictions");
+            check Alcotest.int "memory full" 4 (Portal.cache_size ());
+            check Alcotest.(option string) "entries" (Some "20")
+              (List.assoc_opt "entries" !warm);
+            check Alcotest.(option string) "promoted" (Some "4")
+              (List.assoc_opt "promoted" !warm);
+            check Alcotest.bool "elapsed_s" true
+              (Option.is_some
+                 (Option.bind
+                    (List.assoc_opt "elapsed_s" !warm)
+                    float_of_string_opt));
+            let runs = Atomic.make 0 in
+            let counted_echo =
+              {
+                echo with
+                Portal.execute =
+                  (fun s ->
+                    Atomic.incr runs;
+                    echo.execute s);
+              }
+            in
+            let s = Portal.create_session () in
+            List.iter
+              (fun i ->
+                match Portal.submit_result s counted_echo i with
+                | Portal.Cache_hit out ->
+                  check Alcotest.string i ("echo: " ^ i) out
+                | _ -> Alcotest.fail (i ^ ": expected Cache_hit"))
+              inputs;
+            check Alcotest.int "no execution" 0 (Atomic.get runs)));
+    tc "a key stored twice warm-starts as its later record" (fun () ->
+        (* one memory slot, already full when the second record for
+           "twice" is read: the later record must still replace it *)
+        with_stored_records ~capacity:1
+          [ ("twice", "v1"); ("other", "other"); ("twice", "v2") ]
+          (fun dir ->
+            Portal.set_cache_dir dir;
+            let s = Portal.create_session () in
+            (match Portal.submit_result s echo "twice" with
+            | Portal.Cache_hit out ->
+              check Alcotest.string "later record" "v2" out
+            | _ -> Alcotest.fail "expected Cache_hit");
+            check Alcotest.int "served from memory" 0
+              (Portal.cache_disk_hits ());
+            match Portal.submit_result s echo "other" with
+            | Portal.Cache_hit out ->
+              check Alcotest.string "from disk" "other" out;
+              check Alcotest.int "one disk hit" 1 (Portal.cache_disk_hits ())
+            | _ -> Alcotest.fail "expected Cache_hit from disk"));
+    tc "a torn last record is neither promoted nor found" (fun () ->
+        with_stored_records
+          [ ("whole", "echo: whole"); ("torn", "echo: torn") ]
+          (fun dir ->
+            let size = (Unix.stat (lane0 dir)).Unix.st_size in
+            let fd = Unix.openfile (lane0 dir) [ Unix.O_WRONLY ] 0 in
+            Unix.ftruncate fd (size - 3);
+            Unix.close fd;
+            Portal.set_cache_dir dir;
+            check Alcotest.int "only the whole record promoted" 1
+              (Portal.cache_size ());
+            (* the torn record was 8 + 16 + 10 + 4 bytes *)
+            check Alcotest.int "lane truncated to the valid prefix"
+              (size - 38)
+              (Unix.stat (lane0 dir)).Unix.st_size;
+            let s = Portal.create_session () in
+            (match Portal.submit_result s echo "whole" with
+            | Portal.Cache_hit out ->
+              check Alcotest.string "whole" "echo: whole" out
+            | _ -> Alcotest.fail "expected Cache_hit");
+            match Portal.submit_result s echo "torn" with
+            | Portal.Executed _ -> ()
+            | _ -> Alcotest.fail "the torn record was served"));
     tc "disk tier serves memory misses and warm-starts a restart"
       (fun () ->
         let dir = temp_dir "vc_portal_cache" in
