@@ -232,9 +232,11 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
   let num_jobs = 96 and num_clients = 8 in
   let jobs = Array.init num_jobs dimacs_of_seed in
   (* each client domain runs its own jobs; [workers] caps how many run
-     at once *)
+     at once. Returns the elapsed time and the config's own cache hits
+     and misses: the counters run on across configs. *)
   let run_config workers =
     Portal.clear_cache ();
+    let hits0, misses0 = Portal.cache_stats () in
     let server =
       Server.start
         ~config:{ Server.default_config with Server.workers }
@@ -262,18 +264,19 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
     List.iter Domain.join clients;
     let elapsed = T.now () -. t0 in
     Server.stop server;
-    elapsed
+    let hits, misses = Portal.cache_stats () in
+    (elapsed, hits - hits0, misses - misses0)
   in
   let times = List.map (fun w -> (w, run_config w)) configs in
   (* speedups are relative to the smallest configuration (normally 1
      slot), which runs first *)
-  let t1 = match times with (_, t) :: _ -> t | [] -> 1.0 in
+  let t1 = match times with (_, (t, _, _)) :: _ -> t | [] -> 1.0 in
   Printf.printf "%d jobs (minisat, 60 vars / 240 clauses), %d client domains\n"
     num_jobs num_clients;
   Printf.printf "portal cache: %d shard(s), capacity %d\n"
     (Portal.cache_shards ()) (Portal.cache_capacity ());
   List.iter
-    (fun (w, t) ->
+    (fun (w, (t, hits, misses)) ->
       let throughput = float_of_int num_jobs /. t in
       (* the .speedup gauges are gated by `bench compare` (higher is
          better, under -gauge-tol); throughput stays informational
@@ -283,12 +286,10 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
         throughput;
       T.set_gauge (Printf.sprintf "server.bench.w%d.speedup" w) (t1 /. t);
       Printf.printf
-        "  %d slot(s): %6.3f s  %7.1f jobs/s  speedup %.2fx\n" w t
-        throughput (t1 /. t))
+        "  %d slot(s): %6.3f s  %7.1f jobs/s  speedup %.2fx  cache %d hits / \
+         %d misses\n"
+        w t throughput (t1 /. t) hits misses)
     times;
-  let hits, misses = Portal.cache_stats () in
-  Printf.printf "cache: %d hits / %d misses (cleared between configs)\n" hits
-    misses;
   Out_channel.with_open_text "BENCH_server.json" (fun oc ->
       Out_channel.output_string oc (T.to_json ()));
   Vc_util.Journal.remove_sink "jsonl:BENCH_server.jsonl";

@@ -3,8 +3,8 @@
    Usage: vcserve [--stats] [--journal FILE]
                   [--journal-segments BYTES] [--metrics-port N]
                   [-workers N] [-queue N] [-deadline S] [-rate R]
-                  [-burst B] [-cache-shards N] [-cache-dir DIR]
-                  [-sample-interval S] [-listen PORT] [script-file]
+                  [-burst B] [-cache-dir DIR] [-sample-interval S]
+                  [-listen PORT] [script-file]
 
    Without -listen, requests are read from the script file (stdin when
    absent); with -listen PORT the same protocol is served over TCP
@@ -52,8 +52,8 @@ let usage () =
      [--journal-segments BYTES]\n\
     \               [--metrics-port N] [-workers N] [-queue N] [-deadline S] \
      [-rate R]\n\
-    \               [-burst B] [-cache-shards N] [-cache-dir DIR]\n\
-    \               [-sample-interval S] [-listen PORT] [script-file]";
+    \               [-burst B] [-cache-dir DIR] [-sample-interval S]\n\
+    \               [-listen PORT] [script-file]";
   exit 2
 
 let parse_args argv =
@@ -84,12 +84,6 @@ let parse_args argv =
       go rest
     | "-burst" :: b :: rest ->
       burst := float_of b;
-      go rest
-    | "-cache-shards" :: n :: rest ->
-      (* result-cache shard count; VC_CACHE_SHARDS sets the default *)
-      let n = int_of n in
-      if n < 1 then usage ();
-      Portal.set_cache_shards n;
       go rest
     | "-cache-dir" :: dir :: rest ->
       (* durable spill tier under the memory shards; warm-starts from

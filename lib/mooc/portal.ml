@@ -253,17 +253,16 @@ let request ?trace ~session tool input =
    global-LRU behaviour is recovered.
 
    Two domains may still both miss on the same key and execute the tool
-   twice, but the tool is pure so either result is correct. Hit/miss/
-   eviction statistics live in process-wide atomics so the aggregate
-   numbers stay exact without any shared lock and survive
-   [Telemetry.reset]; the [portal.cache.*] Telemetry counters are kept
-   as mirrors for the /metrics exposition.
+   twice, but the tool is pure so either result is correct. The hit,
+   miss, eviction and disk-hit statistics are the [portal.cache.*]
+   Telemetry counters: each is one shared atomic slot, so the totals
+   stay exact without any shared lock, and [Telemetry.reset] zeroes
+   them.
 
-   The shard count defaults to 16, overridable with the
-   VC_CACHE_SHARDS environment variable or [set_cache_shards] (vcserve
-   exposes the latter as -cache-shards). [config_mu] guards
-   reconfiguration (shard count / capacity changes) only; lookups touch
-   nothing but their shard's mutex. *)
+   The shard count is 16; [set_cache_shards] changes it (one shard is
+   the tests' exact-LRU hook). [config_mu] guards reconfiguration
+   (shard count / capacity changes) only; lookups touch nothing but
+   their shard's mutex. *)
 
 module T = Vc_util.Telemetry
 module Phase = Vc_util.Phase
@@ -282,11 +281,6 @@ type cache_shard = {
 let config_mu = Mutex.create ()
 let capacity = ref 512
 
-let default_shard_count =
-  match Option.bind (Sys.getenv_opt "VC_CACHE_SHARDS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 16
-
 (* distribute [total] over [n] shards so the parts sum exactly to
    [total] - the aggregate capacity bound must be exact, not rounded *)
 let shard_caps total n =
@@ -302,7 +296,7 @@ let make_shards n total =
         sh_tick = 0;
       })
 
-let shards = ref (make_shards default_shard_count !capacity)
+let shards = ref (make_shards 16 !capacity)
 
 let cache_key tool_name input = Digest.string (tool_name ^ "\x00" ^ input)
 
@@ -310,11 +304,6 @@ let cache_key tool_name input = Digest.string (tool_name ^ "\x00" ^ input)
 let shard_of key =
   let a = !shards in
   a.(((Char.code key.[0] lsl 8) lor Char.code key.[1]) mod Array.length a)
-
-let stat_hits = Atomic.make 0
-let stat_misses = Atomic.make 0
-let stat_evictions = Atomic.make 0
-let stat_disk_hits = Atomic.make 0
 
 (* ---- the disk tier under the memory shards --------------------------
 
@@ -372,7 +361,6 @@ let evict_lru sh =
   match victim with
   | Some e ->
     Hashtbl.remove sh.sh_tbl e.key;
-    Atomic.incr stat_evictions;
     T.incr "portal.cache.evictions"
   | None -> ()
 
@@ -418,15 +406,12 @@ let clear_cache () =
   Array.iter
     (fun sh -> Mutex.protect sh.sh_mu (fun () -> Hashtbl.reset sh.sh_tbl))
     !shards;
-  Atomic.set stat_hits 0;
-  Atomic.set stat_misses 0;
-  Atomic.set stat_evictions 0;
-  Atomic.set stat_disk_hits 0;
   publish_size ()
 
-let cache_stats () = (Atomic.get stat_hits, Atomic.get stat_misses)
-let cache_evictions () = Atomic.get stat_evictions
-let cache_disk_hits () = Atomic.get stat_disk_hits
+let cache_stats () =
+  (T.counter "portal.cache.hits", T.counter "portal.cache.misses")
+let cache_evictions () = T.counter "portal.cache.evictions"
+let cache_disk_hits () = T.counter "portal.cache.disk_hits"
 
 (* A hit returns the entry's own (key, output) strings. *)
 let cache_find key =
@@ -560,7 +545,6 @@ let submit_result session tool input =
                  into its memory shard *)
               match store_find key with
               | Some out ->
-                Atomic.incr stat_disk_hits;
                 T.incr "portal.cache.disk_hits";
                 cache_add key out;
                 publish_size ();
@@ -569,12 +553,10 @@ let submit_result session tool input =
       in
       match probed with
       | Some (stored, out) ->
-        Atomic.incr stat_hits;
         T.incr (pre ^ ".cache_hits");
         T.incr "portal.cache.hits";
         (Cache_hit out, stored)
       | None ->
-        Atomic.incr stat_misses;
         T.incr "portal.cache.misses";
         T.incr (pre ^ ".executions");
         let out =
@@ -591,9 +573,7 @@ let submit_result session tool input =
     end
   in
   (* one measurement feeds the latency timer and the journal event; a
-     runaway rejection is an Error and triggers the flight-recorder
-     dump so the operator sees the trailing window of activity that led
-     up to it *)
+     runaway rejection is an Error, which the journal flushes at once *)
   let latency_s = Float.max 0.0 (T.now () -. t0) in
   T.observe (pre ^ ".latency") latency_s;
   let outcome_name, reject_reason =
@@ -617,14 +597,6 @@ let submit_result session tool input =
         | Some r -> [ ("reason", r) ]
         | None -> [])
     "submission";
-  (match reject_reason with
-  | Some reason ->
-    J.dump_flight_recorder
-      ~reason:
-        (Printf.sprintf "portal runaway rejection: %s: %s" tool.tool_name
-           reason)
-      ()
-  | None -> ());
   record session { tool = tool.tool_name; key; rejection = reject_reason };
   outcome
 

@@ -18,7 +18,8 @@
     independently-locked shards (see {!set_cache_shards}), so
     concurrent submissions of different inputs rarely contend; a
     session is one atomic list that submissions append to lock-free;
-    cache statistics live in process-wide atomics. Tools are pure
+    cache statistics are {!Vc_util.Telemetry} counters, one atomic slot
+    each. Tools are pure
     functions of their input, so a duplicated cache-miss execution in
     two domains is wasted work, never wrong output. See
     [docs/CONCURRENCY.md] for the full model. *)
@@ -159,9 +160,9 @@ val submit_result : session -> tool -> string -> outcome
     which carries the tool name, the content digest, the outcome
     ([executed] / [cache_hit] / [rejected]), that [latency_s], and -
     for rejections - the reason. A
-    runaway rejection is emitted at [Error] severity and dumps the
-    journal's flight recorder, so the trailing window of events that
-    led up to it is preserved. *)
+    runaway rejection is emitted at [Error] severity, which the journal
+    flushes to its sinks at once; it does not dump the flight recorder,
+    so a flood of oversized uploads is not a flood of dumps. *)
 
 val history : session -> tool -> (string * string option) list
 (** The tool's runs among the session's newest {!history_limit} runs,
@@ -198,11 +199,10 @@ val set_cache_capacity : int -> unit
 val cache_capacity : unit -> int
 
 val set_cache_shards : int -> unit
-(** Rebuild the cache with the given shard count (default 16, or the
-    [VC_CACHE_SHARDS] environment variable; [vcserve -cache-shards N]
-    calls this at startup). Drops all cached results; the hit/miss/
-    eviction statistics are preserved. Intended as a configuration
-    action before traffic, not a mid-run tuning knob.
+(** Rebuild the cache with the given shard count (16 at start). Drops
+    all cached results; the hit/miss/eviction statistics are preserved.
+    A test hook - one shard is the exact global LRU - not a deployment
+    knob: no binary sets it.
     @raise Invalid_argument under 1. *)
 
 val cache_shards : unit -> int
@@ -219,19 +219,19 @@ val cache_size : unit -> int
     never on a memory hit. *)
 
 val clear_cache : unit -> unit
-(** Drop all cached results and zero the hit/miss/eviction statistics. *)
+(** Drop all cached results. The statistics below are untouched:
+    {!Vc_util.Telemetry.reset} zeroes them. *)
 
 val cache_stats : unit -> int * int
-(** [(hits, misses)] since the last {!clear_cache}. Counted in
-    process-wide atomics - not under any shard lock - so the aggregate
-    numbers stay exact and consistent with {!cache_size} even across
-    {!Vc_util.Telemetry.reset}; the [portal.cache.hits] /
-    [portal.cache.misses] telemetry counters are kept as mirrors for the
-    [/metrics] exposition. *)
+(** [(hits, misses)] since the last {!Vc_util.Telemetry.reset}: the
+    [portal.cache.hits] and [portal.cache.misses] counters, which
+    [/metrics] exports. Each is one atomic slot, so the totals are exact
+    without any shard lock; the two are read one after the other, not
+    as one snapshot. *)
 
 val cache_evictions : unit -> int
-(** Evictions since the last {!clear_cache} (mirrored on
-    [portal.cache.evictions]). *)
+(** Evictions since the last {!Vc_util.Telemetry.reset}: the
+    [portal.cache.evictions] counter. *)
 
 (** {1 Disk tier}
 
@@ -273,5 +273,5 @@ val unset_cache_dir : unit -> unit
 
 val cache_disk_hits : unit -> int
 (** Memory misses served from the disk tier since the last
-    {!clear_cache} (mirrored on [portal.cache.disk_hits]). Disk hits
-    also count in {!cache_stats}' hit total. *)
+    {!Vc_util.Telemetry.reset}: the [portal.cache.disk_hits] counter.
+    Disk hits also count in {!cache_stats}' hit total. *)

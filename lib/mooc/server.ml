@@ -124,18 +124,13 @@ let reject_server ~session_id ~tool_name ~ctx label msg reason =
 (* running a job                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* [request.replied] is the request's whole timeline: its [phase.queue]
+   is the admission-to-slot wait and its timestamp minus [total_s] is
+   the admission, so neither gets an event of its own. *)
 let process_job t ~tool ~input ~session ~session_id ~ctx ~enqueued =
   let now = T.now () in
   let wait_s = Float.max 0.0 (now -. enqueued) in
   Tc.record_phase ctx "queue" wait_s;
-  J.emit ~component:"server"
-    ~attrs:
-      (Tc.to_attrs ctx
-      @ [
-          ("tool", tool.Portal.tool_name);
-          ("queue_wait_s", Printf.sprintf "%.6f" wait_s);
-        ])
-    "request.dequeued";
   let outcome =
     if deadline_expired ~enqueued ~deadline_s:t.config.deadline_s ~now
     then begin
@@ -388,18 +383,6 @@ let submit t (req : Portal.request) =
               Queue.push waiter t.waiters;
               `Wait (waiter, Queue.length t.waiters))
     in
-    let admit depth =
-      raise_hwm t depth;
-      J.emit ~component:"server"
-        ~attrs:
-          (Tc.to_attrs ctx
-          @ [
-              ("tool", tool_name);
-              ("session", session_id);
-              ("queue_depth", string_of_int depth);
-            ])
-        "request.admitted"
-    in
     let job () =
       process_job t ~tool ~input ~session:slot.sl_session ~session_id ~ctx
         ~enqueued
@@ -418,11 +401,11 @@ let submit t (req : Portal.request) =
         (Portal.Overloaded msg)
     | `Run w ->
       (* the depth counts the job itself, as a queued job's does *)
-      admit 1;
+      raise_hwm t 1;
       run_job t w job
     | `Wait (waiter, depth) ->
       T.set_gauge "server.queue_depth" (float_of_int depth);
-      admit depth;
+      raise_hwm t depth;
       let w =
         Mutex.protect t.mu (fun () ->
             while waiter.w_slot < 0 do

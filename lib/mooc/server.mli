@@ -27,7 +27,8 @@
     uploads are distinguishable on a dashboard.
 
     {b Observability.} The server maintains the [server.queue_depth]
-    gauge, the [server.phase.*] latency histograms ([server.phase.queue]
+    gauge and its [server.queue_depth.hwm] high-water mark, the
+    [server.phase.*] latency histograms ([server.phase.queue]
     is the admission-to-slot wait), the per-slot
     [server.worker.<w>.busy_ns] counters (nanoseconds the slot spent
     running jobs; the sampler's [server.worker.<w>.util] series reads
@@ -39,16 +40,20 @@
 
     {b Request tracing.} Every submission gets a {!Vc_util.Trace_ctx}:
     the caller's trace id when one was supplied (the wire layer's
-    [TRACE] operand), else a server-minted one. The request's lifecycle
-    is journaled as [request.admitted] -> [request.dequeued] (the job
-    holds a slot) -> [request.replied] events carrying a [trace_id]
-    attr, all from the submitting domain, with the
-    replied event also carrying the per-phase timeline
-    ([phase.queue] / [phase.cache] / [phase.execute] / [phase.reply]
-    attrs, seconds; cache and execute are the portal's
-    {!Vc_util.Phase.run} phases) whose aggregates feed the
-    [server.phase.<name>] histograms. [vcstat request] joins these
-    against a [vcload] client journal by trace id.
+    [TRACE] operand), else a server-minted one. A request that gets a
+    slot journals two events, both carrying that id as a [trace_id]
+    attr and both from the submitting domain: the portal's
+    [submission] (or [job.rejected.deadline] when its wait ran past the
+    deadline) and the server's [request.replied]. The replied event
+    carries the tool, the session, the outcome, [total_s] (admission to
+    reply) and the per-phase timeline ([phase.queue] / [phase.cache] /
+    [phase.execute] / [phase.reply] attrs, seconds; queue is the
+    admission-to-slot wait, cache and execute are the portal's
+    {!Vc_util.Phase.run} phases), whose aggregates feed the
+    [server.phase.<name>] histograms; its timestamp minus [total_s] is
+    the admission time. A request shed at admission journals only its
+    [job.rejected.*] event. [vcstat request] joins these against a
+    [vcload] client journal by trace id.
 
     {b Hand-off discipline.} A submission that finds a free slot runs
     at once: no other domain is woken and nothing is allocated to carry
@@ -150,8 +155,7 @@ val submit : t -> Portal.request -> Portal.outcome
 
     [req_trace] is the client-supplied trace id; when absent or invalid
     ({!Vc_util.Trace_ctx.is_valid_id}) the server mints one. Either
-    way the request's [request.*] journal events carry it as
-    [trace_id]. *)
+    way the request's journal events carry it as [trace_id]. *)
 
 val session : t -> string -> Portal.session
 (** The portal session behind [session_id] (created on first use) -

@@ -213,9 +213,21 @@ let open_store ?(lanes = 8) ?(compact_bytes = 1 lsl 20)
            with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
   in
   let n = match existing with [] -> lanes | l -> 1 + List.fold_left max 0 l in
+  (* a lane that fails to open closes the lanes opened before it *)
+  let rec open_from i opened =
+    if i = n then Array.of_list (List.rev opened)
+    else
+      match open_lane on_record (lane_path dir i) with
+      | ln -> open_from (i + 1) (ln :: opened)
+      | exception e ->
+        List.iter
+          (fun ln -> try Unix.close ln.ln_fd with Unix.Unix_error _ -> ())
+          opened;
+        raise e
+  in
   {
     st_dir = dir;
-    st_lanes = Array.init n (fun i -> open_lane on_record (lane_path dir i));
+    st_lanes = open_from 0 [];
     st_compact_bytes = compact_bytes;
     st_closed = false;
   }

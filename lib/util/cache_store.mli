@@ -64,7 +64,8 @@ val open_store :
     payload pays no copy. A record after a torn or corrupt one is never
     passed.
     @raise Sys_error / Unix.Unix_error when the directory cannot be
-    created or a lane file cannot be opened. *)
+    created or a lane file cannot be opened; the lanes already opened
+    are closed first, so a failed open holds no descriptor. *)
 
 val dir : t -> string
 

@@ -20,8 +20,8 @@
     - {b Flight recorder}: a bounded in-memory ring buffer of the most
       recent events, dumped to stderr when the process dies on an
       uncaught exception ({!install_crash_handler}, installed by
-      {!Telemetry.cli}) or when a portal submission trips the runaway
-      guard - the trailing window of context an operator needs.
+      {!Telemetry.cli}) - the trailing window of context an operator
+      needs.
 
     Like the rest of the observability layer, all state is
     process-global and {e domain-safe}, but the hot path is buffered
@@ -151,8 +151,7 @@ val next_segment_index : string -> int
 val dump_flight_recorder : ?limit:int -> reason:string -> unit -> unit
 (** Format the last [limit] (default 32) ring events plus the [reason]
     and hand the text to the dump printer (stderr unless overridden).
-    Called automatically on portal runaway rejections and from the
-    crash handler. *)
+    Called automatically from the crash handler. *)
 
 val set_dump_printer : (string -> unit) -> unit
 (** Replace the dump destination (default [prerr_string]) - used by

@@ -550,9 +550,7 @@ let join_requests events =
         end
         else if
           e.Journal.ev_component = "server"
-          && (starts_with ~prefix:"job.rejected." e.Journal.ev_name
-             || e.Journal.ev_name = "request.admitted"
-             || e.Journal.ev_name = "request.dequeued")
+          && starts_with ~prefix:"job.rejected." e.Journal.ev_name
         then
           r :=
             {
@@ -560,10 +558,7 @@ let join_requests events =
               rt_server = true;
               rt_tool = keep !r.rt_tool (attr "tool");
               rt_session = keep !r.rt_session (attr "session");
-              rt_outcome =
-                (if starts_with ~prefix:"job.rejected." e.Journal.ev_name then
-                   Some "rejected"
-                 else !r.rt_outcome);
+              rt_outcome = Some "rejected";
             })
     events;
   let timelines =

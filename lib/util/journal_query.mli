@@ -172,9 +172,10 @@ val join_requests : Journal.event list -> request_join
 (** Join client- and server-side events by their [trace_id] attr - feed
     it [load_files [client.jsonl; server.jsonl]]. Client side: [vcload]
     ["replay.request"] events. Server side: ["request.replied"] events
-    (with [total_s] and [phase.*] attrs), plus ["request.admitted"] /
-    ["request.dequeued"] / ["job.rejected.*"] so shed or half-finished
-    requests still join. *)
+    (with [total_s] and [phase.*] attrs), plus ["job.rejected.*"] so a
+    request shed at admission, which is never replied to, still joins.
+    A request the server admitted but never replied to (a crash mid-run)
+    shows on the client side only. *)
 
 val phase_breakdown : request_join -> (string * latency_stats) list
 (** Aggregate percentiles per phase across all timelines, in canonical

@@ -227,6 +227,36 @@ let check_vcstat_request file =
   | Some (Json.Arr (_ :: _)) -> ()
   | _ -> die "%s: no slowest timelines" file
 
+(* FILE must be a server journal in which each request wrote each fact
+   once: no request.admitted or request.dequeued event (the reply's
+   phase timeline carries the queue wait), and per trace id at most one
+   request.replied and at most one portal submission. At least one
+   request.replied must be present, so an empty journal checks
+   nothing. *)
+let check_request_events file =
+  let seen = Hashtbl.create 1024 and replies = ref 0 in
+  List.iter
+    (fun e ->
+      let name =
+        Option.value ~default:"" (Option.bind (Json.member "event" e) Json.to_str)
+      in
+      let trace =
+        Option.bind
+          (Option.bind (Json.member "attrs" e) (Json.member "trace_id"))
+          Json.to_str
+      in
+      match (name, trace) with
+      | ("request.admitted" | "request.dequeued"), _ ->
+        die "%s: a %s event; the reply's timeline carries it" file name
+      | ("request.replied" | "submission"), Some id ->
+        if name = "request.replied" then incr replies;
+        if Hashtbl.mem seen (name, id) then
+          die "%s: trace %s has more than one %s event" file id name;
+        Hashtbl.add seen (name, id) ()
+      | _ -> ())
+    (jsonl_events file);
+  if !replies = 0 then die "%s: no request.replied event" file
+
 (* FILE must be a `vcstat funnel --format json` document with the six
    Fig. 8 stages in order, counts bounded by the first stage. *)
 let check_vcstat_funnel file =
@@ -434,6 +464,7 @@ let () =
   | [ _; "seq-gaps"; file ] -> check_seq_gaps file
   | [ _; "vcstat-funnel"; file ] -> check_vcstat_funnel file
   | [ _; "vcstat-request"; file ] -> check_vcstat_request file
+  | [ _; "request-events"; file ] -> check_request_events file
   | [ _; "vcload-report"; file ] -> check_vcload_report file
   | [ _; "varz"; file ] -> check_varz file
   | [ _; "vctop"; file ] -> check_vctop file
@@ -443,5 +474,6 @@ let () =
       "usage: check_obs {contains FILE NEEDLE | trace FILE | jsonl FILE | \
        journal FILE | qor FILE | component FILE NAME | vcstat-summary FILE \
        | seq-gaps FILE | vcstat-funnel FILE | vcstat-request FILE \
-       | vcload-report FILE | varz FILE | vctop FILE | flame FILE}";
+       | request-events FILE | vcload-report FILE | varz FILE | vctop FILE \
+       | flame FILE}";
     exit 2

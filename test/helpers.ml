@@ -15,6 +15,20 @@ let upload_key tool_name input = Digest.string (tool_name ^ "\x00" ^ input)
 (* the hex digest [Portal.history] reports for an upload *)
 let upload_digest tool_name input = Digest.to_hex (upload_key tool_name input)
 
+(* fresh scratch directory per call; tests clean up what they create *)
+let temp_dir prefix =
+  let path = Filename.temp_file prefix "" in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  path
+
+(* remove a directory of plain files (a spill dir, a segment set) *)
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
 let prop ?(count = 100) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
 

@@ -12,19 +12,6 @@ module Journal = Vc_util.Journal
 module Q = Vc_util.Journal_query
 module Portal = Vc_mooc.Portal
 
-(* fresh scratch directory per call; tests clean up what they create *)
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
 let with_store ?lanes ?compact_bytes f =
   let dir = temp_dir "vc_spill" in
   Fun.protect
@@ -425,6 +412,7 @@ let with_stored_records ?(capacity = 512) records f =
       Portal.set_cache_shards 1;
       Portal.set_cache_capacity capacity;
       Portal.clear_cache ();
+      Vc_util.Telemetry.reset ();
       f dir)
 
 let lane0 dir = Filename.concat dir "lane-00.spill"
@@ -527,6 +515,7 @@ let portal_tests =
             rm_rf dir)
           (fun () ->
             Portal.clear_cache ();
+            Vc_util.Telemetry.reset ();
             Portal.set_cache_dir dir;
             let s = Portal.create_session () in
             (match Portal.submit_result s echo "payload" with
@@ -654,6 +643,37 @@ let portal_tests =
                 (upload_digest "echo" "two", Some "echo: two");
               ]
               (two_runs ())));
+    tc "a lane that fails to open leaks no descriptor" (fun () ->
+        if Sys.file_exists "/proc/self/fd" then begin
+          let dir = temp_dir "vc_portal_cache" in
+          (* lanes 0-2 are files; lane 3 is a directory, so opening it
+             fails after the first three lanes are open *)
+          Store.close (Store.open_store ~lanes:3 dir);
+          let bad = Filename.concat dir "lane-03.spill" in
+          Unix.mkdir bad 0o755;
+          Fun.protect
+            ~finally:(fun () ->
+              Unix.rmdir bad;
+              rm_rf dir)
+            (fun () ->
+              let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+              Portal.unset_cache_dir ();
+              let before = fds () in
+              for _ = 1 to 10 do
+                match Store.open_store dir with
+                | st ->
+                  Store.close st;
+                  Alcotest.fail "opened a store with a directory lane"
+                | exception (Unix.Unix_error _ | Sys_error _) -> ()
+              done;
+              check Alcotest.int "open_store" before (fds ());
+              for _ = 1 to 10 do
+                Portal.set_cache_dir dir
+              done;
+              check Alcotest.(option string) "degraded to memory-only" None
+                (Portal.cache_dir ());
+              check Alcotest.int "Portal.set_cache_dir" before (fds ()))
+        end);
     tc "unset_cache_dir degrades to memory-only cleanly" (fun () ->
         Portal.clear_cache ();
         Portal.unset_cache_dir ();

@@ -414,36 +414,32 @@ let portal_tests =
               Alcotest.failf "live heap grew %d bytes over 20,000 uploads"
                 grown_bytes));
     tc "rejected uploads leave the live heap where it was" (fun () ->
-        Vc_util.Journal.set_dump_printer ignore;
-        Fun.protect
-          ~finally:(fun () -> Vc_util.Journal.set_dump_printer prerr_string)
-          (fun () ->
-            (* four lines, one over echo's limit *)
-            let upload k pad = Printf.sprintf "%d\n\n\n%s" k pad in
-            (* fill the flight-recorder ring first, so the measurement
-               sees only what the session keeps *)
-            let warm = M.Portal.create_session () in
-            for k = 0 to 299 do
-              ignore (M.Portal.submit_result warm echo (upload k ""))
-            done;
-            let s = M.Portal.create_session () in
-            let pad = String.make 65536 'x' in
-            let before = live_words () in
-            for k = 1 to M.Portal.history_limit do
-              match M.Portal.submit_result s echo (upload k pad) with
-              | M.Portal.Rejected (M.Portal.Runaway _) -> ()
-              | _ -> Alcotest.fail "expected a runaway rejection"
-            done;
-            let grown_bytes = (live_words () - before) * (Sys.word_size / 8) in
-            check
-              Alcotest.(list (option string))
-              "each run renders its error text"
-              (List.init M.Portal.history_limit (fun _ ->
-                   Some "error: input too large (4 lines; portal limit 3)"))
-              (List.map snd (M.Portal.history s echo));
-            if grown_bytes >= 64 * 1024 then
-              Alcotest.failf "live heap grew %d bytes over %d rejected 64 KB uploads"
-                grown_bytes M.Portal.history_limit));
+        (* four lines, one over echo's limit *)
+        let upload k pad = Printf.sprintf "%d\n\n\n%s" k pad in
+        (* fill the flight-recorder ring first, so the measurement
+           sees only what the session keeps *)
+        let warm = M.Portal.create_session () in
+        for k = 0 to 299 do
+          ignore (M.Portal.submit_result warm echo (upload k ""))
+        done;
+        let s = M.Portal.create_session () in
+        let pad = String.make 65536 'x' in
+        let before = live_words () in
+        for k = 1 to M.Portal.history_limit do
+          match M.Portal.submit_result s echo (upload k pad) with
+          | M.Portal.Rejected (M.Portal.Runaway _) -> ()
+          | _ -> Alcotest.fail "expected a runaway rejection"
+        done;
+        let grown_bytes = (live_words () - before) * (Sys.word_size / 8) in
+        check
+          Alcotest.(list (option string))
+          "each run renders its error text"
+          (List.init M.Portal.history_limit (fun _ ->
+               Some "error: input too large (4 lines; portal limit 3)"))
+          (List.map snd (M.Portal.history s echo));
+        if grown_bytes >= 64 * 1024 then
+          Alcotest.failf "live heap grew %d bytes over %d rejected 64 KB uploads"
+            grown_bytes M.Portal.history_limit);
     tc "the line guard passes exactly the limit and rejects one more line"
       (fun () ->
         let s = M.Portal.create_session () in

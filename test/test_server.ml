@@ -189,17 +189,45 @@ let outcome_tests =
           labels;
         check Alcotest.int "all distinct" 4
           (List.length (List.sort_uniq compare labels)));
-    tc "cache stats survive a telemetry reset" (fun () ->
+    tc "cache stats are the telemetry counters" (fun () ->
         fresh ();
         let s = Portal.create_session () in
         ignore (Portal.submit_result s echo "x");
         ignore (Portal.submit_result s echo "x");
         T.reset ();
-        (* the mirrors are gone but the cache's own atomics are not *)
-        check Alcotest.int "mirror reset" 0 (T.counter "portal.cache.hits");
         check
           Alcotest.(pair int int)
-          "stats intact" (1, 1) (Portal.cache_stats ()));
+          "a reset zeroes the stats" (0, 0) (Portal.cache_stats ());
+        let dir = temp_dir "vc_stats_cache" in
+        Fun.protect
+          ~finally:(fun () ->
+            Portal.unset_cache_dir ();
+            rm_rf dir)
+          (fun () ->
+            Portal.set_cache_dir dir;
+            (* a miss, written through; a memory hit; then, with memory
+               emptied, a disk hit *)
+            ignore (Portal.submit_result s echo "y");
+            ignore (Portal.submit_result s echo "y");
+            Portal.clear_cache ();
+            (match Portal.submit_result s echo "y" with
+            | Portal.Cache_hit _ -> ()
+            | _ -> Alcotest.fail "expected a disk hit");
+            check
+              Alcotest.(pair int int)
+              "two hits, one miss" (2, 1) (Portal.cache_stats ());
+            check
+              Alcotest.(pair int int)
+              "stats equal the counters"
+              (T.counter "portal.cache.hits", T.counter "portal.cache.misses")
+              (Portal.cache_stats ());
+            check Alcotest.int "disk hits equal the counter"
+              (T.counter "portal.cache.disk_hits")
+              (Portal.cache_disk_hits ());
+            check Alcotest.int "one disk hit" 1 (Portal.cache_disk_hits ());
+            check Alcotest.int "evictions equal the counter"
+              (T.counter "portal.cache.evictions")
+              (Portal.cache_evictions ())));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -667,7 +695,7 @@ let wire_tests =
           (fun name ->
             check Alcotest.bool (name ^ " carries the trace id") true
               (traced name))
-          [ "request.admitted"; "request.dequeued"; "request.replied" ]);
+          [ "submission"; "request.replied" ]);
     tc "untraced submissions from 8 domains get distinct valid ids"
       (fun () ->
         fresh ();
@@ -832,6 +860,46 @@ let wire_tests =
            counters are shared slots, so it allocates no histograms *)
         if per_conn >= 4000.0 then
           Alcotest.failf "%.0f words allocated per connection" per_conn);
+    tc "a request journals two events" (fun () ->
+        fresh ();
+        let names trace =
+          List.filter_map
+            (fun e ->
+              if List.assoc_opt "trace_id" e.Journal.ev_attrs = Some trace
+              then Some e.Journal.ev_name
+              else None)
+            (Journal.events ())
+        in
+        let submit config trace =
+          let srv = Server.start ~config () in
+          ignore (Server.submit srv (Portal.request ~trace ~session:"s" echo "x"));
+          Server.stop srv;
+          names trace
+        in
+        let one_slot = { Server.default_config with Server.workers = 1 } in
+        let events = Alcotest.(list string) in
+        check events "a run" [ "submission"; "request.replied" ]
+          (submit one_slot "0a0a0a01");
+        (match
+           List.find_opt
+             (fun e ->
+               e.Journal.ev_name = "request.replied"
+               && List.assoc_opt "trace_id" e.Journal.ev_attrs
+                  = Some "0a0a0a01")
+             (Journal.events ())
+         with
+        | Some e ->
+          check Alcotest.bool "the reply carries the queue wait" true
+            (Option.is_some
+               (Option.bind
+                  (List.assoc_opt "phase.queue" e.Journal.ev_attrs)
+                  float_of_string_opt))
+        | None -> Alcotest.fail "no request.replied");
+        check events "a deadline rejection"
+          [ "job.rejected.deadline"; "request.replied" ]
+          (submit { one_slot with Server.deadline_s = 0.0 } "0a0a0a02");
+        check events "a shed" [ "job.rejected.overloaded" ]
+          (submit { one_slot with Server.queue_capacity = 0 } "0a0a0a03"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -878,20 +946,29 @@ let shard_tests =
         check Alcotest.bool "size <= 10" true (Portal.cache_size () <= 10);
         check Alcotest.bool "cache is well used" true
           (Portal.cache_size () >= 8));
-    tc "clear_cache empties every shard and zeroes the stats" (fun () ->
+    tc "clear_cache empties every shard and keeps the stats" (fun () ->
         fresh ();
         Portal.set_cache_shards 8;
+        Portal.set_cache_capacity 8;
         let s = Portal.create_session () in
         for i = 0 to 19 do
           ignore (Portal.submit_result s echo (distinct_input i))
         done;
-        ignore (Portal.submit_result s echo (distinct_input 0));
+        ignore (Portal.submit_result s echo (distinct_input 19));
         check Alcotest.bool "cache populated" true (Portal.cache_size () > 0);
+        let stats = Portal.cache_stats ()
+        and evictions = Portal.cache_evictions () in
+        check Alcotest.bool "evictions counted" true (evictions > 0);
         Portal.clear_cache ();
         check Alcotest.int "empty" 0 (Portal.cache_size ());
         List.iter
           (fun n -> check Alcotest.int "shard empty" 0 n)
           (Portal.cache_shard_sizes ());
+        check Alcotest.(pair int int) "clearing keeps the stats" stats
+          (Portal.cache_stats ());
+        check Alcotest.int "and the evictions" evictions
+          (Portal.cache_evictions ());
+        T.reset ();
         check Alcotest.(pair int int) "stats zeroed" (0, 0)
           (Portal.cache_stats ());
         check Alcotest.int "evictions zeroed" 0 (Portal.cache_evictions ()));
