@@ -15,59 +15,180 @@ type event = {
   ev_attrs : (string * string) list;
 }
 
-(* Domain safety: [emit] appends to a per-domain buffer (its own tiny
-   mutex, uncontended except while a flush drains it), so concurrent
-   emitters never serialize on a global lock per event. A flush - forced
-   by a full buffer, any Warn/Error, every read ([events], [event_count],
-   [to_jsonl]) and sink (de)registration - drains every buffer under the
-   single global mutex [mu], assigns the monotone sequence numbers,
-   pushes the ring and runs the sinks. Sinks therefore still observe a
-   strictly increasing sequence on one serialized channel. Per-domain
-   FIFO order is preserved (a buffer drains in emission order);
-   interleaving across domains is decided at flush time. Lock ordering:
-   [mu] before a buffer mutex, never the reverse - [emit] releases its
-   buffer mutex before calling [flush]. A sink must never call back into
-   [emit] (none does; they are plain formatters). *)
+(* Domain safety: [emit] encodes into a per-domain byte buffer (its own
+   tiny mutex, uncontended except while a flush swaps it out), so
+   concurrent emitters never serialize on a global lock per event. A
+   flush - forced by a full buffer, any Warn/Error, every read
+   ([events], [event_count], [to_jsonl]) and sink (de)registration -
+   runs under the single global mutex [mu]: it swaps each domain's
+   buffer for that domain's spare under the buffer mutex, then, outside
+   it, assigns the monotone sequence numbers, copies each event into a
+   ring slot and runs the sinks. Sinks therefore still observe a
+   strictly increasing sequence on one serialized channel, and never
+   run under a buffer mutex. Per-domain FIFO order is preserved (a
+   buffer drains in emission order); interleaving across domains is
+   decided at flush time. Lock ordering: [mu] before a buffer mutex,
+   never the reverse - [emit] releases its buffer mutex before calling
+   [flush]. A sink must never call back into [emit] (none does; they
+   are plain formatters). *)
 let mu = Mutex.create ()
 
 let locked f = Mutex.protect mu f
 
 (* ------------------------------------------------------------------ *)
+(* events as bytes                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Between [emit] and its readers an event is bytes, not a record: the
+   bits of [ts] (8 bytes), the severity (1 byte), the component and the
+   name, the attribute count, then each key and value. Every string and
+   the count take a 4-byte length prefix. The domain buffers and the
+   ring slots reuse their storage, so a buffered or recorded event holds
+   no pointer into the heap: the strings handed to [emit] die young
+   instead of being promoted, and a record is decoded only for a sink
+   or a reader. *)
+
+let severity_code = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
+
+let severity_of_code = function
+  | 0 -> Debug
+  | 1 -> Info
+  | 2 -> Warn
+  | _ -> Error
+
+(* a length as 4 unsigned bytes; [set_int32_le] is inlined, so its
+   [int32] is never boxed *)
+let set_len b pos n = Bytes.set_int32_le b pos (Int32.of_int n)
+let get_len b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xffff_ffff
+
+let rec attrs_size n = function
+  | [] -> n
+  | (k, v) :: rest -> attrs_size (n + 8 + String.length k + String.length v) rest
+
+let encoded_size component name attrs =
+  attrs_size (21 + String.length component + String.length name) attrs
+
+let put_string b pos s =
+  let n = String.length s in
+  set_len b pos n;
+  Bytes.blit_string s 0 b (pos + 4) n;
+  pos + 4 + n
+
+let rec put_attrs b pos = function
+  | [] -> ()
+  | (k, v) :: rest -> put_attrs b (put_string b (put_string b pos k) v) rest
+
+(* Write one event at [pos]; [b] has [encoded_size] bytes of room there. *)
+let encode b pos ts severity component name attrs =
+  Bytes.set_int64_le b pos (Int64.bits_of_float ts);
+  Bytes.set_uint8 b (pos + 8) (severity_code severity);
+  let pos = put_string b (put_string b (pos + 9) component) name in
+  set_len b pos (List.length attrs);
+  put_attrs b (pos + 4) attrs
+
+let decode seq b pos =
+  let str p = Bytes.sub_string b (p + 4) (get_len b p) in
+  let next p = p + 4 + get_len b p in
+  let rec attrs n p =
+    if n = 0 then []
+    else
+      let v = next p in
+      let kv = (str p, str v) in
+      kv :: attrs (n - 1) (next v)
+  in
+  let name = next (pos + 9) in
+  let count = next name in
+  {
+    ev_seq = seq;
+    ev_ts = Int64.float_of_bits (Bytes.get_int64_le b pos);
+    ev_severity = severity_of_code (Bytes.get_uint8 b (pos + 8));
+    ev_component = str (pos + 9);
+    ev_name = str name;
+    ev_attrs = attrs (get_len b count) (count + 4);
+  }
+
+(* Storage starts at [default_bytes] and doubles as it fills. Storage
+   that grew past [max_kept_bytes] (one large event) is dropped when
+   next reused, so a 4 MB attribute does not pin 4 MB for the life of
+   the process. *)
+let default_bytes = 256
+let max_kept_bytes = 65536
+
+(* [b] itself when it has room for [need] bytes; otherwise larger
+   storage holding a copy of its first [len] bytes. *)
+let grow b len need =
+  if need <= Bytes.length b then b
+  else begin
+    let bigger =
+      Bytes.create (max need (max default_bytes (2 * Bytes.length b)))
+    in
+    Bytes.blit b 0 bigger 0 len;
+    bigger
+  end
+
+(* ------------------------------------------------------------------ *)
 (* flight-recorder ring                                                *)
 (* ------------------------------------------------------------------ *)
 
-let ring : event Queue.t = Queue.create ()
-let capacity = ref 256
+(* One recorded event: its sequence number and its encoded bytes. *)
+type slot = { mutable s_seq : int; mutable s_bytes : Bytes.t }
+
+let new_slot () = { s_seq = 0; s_bytes = Bytes.empty }
+
+(* The ring is [Array.length !ring] reused slots; the [!count] events it
+   holds start at slot [!first], oldest first. All guarded by [mu]. *)
+let ring = ref (Array.init 256 (fun _ -> new_slot ()))
+let first = ref 0
+let count = ref 0
 let seq = ref 0
 
-let ring_capacity () = locked (fun () -> !capacity)
-
-let trim () =
-  while Queue.length ring > !capacity do
-    ignore (Queue.pop ring)
-  done
+let ring_capacity () = locked (fun () -> Array.length !ring)
 
 let set_ring_capacity n =
   if n < 0 then invalid_arg "Journal.set_ring_capacity: negative capacity";
   locked (fun () ->
-      capacity := n;
-      trim ())
+      let old = !ring and keep = min !count n in
+      (* the newest [keep] events move over, oldest first *)
+      ring :=
+        Array.init n (fun i ->
+            if i < keep then
+              old.((!first + !count - keep + i) mod Array.length old)
+            else new_slot ());
+      first := 0;
+      count := keep)
+
+(* Copy the event at [pos] of [b] ([len] bytes) into the next slot,
+   overwriting the oldest event once the ring is full. *)
+let record seq b pos len =
+  let ring = !ring in
+  let cap = Array.length ring in
+  if cap > 0 then begin
+    (* once the ring is full, this is the oldest event's slot *)
+    let s = ring.((!first + !count) mod cap) in
+    if !count < cap then incr count else first := (!first + 1) mod cap;
+    let dst =
+      if Bytes.length s.s_bytes > max_kept_bytes then Bytes.empty else s.s_bytes
+    in
+    s.s_bytes <- grow dst 0 len;
+    Bytes.blit b pos s.s_bytes 0 len;
+    s.s_seq <- seq
+  end
 
 (* ------------------------------------------------------------------ *)
 (* per-domain buffers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* An event waiting in a domain buffer: everything but the sequence
-   number, which is assigned when the batch reaches the ring. *)
-type pending = {
-  p_ts : float;
-  p_severity : severity;
-  p_component : string;
-  p_name : string;
-  p_attrs : (string * string) list;
+(* A domain's events since the last flush: [b_count] events in the
+   first [b_len] bytes of [b_bytes], each behind a 4-byte length. A
+   flush swaps [b_bytes] with [b_spare], so the two storages take turns
+   and a steady stream of events allocates nothing. *)
+type buffer = {
+  b_mu : Mutex.t;
+  mutable b_bytes : Bytes.t;
+  mutable b_len : int;
+  mutable b_count : int;
+  mutable b_spare : Bytes.t;  (* guarded by [mu], not [b_mu] *)
 }
-
-type buffer = { b_mu : Mutex.t; b_q : pending Queue.t }
 
 (* The live domains' buffers, newest first; guarded by [mu]. *)
 let buffers : buffer list ref = ref []
@@ -81,110 +202,128 @@ let batch = 64
 (* sinks + flush                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let sinks : (string * (event -> unit)) list ref = ref []
+(* [s_close] releases what the sink writes to (a JSONL sink's channel);
+   it runs once the sink is detached, outside [mu]. *)
+type sink = { s_name : string; s_write : event -> unit; s_close : unit -> unit }
 
-(* Drain every domain buffer, sequence the events, push the ring and run
-   the sinks. Call with [mu] held; returns the sinks that raised (they
-   are detached inline - remove_sink here would self-deadlock - and the
-   caller prints the warnings outside the lock). *)
-let flush_locked () =
-  let drained =
-    List.concat_map
-      (fun b ->
-        Mutex.protect b.b_mu (fun () ->
-            let l = List.of_seq (Queue.to_seq b.b_q) in
-            Queue.clear b.b_q;
-            l))
-      (List.rev !buffers)
-  in
-  let failures = ref [] in
-  List.iter
-    (fun p ->
-      incr seq;
-      let e =
-        {
-          ev_seq = !seq;
-          ev_ts = p.p_ts;
-          ev_severity = p.p_severity;
-          ev_component = p.p_component;
-          ev_name = p.p_name;
-          ev_attrs = p.p_attrs;
-        }
-      in
-      if !capacity > 0 then begin
-        Queue.push e ring;
-        trim ()
-      end;
+let sinks : sink list ref = ref []
+
+(* Sequence the [len] bytes of events in [b], record them in the ring
+   and run the sinks. A sink that raises is detached at once and added
+   to [failed]. *)
+let publish failed b len =
+  let pos = ref 0 in
+  while !pos < len do
+    let n = get_len b !pos in
+    incr seq;
+    record !seq b (!pos + 4) n;
+    (match !sinks with
+    | [] -> ()
+    | live ->
+      let e = decode !seq b (!pos + 4) in
       List.iter
-        (fun (name, f) ->
-          if not (List.mem_assoc name !failures) then
-            match f e with
-            | () -> ()
-            | exception exn -> failures := (name, exn) :: !failures)
-        !sinks)
-    drained;
-  List.iter
-    (fun (name, _) -> sinks := List.remove_assoc name !sinks)
-    !failures;
-  !failures
+        (fun s ->
+          match s.s_write e with
+          | () -> ()
+          | exception exn ->
+            sinks := List.filter (( != ) s) !sinks;
+            failed := (s, exn) :: !failed)
+        live);
+    pos := !pos + 4 + n
+  done
 
-let report_sink_failures failed =
+(* Drain every domain buffer: swap it out under its mutex, then publish
+   it outside that mutex. Call with [mu] held; returns the sinks that
+   raised. *)
+let flush_locked () =
+  let failed = ref [] in
   List.iter
-    (fun (name, exn) ->
-      Printf.eprintf "journal: sink %s failed (%s); removed\n%!" name
-        (Printexc.to_string exn))
-    failed
+    (fun b ->
+      Mutex.lock b.b_mu;
+      let full = b.b_bytes and len = b.b_len in
+      b.b_bytes <- b.b_spare;
+      b.b_len <- 0;
+      b.b_count <- 0;
+      Mutex.unlock b.b_mu;
+      publish failed full len;
+      b.b_spare <- (if Bytes.length full > max_kept_bytes then Bytes.empty else full))
+    (List.rev !buffers);
+  !failed
 
-let flush () = report_sink_failures (locked flush_locked)
+(* Flush, then run [f] under [mu]; [f] returns the sinks it detached.
+   Outside [mu], report each sink that raised and close every detached
+   sink. *)
+let with_flush f =
+  let failed, detached =
+    locked (fun () ->
+        let failed = flush_locked () in
+        (failed, f ()))
+  in
+  List.iter
+    (fun (s, exn) ->
+      Printf.eprintf "journal: sink %s failed (%s); removed\n%!" s.s_name
+        (Printexc.to_string exn);
+      s.s_close ())
+    failed;
+  List.iter (fun s -> s.s_close ()) detached
+
+let flush () = with_flush (fun () -> [])
 
 (* A spawned domain's buffer is flushed and dropped when the domain
    exits, so a server running one domain per connection holds only the
    live ones; [Domain.join] returns after this hook. *)
 let buffer_key : buffer Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let b = { b_mu = Mutex.create (); b_q = Queue.create () } in
+      let b =
+        {
+          b_mu = Mutex.create ();
+          b_bytes = Bytes.empty;
+          b_len = 0;
+          b_count = 0;
+          b_spare = Bytes.empty;
+        }
+      in
       locked (fun () -> buffers := b :: !buffers);
       if not (Domain.is_main_domain ()) then
         Domain.at_exit (fun () ->
-            report_sink_failures
-              (locked (fun () ->
-                   let failed = flush_locked () in
-                   buffers := List.filter (( != ) b) !buffers;
-                   failed)));
+            with_flush (fun () ->
+                buffers := List.filter (( != ) b) !buffers;
+                []));
       b)
 
 (* Sink changes flush first, so every event emitted before the change
-   reaches exactly the sinks that were registered at emission time. *)
-let add_sink name f =
-  report_sink_failures
-    (locked (fun () ->
-         let failed = flush_locked () in
-         sinks := (name, f) :: List.remove_assoc name !sinks;
-         failed))
+   reaches exactly the sinks that were registered at emission time. A
+   sink replaced under its name is closed like a removed one. *)
+let detach name =
+  let gone, kept = List.partition (fun s -> s.s_name = name) !sinks in
+  sinks := kept;
+  gone
 
-let remove_sink name =
-  report_sink_failures
-    (locked (fun () ->
-         let failed = flush_locked () in
-         sinks := List.remove_assoc name !sinks;
-         failed))
+let register s =
+  with_flush (fun () ->
+      let gone = detach s.s_name in
+      sinks := s :: !sinks;
+      gone)
+
+let add_sink name f = register { s_name = name; s_write = f; s_close = ignore }
+let remove_sink name = with_flush (fun () -> detach name)
 
 let emit ?(severity = Info) ?(attrs = []) ~component name =
   let b = Domain.DLS.get buffer_key in
-  let p =
-    {
-      p_ts = Clock.now ();
-      p_severity = severity;
-      p_component = component;
-      p_name = name;
-      p_attrs = attrs;
-    }
-  in
-  let full =
-    Mutex.protect b.b_mu (fun () ->
-        Queue.push p b.b_q;
-        Queue.length b.b_q >= batch)
-  in
+  let ts = Clock.now () in
+  let n = encoded_size component name attrs in
+  Mutex.lock b.b_mu;
+  (match grow b.b_bytes b.b_len (b.b_len + 4 + n) with
+  | bytes -> b.b_bytes <- bytes
+  | exception exn ->
+    Mutex.unlock b.b_mu;
+    raise exn);
+  set_len b.b_bytes b.b_len n;
+  encode b.b_bytes (b.b_len + 4) ts severity component name attrs;
+  b.b_len <- b.b_len + 4 + n;
+  b.b_count <- b.b_count + 1;
+  let full = b.b_count >= batch in
+  Mutex.unlock b.b_mu;
   match severity with
   | Warn | Error -> flush ()
   | Debug | Info -> if full then flush ()
@@ -195,7 +334,11 @@ let emit ?(severity = Info) ?(attrs = []) ~component name =
 
 let events () =
   flush ();
-  locked (fun () -> List.of_seq (Queue.to_seq ring))
+  locked (fun () ->
+      let ring = !ring in
+      List.init !count (fun i ->
+          let s = ring.((!first + i) mod Array.length ring) in
+          decode s.s_seq s.s_bytes 0))
 
 let event_count () =
   flush ();
@@ -205,9 +348,14 @@ let clear () =
   locked (fun () ->
       (* discard, don't flush: cleared events must not resurface *)
       List.iter
-        (fun b -> Mutex.protect b.b_mu (fun () -> Queue.clear b.b_q))
+        (fun b ->
+          Mutex.lock b.b_mu;
+          b.b_len <- 0;
+          b.b_count <- 0;
+          Mutex.unlock b.b_mu)
         !buffers;
-      Queue.clear ring;
+      first := 0;
+      count := 0;
       seq := 0)
 
 (* ------------------------------------------------------------------ *)
@@ -286,6 +434,9 @@ let open_sink_file file =
       file msg;
     None
 
+(* Set once [open_jsonl] has registered the exit hook. *)
+let exit_hook = Atomic.make false
+
 (* An unsegmented journal is one segment that never rolls: it writes
    [file] itself. A segmented one writes FILE.00000.jsonl,
    FILE.00001.jsonl, ... starting past any segments already on disk,
@@ -304,30 +455,41 @@ let open_jsonl ?segment_bytes file =
   let idx = ref idx in
   match open_sink_file (path !idx) with
   | None -> ()
-  | Some first ->
-    let oc = ref first in
+  | Some opened ->
+    let oc = ref opened in
     let bytes = ref 0 in
-    (* drain events still buffered in the domains before the channel
-       closes at exit *)
-    at_exit (fun () ->
-        flush ();
-        try Out_channel.close !oc with Sys_error _ -> ());
-    add_sink ("jsonl:" ^ file) (fun e ->
-        let json = event_to_json e in
-        Out_channel.output_string !oc json;
-        Out_channel.output_char !oc '\n';
-        Out_channel.flush !oc;
-        bytes := !bytes + String.length json + 1;
-        if !bytes >= limit then begin
-          (try Unix.fsync (Unix.descr_of_out_channel !oc)
-           with Unix.Unix_error _ -> ());
-          (try Out_channel.close !oc with Sys_error _ -> ());
-          incr idx;
-          (* a failed open raises out of the sink; the flush guard
-             detaches it with a warning, same as any write failure *)
-          oc := open_append (path !idx);
-          bytes := 0
-        end)
+    (* one hook for every sink: drain the events still buffered in the
+       domains, then detach and close whatever is registered at exit *)
+    if not (Atomic.exchange exit_hook true) then
+      at_exit (fun () ->
+          with_flush (fun () ->
+              let all = !sinks in
+              sinks := [];
+              all));
+    register
+      {
+        s_name = "jsonl:" ^ file;
+        s_write =
+          (fun e ->
+            let json = event_to_json e in
+            Out_channel.output_string !oc json;
+            Out_channel.output_char !oc '\n';
+            Out_channel.flush !oc;
+            bytes := !bytes + String.length json + 1;
+            if !bytes >= limit then begin
+              (try Unix.fsync (Unix.descr_of_out_channel !oc)
+               with Unix.Unix_error _ -> ());
+              Out_channel.close_noerr !oc;
+              incr idx;
+              (* a failed open raises out of the sink; the flush guard
+                 detaches it with a warning, same as any write failure *)
+              oc := open_append (path !idx);
+              bytes := 0
+            end);
+        (* [close_noerr] releases the descriptor even when the last
+           write failed *)
+        s_close = (fun () -> Out_channel.close_noerr !oc);
+      }
 
 (* ------------------------------------------------------------------ *)
 (* flight recorder dumps                                               *)

@@ -25,16 +25,20 @@
 
     Like the rest of the observability layer, all state is
     process-global and {e domain-safe}, but the hot path is buffered
-    per domain: {!emit} appends to the calling domain's private buffer
-    (its own uncontended mutex), and batches drain to the ring and the
-    sinks under the single sink lock on a {e flush} - forced by a full
-    buffer (64 events), by any [Warn]/[Error] event, by
-    every read ({!events}, {!event_count}, {!to_jsonl}) and by sink
-    (de)registration, or explicitly via {!flush}. Sequence numbers are
-    assigned at flush time, so sinks still observe a strictly
-    increasing sequence on one serialized channel; each domain's events
-    stay in emission order, while interleaving {e across} domains is
-    decided at flush time. A sink must never call back into {!emit}.
+    per domain: {!emit} encodes the event as bytes into the calling
+    domain's private buffer (its own uncontended mutex), and batches
+    drain to the ring and the sinks under the single sink lock on a
+    {e flush} - forced by a full buffer (64 events), by any
+    [Warn]/[Error] event, by every read ({!events}, {!event_count},
+    {!to_jsonl}) and by sink (de)registration, or explicitly via
+    {!flush}. Buffered and recorded events are bytes in reused storage,
+    not records, so they hold no pointer into the heap and are never
+    promoted; an {!event} record is decoded only for a sink or a
+    reader. Sequence numbers are assigned at flush time, so sinks still
+    observe a strictly increasing sequence on one serialized channel;
+    each domain's events stay in emission order, while interleaving
+    {e across} domains is decided at flush time. A sink must never call
+    back into {!emit}.
     There are no third-party dependencies. See [docs/CONCURRENCY.md]
     for the full model. *)
 
@@ -65,8 +69,11 @@ val emit :
 (** [emit ~component name] appends an event (default severity [Info])
     to the calling domain's buffer. [Info]/[Debug] events reach the
     flight-recorder ring and the sinks at the next flush; [Warn] and
-    [Error] flush immediately. Cheap on the hot path - one allocation
-    plus a push under the domain's own (uncontended) buffer mutex. *)
+    [Error] flush immediately. Cheap on the hot path: the event's bytes
+    are copied into the domain's reused buffer under its own
+    (uncontended) mutex. Once the buffer has grown to fit a batch, an
+    event allocates about 2 words (the clock reading) and keeps nothing
+    alive, so its attribute strings die young. *)
 
 val flush : unit -> unit
 (** Drain every domain's buffer into the ring and the sinks now,
@@ -76,7 +83,7 @@ val flush : unit -> unit
 
 val events : unit -> event list
 (** Current flight-recorder contents, oldest first (at most
-    {!ring_capacity} events). *)
+    {!ring_capacity} events), decoded into fresh records. *)
 
 val event_count : unit -> int
 (** Total events emitted since start/{!clear}, including those already
@@ -84,7 +91,12 @@ val event_count : unit -> int
 
 val set_ring_capacity : int -> unit
 (** Resize the flight-recorder ring (default 256), dropping the oldest
-    events if shrinking. @raise Invalid_argument on negatives. *)
+    events if shrinking. Each of the ring's slots keeps one event's
+    encoded bytes and reuses its storage: it grows to the largest event
+    it has held, and storage that grew past 64 KiB for one large event
+    goes back to the default size when the slot is next written. The
+    per-domain buffers follow the same rule. @raise Invalid_argument on
+    negatives. *)
 
 val ring_capacity : unit -> int
 
@@ -109,13 +121,19 @@ val add_sink : string -> (event -> unit) -> unit
     stderr, so a full disk cannot take the tool down. *)
 
 val remove_sink : string -> unit
+(** Flush, then detach the named sink. An {!open_jsonl} sink's file is
+    closed when it is removed, replaced under its name, or detached
+    after a failed write. *)
 
 val open_jsonl : ?segment_bytes:int -> string -> unit
 (** Install a sink (named ["jsonl:FILE"]) streaming every event to
-    [FILE] as JSON Lines, flushed per line; the channel is closed at
-    process exit. Opens in {e append} mode - a crash-restart writing to
-    the same path extends the log and never overwrites the pre-crash
-    tail. This is what [--journal FILE] installs.
+    [FILE] as JSON Lines, flushed per line. The channel is closed when
+    the sink is detached (see {!remove_sink}); one process-exit hook,
+    registered by the first [open_jsonl], drains the domain buffers
+    and closes every sink still registered. Opens in {e append} mode -
+    a crash-restart writing to the same path extends the log and never
+    overwrites the pre-crash tail. This is what [--journal FILE]
+    installs.
 
     With [?segment_bytes] the sink rotates instead of writing [FILE]
     itself: events go to the segment files {!segment_path}[ file 0],

@@ -1166,6 +1166,237 @@ let journal_degrade_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* journal storage: events as reused bytes                             *)
+(* ------------------------------------------------------------------ *)
+
+(* an event shaped like the portal's [submission]: five attributes, each
+   value a fresh string *)
+let portal_event i =
+  Journal.emit ~component:"portal"
+    ~attrs:
+      [
+        ("tool", Printf.sprintf "tool%d" (i mod 5));
+        ("digest", Digest.to_hex (Digest.string (string_of_int i)));
+        ("outcome", Printf.sprintf "outcome%d" (i mod 3));
+        ("latency_s", Printf.sprintf "%.6f" (float_of_int i *. 1e-6));
+        ("session", string_of_int i);
+      ]
+    "submission"
+
+(* a field may hold any byte, the ones JSON and JSON Lines escape, or
+   nothing; an attribute value is now and then 100 KB *)
+let field_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (2, oneofl [ "\n"; "\000"; "\""; "a\"b\n\000c\\" ]);
+        (8, string_size ~gen:char (int_bound 16));
+      ])
+
+let value_gen =
+  QCheck.Gen.(
+    frequency [ (20, field_gen); (1, map (String.make 100_000) char) ])
+
+let event_gen =
+  QCheck.Gen.(
+    quad
+      (oneofl Journal.[ Debug; Info; Warn; Error ])
+      field_gen field_gen
+      (list_size (int_bound 3) (pair field_gen value_gen)))
+
+(* one domain's events and the other's *)
+let phase_gen =
+  let events = QCheck.Gen.(list_size (int_bound 20) event_gen) in
+  QCheck.Gen.pair events events
+
+let ts_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        oneofl [ 0.0; -0.0; 5e-324; Float.nan; infinity; 1786021766.253001 ];
+      ])
+
+(* a clock reading, three phases of two domains' events, and the ring
+   capacity to shrink to after the first phase *)
+let roundtrip_case =
+  QCheck.make
+    ~print:(fun (ts, (a1, b1), (a2, b2), ((a3, b3), k)) ->
+      let n = List.length in
+      Printf.sprintf "ts %h; events per domain %d+%d, %d+%d, %d+%d; shrink to %d"
+        ts (n a1) (n b1) (n a2) (n b2) (n a3) (n b3) k)
+    QCheck.Gen.(quad ts_gen phase_gen phase_gen (pair phase_gen (int_bound 40)))
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_event a b =
+  a.Journal.ev_seq = b.Journal.ev_seq
+  && same_bits a.Journal.ev_ts b.Journal.ev_ts
+  && a.Journal.ev_severity = b.Journal.ev_severity
+  && String.equal a.Journal.ev_component b.Journal.ev_component
+  && String.equal a.Journal.ev_name b.Journal.ev_name
+  && a.Journal.ev_attrs = b.Journal.ev_attrs
+
+let rec last n l = if List.length l <= n then l else last n (List.tl l)
+
+(* emit each phase from two domains, tagging every event with its
+   domain, and hold the ring, the sink and each domain's order to what
+   was emitted *)
+let journal_roundtrip (ts, p1, p2, (p3, k)) =
+  let sunk = ref [] in
+  let sink () = List.rev !sunk in
+  let tagged d l =
+    List.map (fun (sev, c, n, attrs) -> (sev, c, n, ("domain", d) :: attrs)) l
+  in
+  let phase (l0, l1) =
+    let run d l =
+      Domain.spawn (fun () ->
+          List.iter
+            (fun (severity, component, name, attrs) ->
+              Journal.emit ~severity ~attrs ~component name)
+            (tagged d l))
+    in
+    let d0 = run "0" l0 and d1 = run "1" l1 in
+    Domain.join d0;
+    Domain.join d1
+  in
+  (* the ring holds exactly the last [n] records the sink received *)
+  let ring_is_tail n =
+    let ring = Journal.events () and tail = last n (sink ()) in
+    List.length ring = List.length tail && List.for_all2 same_event ring tail
+  in
+  let saved = Journal.ring_capacity () in
+  Journal.clear ();
+  Journal.set_ring_capacity 256;
+  Journal.add_sink "roundtrip" (fun e -> sunk := e :: !sunk);
+  Vc_util.Clock.set (fun () -> ts);
+  Fun.protect
+    ~finally:(fun () ->
+      Journal.remove_sink "roundtrip";
+      Vc_util.Clock.set Unix.gettimeofday;
+      Journal.set_ring_capacity saved)
+    (fun () ->
+      let count (a, b) = List.length a + List.length b in
+      phase p1;
+      let ok1 = ring_is_tail 256 in
+      Journal.set_ring_capacity k;
+      let ok_shrunk = ring_is_tail k in
+      phase p2;
+      let ok2 = ring_is_tail k in
+      let kept = min k (count p1 + count p2) in
+      Journal.set_ring_capacity 256;
+      let ok_grown = ring_is_tail kept in
+      phase p3;
+      let ok3 = ring_is_tail (kept + count p3) in
+      let all = sink () in
+      let emitted d =
+        List.concat_map
+          (fun (l0, l1) -> tagged d (if d = "0" then l0 else l1))
+          [ p1; p2; p3 ]
+      in
+      let received d =
+        List.filter_map
+          (fun e ->
+            if List.hd e.Journal.ev_attrs = ("domain", d) then
+              Some
+                Journal.(e.ev_severity, e.ev_component, e.ev_name, e.ev_attrs)
+            else None)
+          all
+      in
+      ok1 && ok_shrunk && ok2 && ok_grown && ok3
+      && List.map (fun e -> e.Journal.ev_seq) all
+         = List.init (count p1 + count p2 + count p3) succ
+      && List.for_all (fun e -> same_bits e.Journal.ev_ts ts) all
+      && received "0" = emitted "0"
+      && received "1" = emitted "1")
+
+let journal_bytes_tests =
+  [
+    tc "buffered and recorded events are not promoted" (fun () ->
+        Journal.clear ();
+        (* fill the ring, so every slot and both of this domain's
+           buffers have grown to fit *)
+        for i = 1 to 1024 do
+          portal_event i
+        done;
+        Journal.flush ();
+        Gc.minor ();
+        let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+        let p0 = promoted () and n = 100_000 in
+        for i = 1 to n do
+          portal_event i;
+          if i mod 500 = 0 then Gc.minor ()
+        done;
+        let per_event = (promoted () -. p0) /. float_of_int n in
+        Printf.printf "%.2f words promoted per event\n" per_event;
+        if per_event >= 1.0 then
+          Alcotest.failf "%.2f words promoted per event" per_event);
+    prop ~count:40 "events from 2 domains round-trip through the bytes"
+      roundtrip_case journal_roundtrip;
+    tc "storage grown for one large event shrinks back" (fun () ->
+        Journal.clear ();
+        let small i =
+          Journal.emit ~component:"mem"
+            ~attrs:[ ("i", Printf.sprintf "%06d" i) ]
+            "small"
+        in
+        let live_bytes () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+        in
+        for i = 1 to 512 do
+          small i
+        done;
+        Journal.flush ();
+        let before = live_bytes () in
+        Journal.emit ~component:"mem"
+          ~attrs:[ ("big", String.make (4 * 1024 * 1024) 'x') ]
+          "big";
+        for i = 1 to 512 do
+          small i
+        done;
+        Journal.flush ();
+        let grown = live_bytes () - before in
+        Printf.printf "live heap grew %d bytes\n" grown;
+        (* only growth is retention: the heap can also read lower, by up
+           to ~400 KB, when domains spawned by earlier tests leave the
+           statistics after [before] was taken *)
+        if grown > 64 * 1024 then
+          Alcotest.failf "live heap grew %d bytes after one 4 MB event" grown);
+    tc "a removed, replaced or failed JSONL sink closes its file" (fun () ->
+        if Sys.file_exists "/proc/self/fd" then begin
+          let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+          let file = Filename.temp_file "journal" ".jsonl" in
+          let name = "jsonl:" ^ file in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove file)
+            (fun () ->
+              let before = fds () in
+              for _ = 1 to 10 do
+                Journal.open_jsonl file;
+                Journal.emit ~component:"fd" "cycle";
+                Journal.remove_sink name
+              done;
+              check Alcotest.int "removed" before (fds ());
+              for _ = 1 to 10 do
+                Journal.open_jsonl file
+              done;
+              Journal.remove_sink name;
+              check Alcotest.int "replaced" before (fds ());
+              (* every write to /dev/full fails, so the sink is detached *)
+              if Sys.file_exists "/dev/full" then begin
+                for _ = 1 to 10 do
+                  Journal.open_jsonl "/dev/full";
+                  Journal.emit ~component:"fd" "cycle";
+                  Journal.flush ()
+                done;
+                check Alcotest.int "failed" before (fds ())
+              end)
+        end);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* journal analytics (Journal_query - the engine behind bin/vcstat)    *)
 (* ------------------------------------------------------------------ *)
 
@@ -2067,6 +2298,7 @@ let () =
       ("metrics-server", metrics_server_tests);
       ("metrics-server-routes", routes_tests);
       ("journal-degrade", journal_degrade_tests);
+      ("journal-bytes", journal_bytes_tests);
       ("journal-query", journal_query_tests);
       ("timeseries", timeseries_tests);
       ("phase", phase_tests);
