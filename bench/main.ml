@@ -273,8 +273,7 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
   let t1 = match times with (_, (t, _, _)) :: _ -> t | [] -> 1.0 in
   Printf.printf "%d jobs (minisat, 60 vars / 240 clauses), %d client domains\n"
     num_jobs num_clients;
-  Printf.printf "portal cache: %d shard(s), capacity %d\n"
-    (Portal.cache_shards ()) (Portal.cache_capacity ());
+  Printf.printf "portal cache: capacity %d\n" (Portal.cache_capacity ());
   List.iter
     (fun (w, (t, hits, misses)) ->
       let throughput = float_of_int num_jobs /. t in

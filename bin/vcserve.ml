@@ -86,7 +86,7 @@ let parse_args argv =
       burst := float_of b;
       go rest
     | "-cache-dir" :: dir :: rest ->
-      (* durable spill tier under the memory shards; warm-starts from
+      (* durable spill tier under the memory cache; warm-starts from
          whatever a previous run left behind *)
       cache_dir := Some dir;
       go rest
@@ -114,6 +114,14 @@ let parse_args argv =
    actually closes *)
 let draining = Atomic.make false
 
+(* a config Server.start rejects (-workers 0, -burst 0, -rate nan) is a
+   usage error: its message, then exit 2 *)
+let start_server config =
+  try Server.start ~config ()
+  with Invalid_argument msg ->
+    prerr_endline ("vcserve: " ^ msg);
+    exit 2
+
 let start_console sample_interval =
   Vc_util.Metrics_server.set_ready_probe (fun () -> not (Atomic.get draining));
   Timeseries.Sampler.start ~interval:sample_interval
@@ -140,7 +148,7 @@ let serve_script config sample_interval file =
         prerr_endline ("vcserve: " ^ msg);
         exit 2)
   in
-  let server = Server.start ~config () in
+  let server = start_server config in
   let sampler = start_console sample_interval in
   Printf.eprintf "vcserve: %d worker(s), queue capacity %d\n%!"
     config.Server.workers config.Server.queue_capacity;
@@ -163,7 +171,7 @@ let serve_script config sample_interval file =
   drain_and_exit sampler server
 
 let serve_tcp config sample_interval port =
-  let server = Server.start ~config () in
+  let server = start_server config in
   let sampler = start_console sample_interval in
   let listener = Wire.listen ~port () in
   (* the test harness and vcload parse this line for the bound port *)

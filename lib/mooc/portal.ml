@@ -239,85 +239,56 @@ let request ?trace ~session tool input =
    homework input; every tool is a pure function of its input text, so
    (tool, input) -> output is cached globally across sessions.
 
-   The cache is sharded by digest: the MD5 key picks one of N
-   independently-locked shards, each a bounded LRU of its slice of the
-   aggregate capacity (the per-shard capacities always sum exactly to
-   [cache_capacity ()], so the aggregate bound holds by construction).
-   Concurrent submissions of different inputs land on different shards
-   with probability (N-1)/N and proceed in parallel; a shard mutex is
-   held only around table operations, never a tool execution. Eviction
-   scans its shard for the stalest entry, O(shard size), which is
-   dwarfed by any tool execution. LRU recency is tracked per shard, so
-   eviction is exact within a shard and approximates a global LRU
-   across shards - with one shard ([set_cache_shards 1]) the old exact
-   global-LRU behaviour is recovered.
+   The cache is one table under one mutex, [mu], held around a table
+   operation and never around a tool execution or store I/O. At most
+   one job per server slot probes it at once, each for a hash lookup and
+   a few pointer writes, so one lock is enough. The entries are linked
+   in recency order through the sentinel [lru]: a hit moves its entry
+   to the front, and an insert into a full cache unlinks the back one.
+   Both are O(1) and allocate nothing, so eviction is exact LRU at
+   every capacity.
 
    Two domains may still both miss on the same key and execute the tool
    twice, but the tool is pure so either result is correct. The hit,
    miss, eviction and disk-hit statistics are the [portal.cache.*]
    Telemetry counters: each is one shared atomic slot, so the totals
-   stay exact without any shared lock, and [Telemetry.reset] zeroes
-   them.
-
-   The shard count is 16; [set_cache_shards] changes it (one shard is
-   the tests' exact-LRU hook). [config_mu] guards reconfiguration
-   (shard count / capacity changes) only; lookups touch nothing but
-   their shard's mutex. *)
+   stay exact without the cache lock, and [Telemetry.reset] zeroes
+   them. *)
 
 module T = Vc_util.Telemetry
 module Phase = Vc_util.Phase
 
 (* [key] is the string the entry is filed under, so a hit can hand out
-   the cache's copy of it *)
-type cache_entry = { key : string; output : string; mutable last_used : int }
-
-type cache_shard = {
-  sh_mu : Mutex.t;
-  sh_tbl : (string, cache_entry) Hashtbl.t;
-  mutable sh_cap : int;
-  mutable sh_tick : int; (* per-shard recency clock *)
+   the cache's copy of it; [prev] and [next] run from the most recently
+   used entry ([lru.next]) to the least ([lru.prev]) *)
+type cache_entry = {
+  key : string;
+  mutable output : string;
+  mutable prev : cache_entry;
+  mutable next : cache_entry;
 }
 
-let config_mu = Mutex.create ()
+(* [mu] guards [capacity], [table] and the list through [lru] *)
+let mu = Mutex.create ()
 let capacity = ref 512
-
-(* distribute [total] over [n] shards so the parts sum exactly to
-   [total] - the aggregate capacity bound must be exact, not rounded *)
-let shard_caps total n =
-  Array.init n (fun i -> (total / n) + if i < total mod n then 1 else 0)
-
-let make_shards n total =
-  let caps = shard_caps total n in
-  Array.init n (fun i ->
-      {
-        sh_mu = Mutex.create ();
-        sh_tbl = Hashtbl.create 64;
-        sh_cap = caps.(i);
-        sh_tick = 0;
-      })
-
-let shards = ref (make_shards 16 !capacity)
+let table : (string, cache_entry) Hashtbl.t = Hashtbl.create 1024
+let rec lru = { key = ""; output = ""; prev = lru; next = lru }
 
 let cache_key tool_name input = Digest.string (tool_name ^ "\x00" ^ input)
 
-(* MD5 bytes are uniform; two of them index up to 65536 shards *)
-let shard_of key =
-  let a = !shards in
-  a.(((Char.code key.[0] lsl 8) lor Char.code key.[1]) mod Array.length a)
-
-(* ---- the disk tier under the memory shards --------------------------
+(* ---- the disk tier under the memory cache ---------------------------
 
    An optional Cache_store (vcserve -cache-dir / VC_CACHE_DIR): every
    executed result is written through to it when it is computed - the
    only write - and a memory miss probes it before re-executing the
-   tool. An entry evicted from a memory shard is therefore already on
+   tool. An entry evicted from the memory cache is therefore already on
    disk, unless it was cached before the store was opened. At
-   [set_cache_dir] as many stored results as the memory shards hold are
-   promoted into them, in the same pass that opens the store - the warm
+   [set_cache_dir] as many stored results as the memory cache holds are
+   promoted into it, in the same pass that opens the store - the warm
    start that makes a restarted server serve cache hits for work its
    previous incarnation did. The handle lives in an
    Atomic so the hot path never takes a configuration lock; store I/O
-   always happens OUTSIDE the shard mutexes (lanes have their own
+   always happens OUTSIDE the cache mutex (lanes have their own
    locks). A failing store (disk full, yanked volume) is dropped with
    one warning - the portal degrades to memory-only rather than failing
    submissions. *)
@@ -348,65 +319,57 @@ let store_find key =
   | None -> None
   | Some st -> ( try Store.find st key with e -> drop_store st e; None)
 
-(* call with the shard's mutex held *)
-let evict_lru sh =
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match acc with
-        | Some stalest when stalest.last_used <= e.last_used -> acc
-        | Some _ | None -> Some e)
-      sh.sh_tbl None
-  in
-  match victim with
-  | Some e ->
-    Hashtbl.remove sh.sh_tbl e.key;
-    T.incr "portal.cache.evictions"
-  | None -> ()
+(* [unlink] through [evict_lru] are called with [mu] held. *)
 
-let cache_shard_sizes () =
-  Array.to_list
-    (Array.map
-       (fun sh -> Mutex.protect sh.sh_mu (fun () -> Hashtbl.length sh.sh_tbl))
-       !shards)
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
 
-let cache_size () = List.fold_left ( + ) 0 (cache_shard_sizes ())
+let push_front e =
+  e.prev <- lru;
+  e.next <- lru.next;
+  lru.next.prev <- e;
+  lru.next <- e
 
-(* The [portal.cache.size] gauge is set wherever the size can change -
-   an insert or eviction, [clear_cache], reconfiguration, the end of a
-   warm start - and never on a hit, which cannot change it. *)
+let touch e =
+  unlink e;
+  push_front e
+
+(* The [portal.cache.size] gauge is set in every critical section that
+   changes the size, and never on a hit, which cannot change it. *)
 let publish_size () =
-  T.set_gauge "portal.cache.size" (float_of_int (cache_size ()))
+  T.set_gauge "portal.cache.size" (float_of_int (Hashtbl.length table))
+
+let add_front key output =
+  let e = { key; output; prev = lru; next = lru } in
+  push_front e;
+  Hashtbl.add table key e;
+  publish_size ()
+
+let evict_lru () =
+  let e = lru.prev in
+  unlink e;
+  Hashtbl.remove table e.key;
+  T.incr "portal.cache.evictions"
 
 let set_cache_capacity n =
   if n < 0 then invalid_arg "Portal.set_cache_capacity: negative capacity";
-  Mutex.protect config_mu (fun () ->
+  Mutex.protect mu (fun () ->
       capacity := n;
-      let a = !shards in
-      let caps = shard_caps n (Array.length a) in
-      Array.iteri
-        (fun i sh ->
-          Mutex.protect sh.sh_mu (fun () ->
-              sh.sh_cap <- caps.(i);
-              while Hashtbl.length sh.sh_tbl > sh.sh_cap do
-                evict_lru sh
-              done))
-        a);
-  publish_size ()
+      while Hashtbl.length table > n do
+        evict_lru ()
+      done;
+      publish_size ())
 
-let set_cache_shards n =
-  if n < 1 then invalid_arg "Portal.set_cache_shards: shard count under 1";
-  Mutex.protect config_mu (fun () -> shards := make_shards n !capacity);
-  publish_size ()
-
-let cache_shards () = Array.length !shards
-let cache_capacity () = Mutex.protect config_mu (fun () -> !capacity)
+let cache_capacity () = Mutex.protect mu (fun () -> !capacity)
+let cache_size () = Mutex.protect mu (fun () -> Hashtbl.length table)
 
 let clear_cache () =
-  Array.iter
-    (fun sh -> Mutex.protect sh.sh_mu (fun () -> Hashtbl.reset sh.sh_tbl))
-    !shards;
-  publish_size ()
+  Mutex.protect mu (fun () ->
+      Hashtbl.reset table;
+      lru.prev <- lru;
+      lru.next <- lru;
+      publish_size ())
 
 let cache_stats () =
   (T.counter "portal.cache.hits", T.counter "portal.cache.misses")
@@ -415,32 +378,28 @@ let cache_disk_hits () = T.counter "portal.cache.disk_hits"
 
 (* A hit returns the entry's own (key, output) strings. *)
 let cache_find key =
-  let sh = shard_of key in
-  Mutex.protect sh.sh_mu (fun () ->
-      match Hashtbl.find_opt sh.sh_tbl key with
+  Mutex.protect mu (fun () ->
+      match Hashtbl.find_opt table key with
       | Some e ->
-        sh.sh_tick <- sh.sh_tick + 1;
-        e.last_used <- sh.sh_tick;
+        touch e;
         Some (e.key, e.output)
       | None -> None)
 
 (* [history]'s read: no recency bump, no statistics *)
 let cache_peek key =
-  let sh = shard_of key in
-  Mutex.protect sh.sh_mu (fun () ->
-      Option.map (fun e -> e.output) (Hashtbl.find_opt sh.sh_tbl key))
+  Mutex.protect mu (fun () ->
+      Option.map (fun e -> e.output) (Hashtbl.find_opt table key))
 
 let cache_add key output =
-  let sh = shard_of key in
-  Mutex.protect sh.sh_mu (fun () ->
-      if sh.sh_cap > 0 then begin
-        sh.sh_tick <- sh.sh_tick + 1;
-        if
-          (not (Hashtbl.mem sh.sh_tbl key))
-          && Hashtbl.length sh.sh_tbl >= sh.sh_cap
-        then evict_lru sh;
-        Hashtbl.replace sh.sh_tbl key { key; output; last_used = sh.sh_tick }
-      end)
+  Mutex.protect mu (fun () ->
+      match Hashtbl.find_opt table key with
+      | Some e ->
+        e.output <- output;
+        touch e
+      | None when !capacity > 0 ->
+        if Hashtbl.length table >= !capacity then evict_lru ();
+        add_front key output
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* disk-tier configuration                                             *)
@@ -456,28 +415,27 @@ let unset_cache_dir () =
 let set_cache_dir dirname =
   let t0 = T.now () in
   (* the warm start, fed by the store's one pass over its spill files:
-     each verified record, in file order, goes into its memory shard if
-     the shard has room or already holds that key (the latest record
-     wins). The rest stay served by the disk probe, so a warm start
-     evicts nothing, and only a promoted record's payload is copied. *)
+     each verified record, in file order, goes into the memory cache if
+     it has room or already holds that key (the latest record wins).
+     The rest stay served by the disk probe, so a warm start evicts
+     nothing, and only a promoted record's payload is copied. *)
   let promoted = ref 0 in
   let promote key payload =
-    let sh = shard_of key in
-    Mutex.protect sh.sh_mu (fun () ->
-        let held = Hashtbl.mem sh.sh_tbl key in
-        if held || Hashtbl.length sh.sh_tbl < sh.sh_cap then begin
-          if not held then incr promoted;
-          sh.sh_tick <- sh.sh_tick + 1;
-          Hashtbl.replace sh.sh_tbl key
-            { key; output = payload (); last_used = sh.sh_tick }
-        end)
+    Mutex.protect mu (fun () ->
+        match Hashtbl.find_opt table key with
+        | Some e ->
+          e.output <- payload ();
+          touch e
+        | None when Hashtbl.length table < !capacity ->
+          incr promoted;
+          add_front key (payload ())
+        | None -> ())
   in
   match Store.open_store ~on_record:promote dirname with
   | exception e ->
     (* same degrade contract as the journal: a portal that cannot write
        its results through must still serve. A lane that failed to open
        may follow lanes whose records were already promoted. *)
-    publish_size ();
     Printf.eprintf
       "portal: cannot open cache dir %s (%s); continuing without it\n%!"
       dirname (Printexc.to_string e);
@@ -488,7 +446,6 @@ let set_cache_dir dirname =
     (match Atomic.exchange store (Some st) with
     | Some old -> ( try Store.close old with _ -> ())
     | None -> ());
-    publish_size ();
     let entries = Store.length st in
     T.set_gauge "portal.cache.disk_entries" (float_of_int entries);
     J.emit ~component:"portal"
@@ -542,12 +499,11 @@ let submit_result session tool input =
             | Some _ as hit -> hit
             | None -> (
               (* memory miss: probe the disk tier, promoting a hit back
-                 into its memory shard *)
+                 into the memory cache *)
               match store_find key with
               | Some out ->
                 T.incr "portal.cache.disk_hits";
                 cache_add key out;
-                publish_size ();
                 Some (key, out)
               | None -> None))
       in
@@ -564,7 +520,6 @@ let submit_result session tool input =
               Phase.run tool.tool_name (fun () -> tool.execute input))
         in
         cache_add key out;
-        publish_size ();
         (* write-through, the disk tier's only write: the result is
            durable the moment it is computed - this is what a
            killed-and-restarted server warm-starts from *)
@@ -600,8 +555,8 @@ let submit_result session tool input =
   record session { tool = tool.tool_name; key; rejection = reject_reason };
   outcome
 
-(* memory shard first, then the disk tier; neither read counts a hit or
-   promotes the entry *)
+(* the memory cache first, then the disk tier; neither read counts a hit
+   or promotes the entry *)
 let run_output r =
   match r.rejection with
   | Some reason -> Some ("error: " ^ reason)

@@ -14,15 +14,13 @@
 
     {b Domain safety}: everything here may be called concurrently from
     the domains that submit to {!Vc_mooc.Server}, which runs each job
-    on its submitter. The result cache is sharded by digest into
-    independently-locked shards (see {!set_cache_shards}), so
-    concurrent submissions of different inputs rarely contend; a
-    session is one atomic list that submissions append to lock-free;
-    cache statistics are {!Vc_util.Telemetry} counters, one atomic slot
-    each. Tools are pure
-    functions of their input, so a duplicated cache-miss execution in
-    two domains is wasted work, never wrong output. See
-    [docs/CONCURRENCY.md] for the full model. *)
+    on its submitter. The result cache is one table under one mutex,
+    held for a table operation and never for a tool execution or disk
+    I/O; a session is one atomic list that submissions append to
+    lock-free; cache statistics are {!Vc_util.Telemetry} counters, one
+    atomic slot each. Tools are pure functions of their input, so a
+    duplicated cache-miss execution in two domains is wasted work, never
+    wrong output. See [docs/CONCURRENCY.md] for the full model. *)
 
 type tool = {
   tool_name : string;
@@ -173,7 +171,7 @@ val history : session -> tool -> (string * string option) list
     runs.
 
     The output is resolved when [history] is called: first from the
-    memory shards, then from the disk tier ({!set_cache_dir}). A read
+    memory cache, then from the disk tier ({!set_cache_dir}). A read
     counts no hit and promotes nothing. The output is [None] once
     neither tier holds the run's result; a rejection always renders its
     ["error: ..."] text. *)
@@ -181,42 +179,25 @@ val history : session -> tool -> (string * string option) list
 (** {1 Result cache}
 
     Global across sessions; content-addressed by a digest of
-    [tool name + input]. The digest picks one of N independently-locked
-    shards, each a bounded LRU of its slice of the aggregate capacity -
-    the per-shard capacities always sum exactly to {!cache_capacity},
-    so the aggregate bound holds by construction. Recency is tracked
-    per shard: eviction is exact LRU within a shard and approximates a
-    global LRU across shards (with one shard the behaviour is exactly
-    the classic global LRU). *)
+    [tool name + input]. One table under one mutex, bounded by
+    {!cache_capacity} and evicting in exact least-recently-used order:
+    a hit makes its entry the most recent, and an insert into a full
+    cache drops the least recent. Both are O(1). *)
 
 val set_cache_capacity : int -> unit
-(** Bound the aggregate number of cached results (default 512),
-    redistributing the per-shard capacities and evicting
-    least-recently-used entries in any shard over its new bound. [0]
-    disables caching.
+(** Bound the number of cached results (default 512), evicting the
+    least recently used entries down to the new bound. [0] disables
+    caching.
     @raise Invalid_argument on negatives. *)
 
 val cache_capacity : unit -> int
 
-val set_cache_shards : int -> unit
-(** Rebuild the cache with the given shard count (16 at start). Drops
-    all cached results; the hit/miss/eviction statistics are preserved.
-    A test hook - one shard is the exact global LRU - not a deployment
-    knob: no binary sets it.
-    @raise Invalid_argument under 1. *)
-
-val cache_shards : unit -> int
-
-val cache_shard_sizes : unit -> int list
-(** Entries currently cached per shard, in shard order; sums to
-    {!cache_size}. *)
-
 val cache_size : unit -> int
 (** Number of results currently cached (always [<= cache_capacity ()]).
-    The [portal.cache.size] gauge is set to it wherever it can change:
-    a miss or disk-tier promotion, {!clear_cache}, {!set_cache_capacity},
-    {!set_cache_shards} and the end of a {!set_cache_dir} warm start -
-    never on a memory hit. *)
+    The [portal.cache.size] gauge is set to it under the cache lock
+    whenever it changes: a miss or disk-tier promotion, {!clear_cache},
+    {!set_cache_capacity} and each record a {!set_cache_dir} warm start
+    promotes - never on a memory hit. *)
 
 val clear_cache : unit -> unit
 (** Drop all cached results. The statistics below are untouched:
@@ -226,7 +207,7 @@ val cache_stats : unit -> int * int
 (** [(hits, misses)] since the last {!Vc_util.Telemetry.reset}: the
     [portal.cache.hits] and [portal.cache.misses] counters, which
     [/metrics] exports. Each is one atomic slot, so the totals are exact
-    without any shard lock; the two are read one after the other, not
+    without the cache lock; the two are read one after the other, not
     as one snapshot. *)
 
 val cache_evictions : unit -> int
@@ -235,14 +216,14 @@ val cache_evictions : unit -> int
 
 (** {1 Disk tier}
 
-    An optional {!Vc_util.Cache_store} under the memory shards
+    An optional {!Vc_util.Cache_store} under the memory cache
     ([vcserve -cache-dir DIR], or the [VC_CACHE_DIR] environment
     variable). When enabled: every executed result is written through
     to disk the moment it is computed - the tier's only write - and a
-    memory miss probes the disk tier (promoting a hit back into its
-    shard) before re-executing the tool. An entry evicted from a memory
-    shard is therefore already on disk. Store I/O always happens
-    outside the shard mutexes. A store that starts failing mid-run
+    memory miss probes the disk tier (promoting a hit back into the
+    memory cache) before re-executing the tool. An entry evicted from
+    the memory cache is therefore already on disk. Store I/O always
+    happens outside the cache mutex. A store that starts failing mid-run
     (disk full) is dropped with one warning and a [cache.disk_disabled]
     journal event - the portal degrades to memory-only rather than
     failing submissions. *)
@@ -250,7 +231,7 @@ val cache_evictions : unit -> int
 val set_cache_dir : string -> unit
 (** Open (or create) the spill directory and {e warm-start} in the same
     pass: as the store reads each stored result, in file order, it is
-    promoted into its memory shard if that shard has room or already
+    promoted into the memory cache if the cache has room or already
     holds the key (the latest stored result wins). The remainder stays
     served by the disk probe, so a warm start counts no eviction. From
     then on every executed result is written through to the store. A
@@ -268,7 +249,7 @@ val cache_dir : unit -> string option
 (** The active spill directory, if the disk tier is enabled. *)
 
 val unset_cache_dir : unit -> unit
-(** Close and detach the disk tier (memory shards are untouched) - the
+(** Close and detach the disk tier (the memory cache is untouched) - the
     test hook for simulating a restart. *)
 
 val cache_disk_hits : unit -> int

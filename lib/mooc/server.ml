@@ -14,8 +14,11 @@ module Token_bucket = struct
     mutable last : float;
   }
 
+  (* false for NaN as well *)
+  let valid ~rate ~burst = rate >= 0.0 && burst > 0.0
+
   let create ~rate ~burst ~now =
-    if rate < 0.0 || burst <= 0.0 then
+    if not (valid ~rate ~burst) then
       invalid_arg "Server.Token_bucket.create: rate must be >= 0, burst > 0";
     { rate; burst; tokens = burst; last = now }
 
@@ -75,7 +78,7 @@ type session_slot = {
 
 type t = {
   config : config;
-  mu : Mutex.t;  (* guards free, waiters, stopping, sessions *)
+  mu : Mutex.t;  (* guards free, waiters, stopping, sessions, depth_hwm *)
   drained : Condition.t;  (* stop waits here until no job runs or waits *)
   mutable free : int list;  (* slots no job holds *)
   waiters : waiter Queue.t;
@@ -86,18 +89,24 @@ type t = {
   trace_seed : int;
   trace_seq : int Atomic.t;
   busy_ns : string array;  (* server.worker.<w>.busy_ns, per slot *)
-  busy : int Atomic.t;  (* slots currently running a job *)
-  depth_hwm : int Atomic.t;  (* queue-depth high-water mark *)
+  mutable depth_hwm : int;  (* queue-depth high-water mark *)
 }
 
-(* monotone CAS-max: the high-water mark survives the gauge's sawtooth,
-   so a console that polls between bursts still sees the peak *)
-let rec raise_hwm t depth =
-  let cur = Atomic.get t.depth_hwm in
-  if depth > cur then
-    if Atomic.compare_and_set t.depth_hwm cur depth then
-      T.set_gauge "server.queue_depth.hwm" (float_of_int depth)
-    else raise_hwm t depth
+(* Called with [t.mu] held wherever the waiters or the held slots
+   change: admission and release. A running job counts as depth 1, as a
+   queued job's does. The high-water mark survives the depth gauge's
+   sawtooth, so a console that polls between bursts still sees the
+   peak. *)
+let publish_load t =
+  let waiting = Queue.length t.waiters in
+  let busy = t.config.workers - List.length t.free in
+  T.set_gauge "server.queue_depth" (float_of_int waiting);
+  T.set_gauge "server.workers.busy" (float_of_int busy);
+  let depth = max waiting (min busy 1) in
+  if depth > t.depth_hwm then begin
+    t.depth_hwm <- depth;
+    T.set_gauge "server.queue_depth.hwm" (float_of_int depth)
+  end
 
 let count_outcome outcome =
   match outcome with
@@ -110,14 +119,18 @@ let count_outcome outcome =
    (overloaded), abuse (rate_limited) and staleness (deadline) apart at
    a glance. Runaway rejections keep their journal trail inside
    [Portal.submit_result]. *)
-let reject_server ~session_id ~tool_name ~ctx label msg reason =
+let reject_server ~session_id ~tool_name ~ctx reason =
   let outcome = Portal.Rejected reason in
   count_outcome outcome;
   J.emit ~severity:J.Warn ~component:"server"
     ~attrs:
       (Tc.to_attrs ctx
-      @ [ ("session", session_id); ("tool", tool_name); ("reason", msg) ])
-    ("job.rejected." ^ label);
+      @ [
+          ("session", session_id);
+          ("tool", tool_name);
+          ("reason", Portal.reason_message reason);
+        ])
+    ("job.rejected." ^ Portal.reason_label reason);
   outcome
 
 (* ------------------------------------------------------------------ *)
@@ -193,36 +206,26 @@ let process_job t ~tool ~input ~session ~session_id ~ctx ~enqueued =
 (* The slot goes straight to the head waiter, so slots are granted in
    admission order and a freed slot never sits idle while one waits. *)
 let release t slot =
-  let handed =
-    Mutex.protect t.mu (fun () ->
-        match Queue.take_opt t.waiters with
-        | Some w ->
-          w.w_slot <- slot;
-          Condition.signal w.w_cond;
-          Some (Queue.length t.waiters)
-        | None ->
-          t.free <- slot :: t.free;
-          if t.stopping && List.length t.free = t.config.workers then
-            Condition.broadcast t.drained;
-          None)
-  in
-  Option.iter
-    (fun depth -> T.set_gauge "server.queue_depth" (float_of_int depth))
-    handed
+  Mutex.protect t.mu (fun () ->
+      (match Queue.take_opt t.waiters with
+      | Some w ->
+        w.w_slot <- slot;
+        Condition.signal w.w_cond
+      | None ->
+        t.free <- slot :: t.free;
+        if t.stopping && List.length t.free = t.config.workers then
+          Condition.broadcast t.drained);
+      publish_load t)
 
 (* Runs on the submitting domain while it holds [slot]: the profiler
    attributes the job to "worker;..." and the busy-time counter feeds the
    server.worker.<slot>.util series. *)
 let run_job t slot job =
-  T.set_gauge "server.workers.busy"
-    (float_of_int (1 + Atomic.fetch_and_add t.busy 1));
   let busy_from = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () ->
       let busy_s = Float.max 0.0 (Unix.gettimeofday () -. busy_from) in
       T.incr ~by:(int_of_float (busy_s *. 1e9)) t.busy_ns.(slot);
-      T.set_gauge "server.workers.busy"
-        (float_of_int (Atomic.fetch_and_add t.busy (-1) - 1));
       release t slot)
     (fun () -> Vc_util.Phase.run "worker" job)
 
@@ -235,6 +238,10 @@ let start ?(config = default_config) () =
     invalid_arg "Server.start: at least one worker required";
   if config.queue_capacity < 0 then
     invalid_arg "Server.start: negative queue capacity";
+  (match config.rate_limit with
+  | Some (rate, burst) when not (Token_bucket.valid ~rate ~burst) ->
+    invalid_arg "Server.start: rate limit needs rate >= 0 and burst > 0"
+  | _ -> ());
   T.set_gauge "server.queue_depth" 0.0;
   T.set_gauge "server.queue_depth.hwm" 0.0;
   T.set_gauge "server.workers.busy" 0.0;
@@ -256,8 +263,7 @@ let start ?(config = default_config) () =
       trace_seq = Atomic.make 0;
       busy_ns =
         Array.init config.workers (Printf.sprintf "server.worker.%d.busy_ns");
-      busy = Atomic.make 0;
-      depth_hwm = Atomic.make 0;
+      depth_hwm = 0;
     }
   in
   J.emit ~component:"server"
@@ -290,8 +296,7 @@ let stop t =
           true
         end)
   in
-  if first then begin
-    T.set_gauge "server.queue_depth" 0.0;
+  if first then
     J.emit ~component:"server"
       ~attrs:
         [
@@ -307,7 +312,6 @@ let stop t =
            string_of_int (T.counter "server.outcome.rejected.deadline"));
         ]
       "server.stop"
-  end
 
 let queue_depth t = Mutex.protect t.mu (fun () -> Queue.length t.waiters)
 
@@ -361,9 +365,7 @@ let submit t (req : Portal.request) =
       Mutex.protect t.mu (fun () -> Token_bucket.try_take b ~now:(T.now ()))
   in
   if not rate_ok then
-    reject_server ~session_id ~tool_name ~ctx "rate_limited"
-      (Printf.sprintf "session %S exceeded its submission rate limit"
-         session_id)
+    reject_server ~session_id ~tool_name ~ctx
       (Portal.Rate_limited
          (Printf.sprintf "session %S exceeded its submission rate limit"
             session_id))
@@ -374,14 +376,18 @@ let submit t (req : Portal.request) =
           if t.stopping then `Stopped
           else if Queue.length t.waiters >= t.config.queue_capacity then `Full
           else
-            match t.free with
-            | w :: rest ->
-              t.free <- rest;
-              `Run w
-            | [] ->
-              let waiter = { w_cond = Condition.create (); w_slot = -1 } in
-              Queue.push waiter t.waiters;
-              `Wait (waiter, Queue.length t.waiters))
+            let admitted =
+              match t.free with
+              | w :: rest ->
+                t.free <- rest;
+                `Run w
+              | [] ->
+                let waiter = { w_cond = Condition.create (); w_slot = -1 } in
+                Queue.push waiter t.waiters;
+                `Wait waiter
+            in
+            publish_load t;
+            admitted)
     in
     let job () =
       process_job t ~tool ~input ~session:slot.sl_session ~session_id ~ctx
@@ -389,23 +395,15 @@ let submit t (req : Portal.request) =
     in
     match admitted with
     | `Stopped ->
-      reject_server ~session_id ~tool_name ~ctx "overloaded"
-        "server is shutting down"
+      reject_server ~session_id ~tool_name ~ctx
         (Portal.Overloaded "server is shutting down")
     | `Full ->
-      let msg =
-        Printf.sprintf "submission queue full (capacity %d)"
-          t.config.queue_capacity
-      in
-      reject_server ~session_id ~tool_name ~ctx "overloaded" msg
-        (Portal.Overloaded msg)
-    | `Run w ->
-      (* the depth counts the job itself, as a queued job's does *)
-      raise_hwm t 1;
-      run_job t w job
-    | `Wait (waiter, depth) ->
-      T.set_gauge "server.queue_depth" (float_of_int depth);
-      raise_hwm t depth;
+      reject_server ~session_id ~tool_name ~ctx
+        (Portal.Overloaded
+           (Printf.sprintf "submission queue full (capacity %d)"
+              t.config.queue_capacity))
+    | `Run w -> run_job t w job
+    | `Wait waiter ->
       let w =
         Mutex.protect t.mu (fun () ->
             while waiter.w_slot < 0 do

@@ -27,7 +27,9 @@
     uploads are distinguishable on a dashboard.
 
     {b Observability.} The server maintains the [server.queue_depth]
-    gauge and its [server.queue_depth.hwm] high-water mark, the
+    gauge, its [server.queue_depth.hwm] high-water mark and the
+    [server.workers.busy] gauge, all three set under the server lock at
+    admission and release, the
     [server.phase.*] latency histograms ([server.phase.queue]
     is the admission-to-slot wait), the per-slot
     [server.worker.<w>.busy_ns] counters (nanoseconds the slot spent
@@ -78,7 +80,8 @@ module Token_bucket : sig
   val create : rate:float -> burst:float -> now:float -> t
   (** A full bucket. [rate] is tokens per second ([0.] means the bucket
       never refills), [burst] the capacity.
-      @raise Invalid_argument if [rate < 0.] or [burst <= 0.]. *)
+      @raise Invalid_argument unless [rate >= 0.] and [burst > 0.] (so
+      on NaN too). *)
 
   val try_take : t -> now:float -> bool
   (** Refill according to the elapsed time, then take one token if at
@@ -126,8 +129,9 @@ val start : ?config:config -> unit -> t
 (** Return a running server with every slot free; no domain is
     spawned. Zeroes the [server.queue_depth] gauge and emits a
     [server.start] journal event.
-    @raise Invalid_argument on [workers < 1] or a negative
-    [queue_capacity]. *)
+    @raise Invalid_argument on [workers < 1], a negative
+    [queue_capacity], or a [rate_limit] whose rate is not [>= 0.] or
+    whose burst is not [> 0.] (NaN fails both). *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop admitting, wait until every running and

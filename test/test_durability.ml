@@ -390,15 +390,13 @@ let echo =
   }
 
 (* a scratch cache dir and a store holding [records] in one lane, with
-   the memory cache at one shard of [capacity]; the default config is
-   restored after [f dir] *)
+   the memory cache at [capacity]; the default capacity is restored
+   after [f dir] *)
 let with_stored_records ?(capacity = 512) records f =
   let dir = temp_dir "vc_portal_cache" in
-  let shards0 = Portal.cache_shards () in
   Fun.protect
     ~finally:(fun () ->
       Portal.unset_cache_dir ();
-      Portal.set_cache_shards shards0;
       Portal.set_cache_capacity 512;
       Portal.clear_cache ();
       rm_rf dir)
@@ -409,7 +407,6 @@ let with_stored_records ?(capacity = 512) records f =
         records;
       Store.close st;
       Portal.unset_cache_dir ();
-      Portal.set_cache_shards 1;
       Portal.set_cache_capacity capacity;
       Portal.clear_cache ();
       Vc_util.Telemetry.reset ();
@@ -522,7 +519,7 @@ let portal_tests =
             | Portal.Executed out ->
               check Alcotest.string "executed" "echo: payload" out
             | _ -> Alcotest.fail "expected Executed");
-            (* drop the memory shards but keep the disk tier: the
+            (* drop the memory cache but keep the disk tier: the
                repeat submission must be served by the disk probe *)
             Portal.clear_cache ();
             (match Portal.submit_result s echo "payload" with
@@ -554,7 +551,6 @@ let portal_tests =
           (fun () ->
             Portal.clear_cache ();
             Portal.set_cache_dir dir;
-            Portal.set_cache_shards 1;
             Portal.set_cache_capacity 2;
             let s = Portal.create_session () in
             ignore (Portal.submit_result s echo "one");
@@ -594,19 +590,16 @@ let portal_tests =
     tc "an evicted run resolves through the disk tier; reads count nothing"
       (fun () ->
         let dir = temp_dir "vc_portal_cache" in
-        let shards = Portal.cache_shards () in
         Fun.protect
           ~finally:(fun () ->
             Portal.unset_cache_dir ();
             Portal.clear_cache ();
-            Portal.set_cache_shards shards;
             Portal.set_cache_capacity 512;
             rm_rf dir)
           (fun () ->
             (* one memory slot: "two" evicts "one" *)
             let two_runs () =
               Portal.clear_cache ();
-              Portal.set_cache_shards 1;
               Portal.set_cache_capacity 1;
               let s = Portal.create_session () in
               ignore (Portal.submit_result s echo "one");

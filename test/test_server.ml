@@ -13,7 +13,6 @@ let fresh () =
   T.reset ();
   Journal.clear ();
   Portal.clear_cache ();
-  Portal.set_cache_shards 16;
   Portal.set_cache_capacity 512
 
 (* a synthetic tool: pure, fast, no kernel dependency *)
@@ -67,6 +66,10 @@ let token_bucket_tests =
           | _ -> false);
         check Alcotest.bool "zero burst" true
           (match Server.Token_bucket.create ~rate:1.0 ~burst:0.0 ~now:0.0 with
+          | exception Invalid_argument _ -> true
+          | _ -> false);
+        check Alcotest.bool "NaN rate" true
+          (match Server.Token_bucket.create ~rate:Float.nan ~burst:1.0 ~now:0.0 with
           | exception Invalid_argument _ -> true
           | _ -> false));
     tc "deadline predicate" (fun () ->
@@ -284,6 +287,25 @@ let server_tests =
         check Alcotest.int "counter" 1 (reject_counter "rate_limited");
         check Alcotest.bool "journal event" true
           (has_journal_event "job.rejected.rate_limited"));
+    tc "start rejects a rate limit no bucket can take" (fun () ->
+        fresh ();
+        List.iter
+          (fun (rate, burst) ->
+            let config =
+              {
+                Server.default_config with
+                Server.rate_limit = Some (rate, burst);
+              }
+            in
+            check Alcotest.bool
+              (Printf.sprintf "rate %g, burst %g" rate burst)
+              true
+              (match Server.start ~config () with
+              | exception Invalid_argument _ -> true
+              | srv ->
+                Server.stop srv;
+                false))
+          [ (1.0, 0.0); (-1.0, 5.0); (Float.nan, 5.0) ]);
     tc "zero deadline rejects Deadline_exceeded at dequeue" (fun () ->
         fresh ();
         let srv =
@@ -538,6 +560,32 @@ let slot_tests =
             | _ -> Alcotest.fail "expected Deadline_exceeded");
             Server.stop srv;
             check Alcotest.int "counter" 1 (reject_counter "deadline")));
+    tc "depth, its high-water mark and busy slots follow the slots"
+      (fun () ->
+        fresh ();
+        let srv = one_slot () in
+        let load () =
+          List.map T.gauge
+            [
+              "server.queue_depth";
+              "server.queue_depth.hwm";
+              "server.workers.busy";
+            ]
+        in
+        let loads = Alcotest.(list (option (float 0.0))) in
+        let holder, waiters, opened =
+          hold_and_queue srv [ (echo, "1"); (echo, "2") ]
+        in
+        check loads "one job running, two waiting"
+          [ Some 2.0; Some 2.0; Some 1.0 ]
+          (load ());
+        Atomic.set opened true;
+        executed "holder" (Domain.join holder);
+        List.iter (fun d -> executed "waiter" (Domain.join d)) waiters;
+        check loads "all three done; the mark stays"
+          [ Some 0.0; Some 2.0; Some 0.0 ]
+          (load ());
+        Server.stop srv);
     tc "stop returns after the running and the waiting job complete"
       (fun () ->
         fresh ();
@@ -903,67 +951,73 @@ let wire_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* sharded result cache                                                *)
+(* the result cache: one table, exact LRU at every capacity            *)
 (* ------------------------------------------------------------------ *)
 
 (* distinct inputs that never collide: "x 0", "x 1", ... *)
 let distinct_input i = Printf.sprintf "x %d" i
 
-let shard_tests =
+(* the group keeps its "cache-shards" label so the ids of the tests in
+   it stay stable *)
+let cache_tests =
   [
-    tc "per-shard LRU bound holds and sums to the aggregate" (fun () ->
+    tc "a full cache evicts once per new upload" (fun () ->
         fresh ();
-        Portal.set_cache_shards 4;
         Portal.set_cache_capacity 8;
         let s = Portal.create_session () in
-        (* 40 distinct inputs: every shard overflows its slice *)
         for i = 0 to 39 do
           ignore (Portal.submit_result s echo (distinct_input i))
         done;
-        let sizes = Portal.cache_shard_sizes () in
-        check Alcotest.int "four shards" 4 (List.length sizes);
-        List.iteri
-          (fun i n ->
-            check Alcotest.bool
-              (Printf.sprintf "shard %d within its slice (%d <= 2)" i n)
-              true (n <= 2))
-          sizes;
-        check Alcotest.int "sizes sum to cache_size"
-          (Portal.cache_size ())
-          (List.fold_left ( + ) 0 sizes);
-        check Alcotest.bool "aggregate bound" true (Portal.cache_size () <= 8);
-        check Alcotest.bool "evictions happened" true
-          (Portal.cache_evictions () > 0));
+        check Alcotest.int "full" 8 (Portal.cache_size ());
+        check Alcotest.int "evictions" 32 (Portal.cache_evictions ()));
+    tc "capacity 8 caches 8 uploads and evicts exactly the LRU one"
+      (fun () ->
+        fresh ();
+        Portal.set_cache_capacity 8;
+        let s = Portal.create_session () in
+        for _ = 1 to 2 do
+          for i = 0 to 7 do
+            ignore (Portal.submit_result s echo (distinct_input i))
+          done
+        done;
+        check Alcotest.(pair int int) "8 hits, 8 misses" (8, 8)
+          (Portal.cache_stats ());
+        check Alcotest.int "no eviction" 0 (Portal.cache_evictions ());
+        check Alcotest.int "all 8 cached" 8 (Portal.cache_size ());
+        (* "x 0" is now the least recently used: a ninth upload evicts
+           it and nothing else *)
+        executed "the ninth" (Portal.submit_result s echo (distinct_input 8));
+        check Alcotest.int "one eviction" 1 (Portal.cache_evictions ());
+        for i = 1 to 8 do
+          match Portal.submit_result s echo (distinct_input i) with
+          | Portal.Cache_hit _ -> ()
+          | _ -> Alcotest.failf "x %d was evicted" i
+        done;
+        executed "the evicted x 0"
+          (Portal.submit_result s echo (distinct_input 0)));
     tc "uneven capacities still sum exactly to the aggregate" (fun () ->
         fresh ();
-        Portal.set_cache_shards 4;
         Portal.set_cache_capacity 10;
-        (* caps are 3,3,2,2: fill far past them and check the global bound *)
         let s = Portal.create_session () in
         for i = 0 to 99 do
           ignore (Portal.submit_result s echo (distinct_input i))
         done;
-        check Alcotest.bool "size <= 10" true (Portal.cache_size () <= 10);
-        check Alcotest.bool "cache is well used" true
-          (Portal.cache_size () >= 8));
-    tc "clear_cache empties every shard and keeps the stats" (fun () ->
+        check Alcotest.int "exactly 10" 10 (Portal.cache_size ());
+        check Alcotest.int "evictions" 90 (Portal.cache_evictions ()));
+    tc "clear_cache empties the cache and keeps the stats" (fun () ->
         fresh ();
-        Portal.set_cache_shards 8;
         Portal.set_cache_capacity 8;
         let s = Portal.create_session () in
         for i = 0 to 19 do
           ignore (Portal.submit_result s echo (distinct_input i))
         done;
         ignore (Portal.submit_result s echo (distinct_input 19));
-        check Alcotest.bool "cache populated" true (Portal.cache_size () > 0);
+        check Alcotest.int "cache populated" 8 (Portal.cache_size ());
         let stats = Portal.cache_stats ()
         and evictions = Portal.cache_evictions () in
-        check Alcotest.bool "evictions counted" true (evictions > 0);
+        check Alcotest.int "evictions counted" 12 evictions;
         Portal.clear_cache ();
         check Alcotest.int "empty" 0 (Portal.cache_size ());
-        List.iter
-          (fun n -> check Alcotest.int "shard empty" 0 n)
-          (Portal.cache_shard_sizes ());
         check Alcotest.(pair int int) "clearing keeps the stats" stats
           (Portal.cache_stats ());
         check Alcotest.int "and the evictions" evictions
@@ -972,19 +1026,21 @@ let shard_tests =
         check Alcotest.(pair int int) "stats zeroed" (0, 0)
           (Portal.cache_stats ());
         check Alcotest.int "evictions zeroed" 0 (Portal.cache_evictions ()));
-    tc "shrinking the capacity evicts down across shards" (fun () ->
+    tc "shrinking the capacity evicts down to the bound" (fun () ->
         fresh ();
-        Portal.set_cache_shards 4;
         Portal.set_cache_capacity 16;
         let s = Portal.create_session () in
         for i = 0 to 15 do
           ignore (Portal.submit_result s echo (distinct_input i))
         done;
         Portal.set_cache_capacity 4;
-        check Alcotest.bool "evicted down" true (Portal.cache_size () <= 4);
-        List.iter
-          (fun n -> check Alcotest.bool "shard slice" true (n <= 1))
-          (Portal.cache_shard_sizes ());
+        check Alcotest.int "evicted down" 4 (Portal.cache_size ());
+        (* the 4 most recent uploads stayed *)
+        for i = 12 to 15 do
+          match Portal.submit_result s echo (distinct_input i) with
+          | Portal.Cache_hit _ -> ()
+          | _ -> Alcotest.failf "x %d was evicted" i
+        done;
         (* capacity 0 disables caching entirely *)
         Portal.set_cache_capacity 0;
         check Alcotest.int "disabled empties" 0 (Portal.cache_size ());
@@ -993,7 +1049,6 @@ let shard_tests =
         check Alcotest.int "nothing cached at 0" 0 (Portal.cache_size ()));
     tc "portal.cache.size gauge follows every size change" (fun () ->
         fresh ();
-        Portal.set_cache_shards 1;
         Portal.set_cache_capacity 4;
         let s = Portal.create_session () in
         let in_step what =
@@ -1018,27 +1073,8 @@ let shard_tests =
         in_step "after a capacity shrink";
         Portal.clear_cache ();
         in_step "after clear_cache");
-    tc "set_cache_shards validates and reconfigures" (fun () ->
-        fresh ();
-        check Alcotest.bool "zero shards rejected" true
-          (match Portal.set_cache_shards 0 with
-          | exception Invalid_argument _ -> true
-          | _ -> false);
-        Portal.set_cache_shards 3;
-        check Alcotest.int "shard count" 3 (Portal.cache_shards ());
-        check Alcotest.int "three slots" 3
-          (List.length (Portal.cache_shard_sizes ()));
-        (* reconfiguring drops entries but keeps the hit/miss stats *)
-        let s = Portal.create_session () in
-        ignore (Portal.submit_result s echo "kept stats");
-        ignore (Portal.submit_result s echo "kept stats");
-        Portal.set_cache_shards 5;
-        check Alcotest.int "entries dropped" 0 (Portal.cache_size ());
-        check Alcotest.(pair int int) "stats preserved" (1, 1)
-          (Portal.cache_stats ()));
     tc "cache stats stay monotone under an 8-domain hammer" (fun () ->
         fresh ();
-        Portal.set_cache_shards 16;
         Portal.set_cache_capacity 32;
         let hammers =
           List.init 8 (fun c ->
@@ -1271,7 +1307,7 @@ let () =
       ("admission", server_tests);
       ("slots", slot_tests);
       ("wire-trace", wire_tests);
-      ("cache-shards", shard_tests);
+      ("cache-shards", cache_tests);
       ("telemetry-merge", merge_tests);
       ("stress", stress_tests);
     ]

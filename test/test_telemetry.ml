@@ -519,9 +519,6 @@ let regress_tests =
 let fresh () =
   T.reset ();
   Portal.clear_cache ();
-  (* One shard recovers the exact global LRU these tests assert on;
-     multi-shard behaviour is exercised in test_server.ml. *)
-  Portal.set_cache_shards 1;
   Portal.set_cache_capacity 512;
   Portal.create_session ()
 
