@@ -114,8 +114,9 @@ let parse_args argv =
    actually closes *)
 let draining = Atomic.make false
 
-(* a config Server.start rejects (-workers 0, -burst 0, -rate nan) is a
-   usage error: its message, then exit 2 *)
+(* a config Server.start rejects (-workers 0, -burst 0, -rate nan,
+   -rate inf) is a usage error: its message, then exit 2. To run
+   without a rate limit, leave -rate out. *)
 let start_server config =
   try Server.start ~config ()
   with Invalid_argument msg ->

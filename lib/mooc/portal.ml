@@ -288,8 +288,8 @@ let cache_key tool_name input = Digest.string (tool_name ^ "\x00" ^ input)
    start that makes a restarted server serve cache hits for work its
    previous incarnation did. The handle lives in an
    Atomic so the hot path never takes a configuration lock; store I/O
-   always happens OUTSIDE the cache mutex (lanes have their own
-   locks). A failing store (disk full, yanked volume) is dropped with
+   always happens OUTSIDE the cache mutex (the store has its own
+   lock). A failing store (disk full, yanked volume) is dropped with
    one warning - the portal degrades to memory-only rather than failing
    submissions. *)
 
@@ -434,8 +434,8 @@ let set_cache_dir dirname =
   match Store.open_store ~on_record:promote dirname with
   | exception e ->
     (* same degrade contract as the journal: a portal that cannot write
-       its results through must still serve. A lane that failed to open
-       may follow lanes whose records were already promoted. *)
+       its results through must still serve. An open that failed while
+       folding a lane file in may have promoted records already. *)
     Printf.eprintf
       "portal: cannot open cache dir %s (%s); continuing without it\n%!"
       dirname (Printexc.to_string e);
@@ -455,7 +455,6 @@ let set_cache_dir dirname =
           ("entries", string_of_int entries);
           ("promoted", string_of_int !promoted);
           ("bytes", string_of_int (Store.file_bytes st));
-          ("lanes", string_of_int (Store.lanes st));
           ("elapsed_s", Printf.sprintf "%.6f" (Float.max 0.0 (T.now () -. t0)));
         ]
       "cache.warm_start"

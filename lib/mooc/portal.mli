@@ -240,10 +240,10 @@ val set_cache_dir : string -> unit
     does). While the store is open, {!history} also resolves outputs
     evicted from memory through it. Emits a [cache.warm_start] journal
     event whose attrs are [entries] (the results the store holds),
-    [promoted] (those put into memory), [bytes], [lanes] and
-    [elapsed_s] (the time the call took). A store that cannot be opened
-    degrades with one warning and a [cache.disk_error] event instead of
-    raising. Replaces (and closes) any previously configured store. *)
+    [promoted] (those put into memory), [bytes] and [elapsed_s] (the
+    time the call took). A store that cannot be opened degrades with
+    one warning and a [cache.disk_error] event instead of raising.
+    Replaces (and closes) any previously configured store. *)
 
 val cache_dir : unit -> string option
 (** The active spill directory, if the disk tier is enabled. *)

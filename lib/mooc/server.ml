@@ -14,12 +14,14 @@ module Token_bucket = struct
     mutable last : float;
   }
 
-  (* false for NaN as well *)
-  let valid ~rate ~burst = rate >= 0.0 && burst > 0.0
+  (* false for NaN as well. An infinite rate would make the refill
+     [0. *. infinity] = NaN, and a NaN never leaves [tokens]. *)
+  let valid ~rate ~burst = rate >= 0.0 && Float.is_finite rate && burst > 0.0
 
   let create ~rate ~burst ~now =
     if not (valid ~rate ~burst) then
-      invalid_arg "Server.Token_bucket.create: rate must be >= 0, burst > 0";
+      invalid_arg
+        "Server.Token_bucket.create: rate must be finite and >= 0, burst > 0";
     { rate; burst; tokens = burst; last = now }
 
   let try_take b ~now =
@@ -31,9 +33,6 @@ module Token_bucket = struct
       true
     end
     else false
-
-  let available b ~now =
-    Float.min b.burst (b.tokens +. (Float.max 0.0 (now -. b.last) *. b.rate))
 end
 
 let deadline_expired ~enqueued ~deadline_s ~now =
@@ -240,7 +239,7 @@ let start ?(config = default_config) () =
     invalid_arg "Server.start: negative queue capacity";
   (match config.rate_limit with
   | Some (rate, burst) when not (Token_bucket.valid ~rate ~burst) ->
-    invalid_arg "Server.start: rate limit needs rate >= 0 and burst > 0"
+    invalid_arg "Server.start: rate limit needs a finite rate >= 0 and burst > 0"
   | _ -> ());
   T.set_gauge "server.queue_depth" 0.0;
   T.set_gauge "server.queue_depth.hwm" 0.0;

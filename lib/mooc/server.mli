@@ -80,16 +80,13 @@ module Token_bucket : sig
   val create : rate:float -> burst:float -> now:float -> t
   (** A full bucket. [rate] is tokens per second ([0.] means the bucket
       never refills), [burst] the capacity.
-      @raise Invalid_argument unless [rate >= 0.] and [burst > 0.] (so
-      on NaN too). *)
+      @raise Invalid_argument unless [rate] is finite and [>= 0.] and
+      [burst > 0.] (so on NaN too). *)
 
   val try_take : t -> now:float -> bool
   (** Refill according to the elapsed time, then take one token if at
       least one is available. Not thread-safe on its own; the server
       serializes takes under its lock. *)
-
-  val available : t -> now:float -> float
-  (** Tokens that would be available at [now], without mutating. *)
 end
 
 val deadline_expired : enqueued:float -> deadline_s:float -> now:float -> bool
@@ -130,8 +127,8 @@ val start : ?config:config -> unit -> t
     spawned. Zeroes the [server.queue_depth] gauge and emits a
     [server.start] journal event.
     @raise Invalid_argument on [workers < 1], a negative
-    [queue_capacity], or a [rate_limit] whose rate is not [>= 0.] or
-    whose burst is not [> 0.] (NaN fails both). *)
+    [queue_capacity], or a [rate_limit] whose rate is not finite and
+    [>= 0.] or whose burst is not [> 0.] (NaN fails both). *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop admitting, wait until every running and

@@ -1,4 +1,4 @@
-(* Append-only keyed spill files with an in-memory index - the disk
+(* An append-only keyed spill file with an in-memory index - the disk
    tier under the portal result cache.
 
    Record layout (little-endian lengths):
@@ -16,8 +16,8 @@
    bytes [8, 8+K+N): it is computed and verified in place, with no
    concatenation and no per-field strings.
 
-   A lane file is a sequence of records; the latest record for a key
-   wins. Opening a store scans each lane once, front to back, and stops
+   The spill file is a sequence of records; the latest record for a key
+   wins. Opening a store scans the file once, front to back, and stops
    at the first record that is truncated or fails its checksum - the
    valid prefix is kept and the file is truncated back to it, so
    appends after a torn write never land behind garbage. Appends are
@@ -27,19 +27,15 @@
 
 type entry = { e_off : int; e_dlen : int (* record start, payload len *) }
 
-type lane = {
-  ln_mu : Mutex.t;
-  ln_path : string;
-  mutable ln_fd : Unix.file_descr;
-  ln_tbl : (string, entry) Hashtbl.t;
-  mutable ln_size : int; (* file bytes *)
-  mutable ln_live : int; (* bytes of live (latest-per-key) records *)
-}
-
+(* [st_mu] guards every mutable field and the descriptor's offset *)
 type t = {
   st_dir : string;
-  st_lanes : lane array;
-  st_compact_bytes : int;
+  st_path : string;
+  st_mu : Mutex.t;
+  mutable st_fd : Unix.file_descr;
+  st_tbl : (string, entry) Hashtbl.t;
+  mutable st_size : int; (* file bytes *)
+  mutable st_live : int; (* bytes of live (latest-per-key) records *)
   mutable st_closed : bool;
 }
 
@@ -47,12 +43,8 @@ let header_bytes = 8
 let trailer_bytes = 4
 let record_bytes klen dlen = header_bytes + klen + dlen + trailer_bytes
 
-let lane_path dir i = Filename.concat dir (Printf.sprintf "lane-%02d.spill" i)
-
-let lane_of t key =
-  let d = Digest.string key in
-  let a = t.st_lanes in
-  a.(((Char.code d.[0] lsl 8) lor Char.code d.[1]) mod Array.length a)
+(* compact once dead bytes exceed both the live bytes and this *)
+let compact_threshold = 1 lsl 20
 
 (* magic and format version, at [off] in [b] *)
 let header_ok b off =
@@ -88,12 +80,14 @@ let encode_record key data =
     trailer_bytes;
   b
 
-let write_all fd b =
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then go (off + Unix.write fd b off (len - off))
+(* write the [len] bytes at [off] in [b] *)
+let write_all fd b off len =
+  let rec go off len =
+    if len > 0 then
+      let n = Unix.write fd b off len in
+      go (off + n) (len - n)
   in
-  go 0
+  go off len
 
 (* Read exactly [len] bytes at [off]; None on short read. *)
 let read_at fd ~off ~len =
@@ -108,19 +102,32 @@ let read_at fd ~off ~len =
   in
   go 0
 
+(* Call with [st_mu] held, or before [t] is shared: index [key]'s record
+   of [dlen] payload bytes, just placed at the end of the file. *)
+let index_record t key ~dlen =
+  let klen = String.length key in
+  (match Hashtbl.find_opt t.st_tbl key with
+  | Some prev -> t.st_live <- t.st_live - record_bytes klen prev.e_dlen
+  | None -> ());
+  Hashtbl.replace t.st_tbl key { e_off = t.st_size; e_dlen = dlen };
+  let n = record_bytes klen dlen in
+  t.st_size <- t.st_size + n;
+  t.st_live <- t.st_live + n
+
 (* ------------------------------------------------------------------ *)
-(* open: one scan per lane                                             *)
+(* open: one scan of the file                                          *)
 (* ------------------------------------------------------------------ *)
 
 let scan_chunk = 65536
 
-(* Scan one lane file of [size] bytes once, front to back, indexing each
-   verified record in [tbl] and passing it to [on_record]; returns
-   (valid_bytes, live_bytes). The file is read through one buffer that
-   is refilled as records are consumed and grown only to fit a record
-   longer than it. A record that is malformed, runs past the end of the
-   file or fails its checksum ends the scan at the last good offset. *)
-let scan_lane fd ~size tbl on_record =
+(* Scan a spill file of [size] bytes once, front to back, passing each
+   verified record to [f key b ~off ~dlen] (the record is the bytes at
+   [off] in [b], valid only during the call); returns the length of the
+   valid prefix. The file is read through one buffer that is refilled
+   as records are consumed and grown only to fit a record longer than
+   it. A record that is malformed, runs past the end of the file or
+   fails its checksum ends the scan at the last good offset. *)
+let scan fd ~size f =
   let buf = ref (Bytes.create (min size scan_chunk)) in
   (* buf's bytes [lo, hi) are the file's next unconsumed bytes *)
   let lo = ref 0 and hi = ref 0 in
@@ -142,55 +149,55 @@ let scan_lane fd ~size tbl on_record =
            fill n
        end
   in
-  let rec next valid live =
-    if valid + header_bytes > size || not (fill header_bytes) then (valid, live)
-    else if not (header_ok !buf !lo) then (valid, live)
+  let rec next valid =
+    if valid + header_bytes > size || not (fill header_bytes) then valid
+    else if not (header_ok !buf !lo) then valid
     else
       let klen = Char.code (Bytes.get !buf (!lo + 3)) in
       let dlen = payload_len !buf (!lo + 4) in
       let n = record_bytes klen dlen in
       (* a length past the end of the file is a torn record: stop before
          growing the buffer to fit it *)
-      if valid + n > size || not (fill n) then (valid, live)
+      if valid + n > size || not (fill n) then valid
       else
         let b = !buf and body = !lo + header_bytes in
-        if not (checksum_ok b ~off:body ~len:(klen + dlen)) then (valid, live)
+        if not (checksum_ok b ~off:body ~len:(klen + dlen)) then valid
         else begin
-          let key = Bytes.sub_string b body klen in
-          let live =
-            match Hashtbl.find_opt tbl key with
-            | Some prev -> live - record_bytes klen prev.e_dlen
-            | None -> live
-          in
-          Hashtbl.replace tbl key { e_off = valid; e_dlen = dlen };
-          on_record key (fun () -> Bytes.sub_string b (body + klen) dlen);
+          f (Bytes.sub_string b body klen) b ~off:!lo ~dlen;
           lo := !lo + n;
-          next (valid + n) (live + n)
+          next (valid + n)
         end
   in
-  next 0 0
+  next 0
 
-let open_lane on_record path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let size = (Unix.fstat fd).Unix.st_size in
-  let tbl = Hashtbl.create 256 in
-  let valid, live =
-    match scan_lane fd ~size tbl on_record with
-    | r -> r
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-  in
-  (* drop any torn tail so future appends follow the last good record *)
-  if size > valid then Unix.ftruncate fd valid;
-  {
-    ln_mu = Mutex.create ();
-    ln_path = path;
-    ln_fd = fd;
-    ln_tbl = tbl;
-    ln_size = valid;
-    ln_live = live;
-  }
+(* index a verified record, which sits at [st_size] in the spill file,
+   and pass it on *)
+let take t on_record key b ~off ~dlen =
+  index_record t key ~dlen;
+  on_record key (fun () ->
+      Bytes.sub_string b (off + header_bytes + String.length key) dlen)
+
+(* the per-lane files ([lane-NN.spill]) of a store written by earlier
+   builds *)
+let is_lane f =
+  String.starts_with ~prefix:"lane-" f && Filename.check_suffix f ".spill"
+
+(* Fold a lane into the spill file: its verified records are appended
+   and taken, then the spill file is fsynced and the lane removed. A
+   kill before the removal only makes the next open fold the lane
+   again, leaving superseded copies. *)
+let fold_lane t on_record path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      ignore (Unix.lseek t.st_fd t.st_size Unix.SEEK_SET);
+      ignore
+        (scan fd ~size:(Unix.fstat fd).Unix.st_size (fun key b ~off ~dlen ->
+             write_all t.st_fd b off (record_bytes (String.length key) dlen);
+             take t on_record key b ~off ~dlen)));
+  Unix.fsync t.st_fd;
+  Sys.remove path
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -199,50 +206,55 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let open_store ?(lanes = 8) ?(compact_bytes = 1 lsl 20)
-    ?(on_record = fun _ _ -> ()) dir =
-  if lanes < 1 || lanes > 256 then
-    invalid_arg "Cache_store.open_store: lanes out of range";
+let open_store ?(on_record = fun _ _ -> ()) dir =
   mkdir_p dir;
-  (* an existing store reopens with the lane count it was written with,
-     so every old record stays reachable under its original lane *)
-  let existing =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter_map (fun f ->
-           try Scanf.sscanf f "lane-%02d.spill%!" (fun i -> Some i)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  let path = Filename.concat dir "store.spill" in
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let t =
+    {
+      st_dir = dir;
+      st_path = path;
+      st_mu = Mutex.create ();
+      st_fd = fd;
+      (* a store of up to 4,096 records indexes without a resize; each
+         resize re-hashes every key, and starting at 256 buckets made a
+         4,096-record open ~15% slower *)
+      st_tbl = Hashtbl.create 2048;
+      st_size = 0;
+      st_live = 0;
+      st_closed = false;
+    }
   in
-  let n = match existing with [] -> lanes | l -> 1 + List.fold_left max 0 l in
-  (* a lane that fails to open closes the lanes opened before it *)
-  let rec open_from i opened =
-    if i = n then Array.of_list (List.rev opened)
-    else
-      match open_lane on_record (lane_path dir i) with
-      | ln -> open_from (i + 1) (ln :: opened)
-      | exception e ->
-        List.iter
-          (fun ln -> try Unix.close ln.ln_fd with Unix.Unix_error _ -> ())
-          opened;
-        raise e
-  in
-  {
-    st_dir = dir;
-    st_lanes = open_from 0 [];
-    st_compact_bytes = compact_bytes;
-    st_closed = false;
-  }
+  match
+    let size = (Unix.fstat fd).Unix.st_size in
+    let valid = scan fd ~size (take t on_record) in
+    (* drop any torn tail so future appends follow the last good record *)
+    if size > valid then Unix.ftruncate fd valid;
+    Sys.readdir dir |> Array.to_list |> List.filter is_lane
+    |> List.sort compare
+    |> List.iter (fun f -> fold_lane t on_record (Filename.concat dir f))
+  with
+  | () -> t
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
 
 let dir t = t.st_dir
-let lanes t = Array.length t.st_lanes
 
-let check_open t = if t.st_closed then invalid_arg "Cache_store: closed"
+(* Run [f] with [st_mu] held on an open store. [close] sets [st_closed]
+   under the same mutex, so [f] never uses a closed descriptor, whose
+   number a later open may already have reused. *)
+let locked t f =
+  Mutex.protect t.st_mu (fun () ->
+      if t.st_closed then invalid_arg "Cache_store: closed";
+      f ())
 
-(* Call with the lane mutex held: the whole record [e] indexes for
-   [key], in one read. None unless it is intact and is [key]'s: its
-   header, its on-disk key and its checksum are all checked. *)
-let read_record ln key e =
+(* Call with [st_mu] held: the whole record [e] indexes for [key], in
+   one read. None unless it is intact and is [key]'s: its header, its
+   on-disk key and its checksum are all checked. *)
+let read_record t key e =
   let klen = String.length key and dlen = e.e_dlen in
-  match read_at ln.ln_fd ~off:e.e_off ~len:(record_bytes klen dlen) with
+  match read_at t.st_fd ~off:e.e_off ~len:(record_bytes klen dlen) with
   | Some b
     when header_ok b 0
          && Char.code (Bytes.get b 3) = klen
@@ -256,23 +268,23 @@ let read_record ln key e =
 (* compaction                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Call with the lane mutex held: rewrite the live records to a temp
-   file, rename it into place and swap descriptors. *)
-let compact_locked ln =
-  let tmp = ln.ln_path ^ ".tmp" in
+(* Call with [st_mu] held: rewrite the live records to a temp file,
+   rename it into place and swap descriptors. *)
+let compact_locked t =
+  let tmp = t.st_path ^ ".tmp" in
   let out = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let fresh = Hashtbl.create (Hashtbl.length ln.ln_tbl) in
+  let fresh = Hashtbl.create (Hashtbl.length t.st_tbl) in
   let pos = ref 0 in
   (match
      Hashtbl.iter
        (fun key e ->
-         match read_record ln key e with
+         match read_record t key e with
          | Some record ->
-           write_all out record;
+           write_all out record 0 (Bytes.length record);
            Hashtbl.replace fresh key { e with e_off = !pos };
            pos := !pos + Bytes.length record
          | None -> () (* damaged record: drop it *))
-       ln.ln_tbl
+       t.st_tbl
    with
   | () -> ()
   | exception e ->
@@ -281,88 +293,43 @@ let compact_locked ln =
     raise e);
   Unix.fsync out;
   Unix.close out;
-  Unix.rename tmp ln.ln_path;
-  (try Unix.close ln.ln_fd with Unix.Unix_error _ -> ());
-  ln.ln_fd <- Unix.openfile ln.ln_path [ Unix.O_RDWR ] 0o644;
-  Hashtbl.reset ln.ln_tbl;
-  Hashtbl.iter (fun k v -> Hashtbl.add ln.ln_tbl k v) fresh;
-  ln.ln_size <- !pos;
-  ln.ln_live <- !pos
-
-let maybe_compact_locked t ln =
-  let dead = ln.ln_size - ln.ln_live in
-  if dead > ln.ln_live && dead > t.st_compact_bytes then compact_locked ln
+  Unix.rename tmp t.st_path;
+  (try Unix.close t.st_fd with Unix.Unix_error _ -> ());
+  t.st_fd <- Unix.openfile t.st_path [ Unix.O_RDWR ] 0o644;
+  Hashtbl.reset t.st_tbl;
+  Hashtbl.iter (fun k v -> Hashtbl.add t.st_tbl k v) fresh;
+  t.st_size <- !pos;
+  t.st_live <- !pos
 
 (* ------------------------------------------------------------------ *)
 (* operations                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let append t ~key data =
-  check_open t;
-  let ln = lane_of t key in
   let record = encode_record key data in
-  let n = Bytes.length record in
-  Mutex.protect ln.ln_mu (fun () ->
-      ignore (Unix.lseek ln.ln_fd ln.ln_size Unix.SEEK_SET);
-      write_all ln.ln_fd record;
-      let klen = String.length key in
-      (match Hashtbl.find_opt ln.ln_tbl key with
-      | Some prev -> ln.ln_live <- ln.ln_live - record_bytes klen prev.e_dlen
-      | None -> ());
-      Hashtbl.replace ln.ln_tbl key
-        { e_off = ln.ln_size; e_dlen = String.length data };
-      ln.ln_size <- ln.ln_size + n;
-      ln.ln_live <- ln.ln_live + n;
-      maybe_compact_locked t ln)
+  locked t (fun () ->
+      ignore (Unix.lseek t.st_fd t.st_size Unix.SEEK_SET);
+      write_all t.st_fd record 0 (Bytes.length record);
+      index_record t key ~dlen:(String.length data);
+      let dead = t.st_size - t.st_live in
+      if dead > t.st_live && dead > compact_threshold then compact_locked t)
 
 let find t key =
-  check_open t;
-  let ln = lane_of t key in
-  Mutex.protect ln.ln_mu (fun () ->
-      match Hashtbl.find_opt ln.ln_tbl key with
+  locked t (fun () ->
+      match Hashtbl.find_opt t.st_tbl key with
       | Some e ->
         Option.map
           (fun record ->
             Bytes.sub_string record (header_bytes + String.length key) e.e_dlen)
-          (read_record ln key e)
+          (read_record t key e)
       | None -> None)
 
-let length t =
-  check_open t;
-  Array.fold_left
-    (fun acc ln ->
-      acc + Mutex.protect ln.ln_mu (fun () -> Hashtbl.length ln.ln_tbl))
-    0 t.st_lanes
-
-let live_bytes t =
-  check_open t;
-  Array.fold_left
-    (fun acc ln -> acc + Mutex.protect ln.ln_mu (fun () -> ln.ln_live))
-    0 t.st_lanes
-
-let file_bytes t =
-  check_open t;
-  Array.fold_left
-    (fun acc ln -> acc + Mutex.protect ln.ln_mu (fun () -> ln.ln_size))
-    0 t.st_lanes
-
-let compact t =
-  check_open t;
-  Array.fold_left
-    (fun acc ln ->
-      acc
-      + Mutex.protect ln.ln_mu (fun () ->
-            let before = ln.ln_size in
-            compact_locked ln;
-            before - ln.ln_size))
-    0 t.st_lanes
+let length t = locked t (fun () -> Hashtbl.length t.st_tbl)
+let file_bytes t = locked t (fun () -> t.st_size)
 
 let close t =
-  if not t.st_closed then begin
-    t.st_closed <- true;
-    Array.iter
-      (fun ln ->
-        Mutex.protect ln.ln_mu (fun () ->
-            try Unix.close ln.ln_fd with Unix.Unix_error _ -> ()))
-      t.st_lanes
-  end
+  Mutex.protect t.st_mu (fun () ->
+      if not t.st_closed then begin
+        t.st_closed <- true;
+        try Unix.close t.st_fd with Unix.Unix_error _ -> ()
+      end)

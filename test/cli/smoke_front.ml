@@ -11,7 +11,7 @@
 
    Shard A is then restarted on the same port with the same cache dir
    and journal base. The restart must (a) warm-start its result cache
-   from the spill files the killed process left behind (the disk tier
+   from the spill file the killed process left behind (the disk tier
    writes through on every execution, straight to the fd, so a SIGKILL
    loses nothing already computed), (b) append new journal segments
    after the pre-crash ones rather than truncating them, and (c) rejoin
@@ -20,7 +20,8 @@
    the restarted shard must answer from the warm cache, which the smoke
    checks in its post-restart journal segments (a cache.warm_start
    event with 0 < promoted <= entries and an elapsed_s, and cache_hit
-   submission outcomes).
+   submission outcomes). After that replay the cache dir must hold
+   exactly store.spill.
 
    Then 500 sequential client connections, each sending one TOOL
    request under one session id, go through the front to one backend;
@@ -315,7 +316,7 @@ let () =
       (* phase 2: restart shard A on the same port, same cache dir,
          same journal base. New segments must append after the
          pre-crash ones; the cache must warm-start from the spill
-         files. *)
+         file. *)
       let run1_segments = Q.expand_segments [ journal_a ] in
       if run1_segments = [ journal_a ] then
         die "shard A left no journal segments behind (looked for %s.NNNNN)"
@@ -340,6 +341,13 @@ let () =
         die "phase-2 vcload printed no replay summary:\n%s" summary2;
       if not (contains summary2 "cache_hit") then
         die "phase-2 vcload summary has no outcome breakdown:\n%s" summary2;
+      (* the disk tier is one spill file: no lane file and no
+         compaction temp file, after a SIGKILL and a restart *)
+      (match Array.to_list (Sys.readdir cache_a) with
+      | [ "store.spill" ] -> ()
+      | files ->
+        die "%s holds [%s], not just store.spill" cache_a
+          (String.concat "; " (List.sort compare files)));
       (* phase 3: 500 sequential one-request connections under one
          session id, so all land on one backend. Only the front's
          handler domains can close their upstream connections; each

@@ -1,9 +1,11 @@
-(* The durability layer: the Cache_store spill format (round-trip,
-   torn-tail and corrupted-record recovery, supersede + compaction),
-   the Hashring consistent-hash properties that vcfront's failover
-   correctness rests on, journal segment rotation (plus the
-   append-on-reopen fix and the vcstat segment expansion), and the
-   portal's disk tier warm start. *)
+(* The durability layer: the Cache_store spill file (round-trip,
+   torn-tail and corrupted-record recovery, supersede + automatic
+   compaction, the fold of per-lane files written by earlier builds,
+   one descriptor per store, appends and finds from several domains,
+   and close racing them), the Hashring consistent-hash properties
+   that vcfront's failover correctness rests on, journal segment
+   rotation (plus the append-on-reopen fix and the vcstat segment
+   expansion), and the portal's disk tier warm start. *)
 
 open Helpers
 module Store = Vc_util.Cache_store
@@ -12,11 +14,19 @@ module Journal = Vc_util.Journal
 module Q = Vc_util.Journal_query
 module Portal = Vc_mooc.Portal
 
-let with_store ?lanes ?compact_bytes f =
+let with_store f =
   let dir = temp_dir "vc_spill" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
-    (fun () -> f dir (Store.open_store ?lanes ?compact_bytes dir))
+    (fun () -> f dir (Store.open_store dir))
+
+let spill_file dir = Filename.concat dir "store.spill"
+
+(* open descriptors, where /proc lists them (Linux) *)
+let fd_count () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* spill store                                                         *)
@@ -38,7 +48,7 @@ let store_tests =
         Fun.protect
           ~finally:(fun () -> rm_rf dir)
           (fun () ->
-            let st = Store.open_store ~lanes:4 dir in
+            let st = Store.open_store dir in
             List.iter (fun (k, v) -> Store.append st ~key:k v) entries;
             (* latest append per key wins *)
             let expect = Hashtbl.create 16 in
@@ -65,15 +75,14 @@ let store_tests =
         Fun.protect
           ~finally:(fun () -> rm_rf dir)
           (fun () ->
-            let st = Store.open_store ~lanes:1 dir in
+            let st = Store.open_store dir in
             Store.append st ~key:"alpha" "first payload";
             Store.append st ~key:"beta" "second payload";
             Store.close st;
-            (* chop a few bytes off the lane file, as a kill mid-write
+            (* chop a few bytes off the spill file, as a kill mid-write
                would *)
-            let lane = Filename.concat dir "lane-00.spill" in
-            let size = (Unix.stat lane).Unix.st_size in
-            let fd = Unix.openfile lane [ Unix.O_WRONLY ] 0 in
+            let size = (Unix.stat (spill_file dir)).Unix.st_size in
+            let fd = Unix.openfile (spill_file dir) [ Unix.O_WRONLY ] 0 in
             Unix.ftruncate fd (size - 3);
             Unix.close fd;
             let st = Store.open_store dir in
@@ -95,14 +104,13 @@ let store_tests =
         Fun.protect
           ~finally:(fun () -> rm_rf dir)
           (fun () ->
-            let st = Store.open_store ~lanes:1 dir in
+            let st = Store.open_store dir in
             Store.append st ~key:"keep" "kept payload";
             let last_good = Store.file_bytes st in
             Store.append st ~key:"bad" "soon to be damaged";
             Store.close st;
             (* flip one payload byte inside the second record *)
-            let lane = Filename.concat dir "lane-00.spill" in
-            let fd = Unix.openfile lane [ Unix.O_WRONLY ] 0 in
+            let fd = Unix.openfile (spill_file dir) [ Unix.O_WRONLY ] 0 in
             ignore (Unix.lseek fd (last_good + 12) Unix.SEEK_SET);
             ignore (Unix.write fd (Bytes.make 1 '\xff') 0 1);
             Unix.close fd;
@@ -114,30 +122,33 @@ let store_tests =
             Store.close st));
     tc "re-appending supersedes and compaction reclaims dead bytes"
       (fun () ->
-        (* tiny threshold so the automatic path is reachable, but use
-           the forced entry point for determinism *)
-        with_store ~lanes:1 ~compact_bytes:64 (fun dir st ->
-            ignore dir;
-            for i = 1 to 50 do
-              Store.append st ~key:"hot" (Printf.sprintf "version %d" i)
+        (* 40 records of 64 KiB for one key: without compaction the file
+           would hold 2.5 MiB, nearly all of it dead *)
+        let version i = String.make 65536 (Char.chr (64 + i)) in
+        let record_bytes key v = 8 + String.length key + String.length v + 4 in
+        with_store (fun dir st ->
+            for i = 1 to 40 do
+              Store.append st ~key:"hot" (version i)
             done;
             Store.append st ~key:"cold" "stable";
-            check Alcotest.(option string) "latest wins" (Some "version 50")
+            check Alcotest.(option string) "latest wins" (Some (version 40))
               (Store.find st "hot");
             check Alcotest.int "two live keys" 2 (Store.length st);
-            let before = Store.file_bytes st in
-            let reclaimed = Store.compact st in
-            check Alcotest.bool "bytes reclaimed" true (reclaimed >= 0);
-            check Alcotest.bool "file shrank to live size" true
-              (Store.file_bytes st <= before
-              && Store.file_bytes st = Store.live_bytes st);
+            let live =
+              record_bytes "hot" (version 40) + record_bytes "cold" "stable"
+            in
+            check Alcotest.bool "compacted to within 1 MiB of the live bytes"
+              true
+              (Store.file_bytes st <= live + (1 lsl 20));
+            Store.close st;
+            let st = Store.open_store dir in
             check Alcotest.(option string) "hot survives compaction"
-              (Some "version 50") (Store.find st "hot");
+              (Some (version 40)) (Store.find st "hot");
             check Alcotest.(option string) "cold survives compaction"
               (Some "stable") (Store.find st "cold");
             Store.close st));
     tc "open passes every verified record once, in file order" (fun () ->
-        with_store ~lanes:4 (fun dir st ->
+        with_store (fun dir st ->
             for i = 0 to 19 do
               Store.append st ~key:(Printf.sprintf "k%d" i)
                 (Printf.sprintf "v%d" i)
@@ -162,9 +173,9 @@ let store_tests =
             Store.close st));
     tc "open reads across buffer refills and records longer than it"
       (fun () ->
-        (* one ~350 KB lane: small records straddle the 64 KiB refills,
+        (* a ~350 KB file: small records straddle the 64 KiB refills,
            and one 200 KB record is longer than the buffer *)
-        with_store ~lanes:1 (fun dir st ->
+        with_store (fun dir st ->
             let expect =
               List.init 1000 (fun i ->
                   ( string_of_int i,
@@ -194,6 +205,145 @@ let store_tests =
               (match Store.append st ~key:"k" "v" with
               | exception Invalid_argument _ -> true
               | () -> false)));
+    tc "per-lane files from earlier builds fold into the spill file"
+      (fun () ->
+        (* two stores' spill files, renamed to lane names, stand in for
+           the lanes an earlier build wrote: same record format *)
+        let lane_records lane =
+          List.init 30 (fun i ->
+              ( Printf.sprintf "lane %d key %d" lane i,
+                Printf.sprintf "v%d.%d" lane i ))
+        in
+        let expect = lane_records 3 @ lane_records 5 in
+        with_store (fun dir st ->
+            Store.close st;
+            Sys.remove (spill_file dir);
+            List.iter
+              (fun lane ->
+                with_store (fun src st ->
+                    List.iter
+                      (fun (k, v) -> Store.append st ~key:k v)
+                      (lane_records lane);
+                    Store.close st;
+                    Sys.rename (spill_file src)
+                      (Filename.concat dir
+                         (Printf.sprintf "lane-%02d.spill" lane))))
+              [ 3; 5 ];
+            let seen = ref [] in
+            let st =
+              Store.open_store dir ~on_record:(fun k payload ->
+                  seen := (k, payload ()) :: !seen)
+            in
+            check Alcotest.int "every record passed" (List.length expect)
+              (List.length !seen);
+            check Alcotest.bool "each with its payload" true
+              (List.for_all (fun kv -> List.mem kv !seen) expect);
+            check Alcotest.bool "every key found" true
+              (List.for_all (fun (k, v) -> Store.find st k = Some v) expect);
+            Store.close st;
+            check Alcotest.(array string) "only the spill file is left"
+              [| "store.spill" |] (Sys.readdir dir);
+            let st = Store.open_store dir in
+            check Alcotest.bool "a reopen finds every key" true
+              (List.for_all (fun (k, v) -> Store.find st k = Some v) expect);
+            check Alcotest.int "and no other" (List.length expect)
+              (Store.length st);
+            Store.close st));
+    tc "a store holds one descriptor" (fun () ->
+        match fd_count () with
+        | None -> ()
+        | Some before ->
+          with_store (fun dir st ->
+              Store.append st ~key:"k" "v";
+              check Alcotest.(option int) "open adds one" (Some (before + 1))
+                (fd_count ());
+              Store.close st;
+              check Alcotest.(option int) "close removes it" (Some before)
+                (fd_count ());
+              let st = Store.open_store dir in
+              check Alcotest.(option int) "a reopen adds one"
+                (Some (before + 1)) (fd_count ());
+              Store.close st));
+    tc "4 domains append and find at once; a reopen reads every record"
+      (fun () ->
+        let key d i = Printf.sprintf "domain %d key %d" d i in
+        let payload d i =
+          Printf.sprintf "%d/%d:%s" d i (String.make (i mod 97) 'p')
+        in
+        with_store (fun dir st ->
+            let found_own =
+              List.init 4 (fun d ->
+                  Domain.spawn (fun () ->
+                      let ok = ref true in
+                      for i = 0 to 499 do
+                        Store.append st ~key:(key d i) (payload d i);
+                        let j = i / 2 in
+                        if Store.find st (key d j) <> Some (payload d j) then
+                          ok := false
+                      done;
+                      !ok))
+              |> List.map Domain.join
+            in
+            check Alcotest.(list bool) "each domain found its own keys"
+              [ true; true; true; true ] found_own;
+            Store.close st;
+            let st = Store.open_store dir in
+            check Alcotest.int "2,000 keys" 2000 (Store.length st);
+            check Alcotest.bool "every payload reads back" true
+              (List.for_all
+                 (fun d ->
+                   List.for_all
+                     (fun i -> Store.find st (key d i) = Some (payload d i))
+                     (List.init 500 Fun.id))
+                 [ 0; 1; 2; 3 ]);
+            Store.close st));
+    tc "an operation racing close raises and writes nowhere else"
+      (fun () ->
+        (* 4 domains append and find until the store is closed under
+           them; the closed descriptor's number is then taken by 8
+           O_APPEND scratch files. A round is dirty when a domain saw an
+           error other than Invalid_argument or a scratch file got
+           bytes. *)
+        let dirty = ref 0 in
+        for _ = 1 to 50 do
+          with_store (fun dir st ->
+              let workers =
+                List.init 4 (fun d ->
+                    Domain.spawn (fun () ->
+                        let rec go i =
+                          match
+                            let key = Printf.sprintf "%d.%d" d i in
+                            Store.append st ~key (String.make 100 'x');
+                            ignore (Store.find st key)
+                          with
+                          | () -> go (i + 1)
+                          | exception Invalid_argument _ -> true
+                          | exception _ -> false
+                        in
+                        go 0))
+              in
+              Unix.sleepf 0.005;
+              Store.close st;
+              let scratch =
+                List.init 8 (fun i ->
+                    Filename.concat dir (Printf.sprintf "scratch-%d" i))
+              in
+              let fds =
+                List.map
+                  (fun f ->
+                    Unix.openfile f
+                      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
+                      0o644)
+                  scratch
+              in
+              let clean = List.for_all Fun.id (List.map Domain.join workers) in
+              List.iter Unix.close fds;
+              let written =
+                List.exists (fun f -> (Unix.stat f).Unix.st_size > 0) scratch
+              in
+              if written || not clean then incr dirty)
+        done;
+        check Alcotest.int "dirty rounds of 50" 0 !dirty);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -389,7 +539,7 @@ let echo =
     execute = (fun s -> "echo: " ^ s);
   }
 
-(* a scratch cache dir and a store holding [records] in one lane, with
+(* a scratch cache dir whose spill file holds [records], in order, with
    the memory cache at [capacity]; the default capacity is restored
    after [f dir] *)
 let with_stored_records ?(capacity = 512) records f =
@@ -401,7 +551,7 @@ let with_stored_records ?(capacity = 512) records f =
       Portal.clear_cache ();
       rm_rf dir)
     (fun () ->
-      let st = Store.open_store ~lanes:1 dir in
+      let st = Store.open_store dir in
       List.iter
         (fun (input, out) -> Store.append st ~key:(upload_key "echo" input) out)
         records;
@@ -411,8 +561,6 @@ let with_stored_records ?(capacity = 512) records f =
       Portal.clear_cache ();
       Vc_util.Telemetry.reset ();
       f dir)
-
-let lane0 dir = Filename.concat dir "lane-00.spill"
 
 let portal_tests =
   [
@@ -483,17 +631,17 @@ let portal_tests =
         with_stored_records
           [ ("whole", "echo: whole"); ("torn", "echo: torn") ]
           (fun dir ->
-            let size = (Unix.stat (lane0 dir)).Unix.st_size in
-            let fd = Unix.openfile (lane0 dir) [ Unix.O_WRONLY ] 0 in
+            let size = (Unix.stat (spill_file dir)).Unix.st_size in
+            let fd = Unix.openfile (spill_file dir) [ Unix.O_WRONLY ] 0 in
             Unix.ftruncate fd (size - 3);
             Unix.close fd;
             Portal.set_cache_dir dir;
             check Alcotest.int "only the whole record promoted" 1
               (Portal.cache_size ());
             (* the torn record was 8 + 16 + 10 + 4 bytes *)
-            check Alcotest.int "lane truncated to the valid prefix"
+            check Alcotest.int "file truncated to the valid prefix"
               (size - 38)
-              (Unix.stat (lane0 dir)).Unix.st_size;
+              (Unix.stat (spill_file dir)).Unix.st_size;
             let s = Portal.create_session () in
             (match Portal.submit_result s echo "whole" with
             | Portal.Cache_hit out ->
@@ -637,36 +785,33 @@ let portal_tests =
               ]
               (two_runs ())));
     tc "a lane that fails to open leaks no descriptor" (fun () ->
-        if Sys.file_exists "/proc/self/fd" then begin
-          let dir = temp_dir "vc_portal_cache" in
-          (* lanes 0-2 are files; lane 3 is a directory, so opening it
-             fails after the first three lanes are open *)
-          Store.close (Store.open_store ~lanes:3 dir);
-          let bad = Filename.concat dir "lane-03.spill" in
-          Unix.mkdir bad 0o755;
-          Fun.protect
-            ~finally:(fun () ->
-              Unix.rmdir bad;
-              rm_rf dir)
-            (fun () ->
-              let fds () = Array.length (Sys.readdir "/proc/self/fd") in
-              Portal.unset_cache_dir ();
-              let before = fds () in
-              for _ = 1 to 10 do
-                match Store.open_store dir with
-                | st ->
-                  Store.close st;
-                  Alcotest.fail "opened a store with a directory lane"
-                | exception (Unix.Unix_error _ | Sys_error _) -> ()
-              done;
-              check Alcotest.int "open_store" before (fds ());
-              for _ = 1 to 10 do
-                Portal.set_cache_dir dir
-              done;
-              check Alcotest.(option string) "degraded to memory-only" None
-                (Portal.cache_dir ());
-              check Alcotest.int "Portal.set_cache_dir" before (fds ()))
-        end);
+        let dir = temp_dir "vc_portal_cache" in
+        (* a lane to fold that is a directory: the fold fails after the
+           spill file is open *)
+        let bad = Filename.concat dir "lane-03.spill" in
+        Unix.mkdir bad 0o755;
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.rmdir bad;
+            rm_rf dir)
+          (fun () ->
+            Portal.unset_cache_dir ();
+            let before = fd_count () in
+            for _ = 1 to 10 do
+              match Store.open_store dir with
+              | st ->
+                Store.close st;
+                Alcotest.fail "opened a store with a directory lane"
+              | exception (Unix.Unix_error _ | Sys_error _) -> ()
+            done;
+            check Alcotest.(option int) "open_store" before (fd_count ());
+            for _ = 1 to 10 do
+              Portal.set_cache_dir dir
+            done;
+            check Alcotest.(option string) "degraded to memory-only" None
+              (Portal.cache_dir ());
+            check Alcotest.(option int) "Portal.set_cache_dir" before
+              (fd_count ())));
     tc "unset_cache_dir degrades to memory-only cleanly" (fun () ->
         Portal.clear_cache ();
         Portal.unset_cache_dir ();

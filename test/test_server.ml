@@ -47,8 +47,11 @@ let token_bucket_tests =
         check Alcotest.bool "only one" false
           (Server.Token_bucket.try_take b ~now:0.5);
         (* a long idle period caps at burst, not rate * dt *)
-        check (Alcotest.float 1e-9) "capped" 2.0
-          (Server.Token_bucket.available b ~now:1000.0));
+        let takes =
+          List.init 4 (fun _ -> Server.Token_bucket.try_take b ~now:1000.0)
+        in
+        check Alcotest.(list bool) "capped at burst"
+          [ true; true; false; false ] takes);
     tc "rate 0 never refills" (fun () ->
         let b = Server.Token_bucket.create ~rate:0.0 ~burst:1.0 ~now:0.0 in
         check Alcotest.bool "take" true (Server.Token_bucket.try_take b ~now:0.0);
@@ -70,6 +73,12 @@ let token_bucket_tests =
           | _ -> false);
         check Alcotest.bool "NaN rate" true
           (match Server.Token_bucket.create ~rate:Float.nan ~burst:1.0 ~now:0.0 with
+          | exception Invalid_argument _ -> true
+          | _ -> false);
+        check Alcotest.bool "infinite rate" true
+          (match
+             Server.Token_bucket.create ~rate:Float.infinity ~burst:1.0 ~now:0.0
+           with
           | exception Invalid_argument _ -> true
           | _ -> false));
     tc "deadline predicate" (fun () ->
@@ -305,7 +314,7 @@ let server_tests =
               | srv ->
                 Server.stop srv;
                 false))
-          [ (1.0, 0.0); (-1.0, 5.0); (Float.nan, 5.0) ]);
+          [ (1.0, 0.0); (-1.0, 5.0); (Float.nan, 5.0); (Float.infinity, 5.0) ]);
     tc "zero deadline rejects Deadline_exceeded at dequeue" (fun () ->
         fresh ();
         let srv =

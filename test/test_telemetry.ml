@@ -1338,7 +1338,7 @@ let journal_bytes_tests =
             ~attrs:[ ("i", Printf.sprintf "%06d" i) ]
             "small"
         in
-        let live_bytes () =
+        let live_heap_bytes () =
           Gc.full_major ();
           (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
         in
@@ -1346,7 +1346,7 @@ let journal_bytes_tests =
           small i
         done;
         Journal.flush ();
-        let before = live_bytes () in
+        let before = live_heap_bytes () in
         Journal.emit ~component:"mem"
           ~attrs:[ ("big", String.make (4 * 1024 * 1024) 'x') ]
           "big";
@@ -1354,7 +1354,7 @@ let journal_bytes_tests =
           small i
         done;
         Journal.flush ();
-        let grown = live_bytes () - before in
+        let grown = live_heap_bytes () - before in
         Printf.printf "live heap grew %d bytes\n" grown;
         (* only growth is retention: the heap can also read lower, by up
            to ~400 KB, when domains spawned by earlier tests leave the
