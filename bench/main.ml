@@ -189,7 +189,7 @@ let portal_bench () =
     demos;
   Out_channel.with_open_text "BENCH_portal.json" (fun oc ->
       Out_channel.output_string oc (T.to_json ()));
-  Vc_util.Journal.remove_sink "jsonl:BENCH_portal.jsonl";
+  Vc_util.Journal.close_jsonl ();
   Printf.printf "wrote BENCH_portal.json and BENCH_portal.jsonl\n"
 
 let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
@@ -291,7 +291,7 @@ let server_bench ?(configs = [ 1; 2; 4; 8 ]) () =
     times;
   Out_channel.with_open_text "BENCH_server.json" (fun oc ->
       Out_channel.output_string oc (T.to_json ()));
-  Vc_util.Journal.remove_sink "jsonl:BENCH_server.jsonl";
+  Vc_util.Journal.close_jsonl ();
   Printf.printf "wrote BENCH_server.json and BENCH_server.jsonl\n"
 
 let loadgen_bench ?(participants = 1_000_000) ?(duration_s = 32.0)

@@ -4,7 +4,7 @@
    Usage: vcfront [--stats] [--journal FILE] [--journal-segments BYTES]
                   [--metrics-port N] -listen PORT
                   -backend HOST:PORT [-backend HOST:PORT ...]
-                  [-check-interval S] [-retries N] [-replicas N]
+                  [-check-interval S]
 
    Speaks the same Mooc.Wire line protocol as vcserve on the front
    socket and forwards each TOOL submission to a backend chosen by
@@ -20,7 +20,7 @@
    the survivors while everyone else's mapping is untouched - the
    consistent-hash property. A submission that hits a dead backend is
    retried transparently against the re-routed ring (tools are pure,
-   so a replayed submission is idempotent); only when every retry is
+   so a replayed submission is idempotent); only when all 3 retries are
    exhausted does the client see ERR overloaded. Recovered backends
    rejoin the ring at the next probe.
 
@@ -39,7 +39,7 @@ let usage () =
     "usage: vcfront [--stats] [--journal FILE] [--journal-segments BYTES]\n\
     \               [--metrics-port N] -listen PORT\n\
     \               -backend HOST:PORT [-backend HOST:PORT ...]\n\
-    \               [-check-interval S] [-retries N] [-replicas N]";
+    \               [-check-interval S]";
   exit 2
 
 (* ------------------------------------------------------------------ *)
@@ -54,7 +54,6 @@ type backend = {
 }
 
 let backends : backend array ref = ref [||]
-let replicas = ref 64
 
 (* The ring is immutable; transitions build a new one from the up
    backends and swap it in, so the hot routing path is one Atomic.get
@@ -65,9 +64,7 @@ let rebuild_ring () =
   let up =
     Array.to_list !backends |> List.filter (fun b -> Atomic.get b.b_up)
   in
-  Atomic.set ring
-    (Hashring.make ~replicas:!replicas
-       (List.map (fun b -> (b.b_name, b)) up));
+  Atomic.set ring (Hashring.make (List.map (fun b -> (b.b_name, b)) up));
   T.set_gauge "front.backends.up" (float_of_int (List.length up))
 
 let set_up b up =
@@ -163,7 +160,8 @@ let outcome_of_reply (status, body) =
     Portal.Rejected
       (Portal.Overloaded ("unexpected backend reply: " ^ status))
 
-let retries = ref 3
+(* a failed submission is re-routed this many times *)
+let retries = 3
 
 let submit (req : Portal.request) =
   T.incr "front.routed";
@@ -190,14 +188,14 @@ let submit (req : Portal.request) =
           T.incr "front.retries";
           (* brief backoff so a restarting backend's listener has a
              chance to come up between attempts *)
-          Unix.sleepf (0.05 *. float_of_int (!retries - tries + 1));
+          Unix.sleepf (0.05 *. float_of_int (retries - tries + 1));
           attempt (tries - 1)
         end
         else
           Portal.Rejected
             (Portal.Overloaded ("backend " ^ b.b_name ^ " unavailable")))
   in
-  attempt !retries
+  attempt retries
 
 (* ------------------------------------------------------------------ *)
 (* health prober                                                       *)
@@ -252,16 +250,6 @@ let () =
       if s <= 0. then usage ();
       check_interval := s;
       go rest
-    | "-retries" :: n :: rest ->
-      let n = int_of n in
-      if n < 0 then usage ();
-      retries := n;
-      go rest
-    | "-replicas" :: n :: rest ->
-      let n = int_of n in
-      if n < 1 then usage ();
-      replicas := n;
-      go rest
     | _ -> usage ()
   in
   go (List.tl (Array.to_list argv));
@@ -270,11 +258,7 @@ let () =
   backends := Array.of_list (List.rev_map parse_backend !specs);
   rebuild_ring ();
   J.emit ~component:"front"
-    ~attrs:
-      [
-        ("backends", string_of_int (Array.length !backends));
-        ("replicas", string_of_int !replicas);
-      ]
+    ~attrs:[ ("backends", string_of_int (Array.length !backends)) ]
     "front.start";
   let prober = start_prober !check_interval in
   let listener = Wire.listen ~port () in

@@ -24,11 +24,12 @@ let zero = 0
 let one = 1
 
 (* Process-wide cumulative table counters across every manager, for the
-   Telemetry probe ([cache_stats] below stays per-manager). *)
-let g_unique_hits = ref 0
-let g_unique_misses = ref 0
-let g_ite_hits = ref 0
-let g_ite_misses = ref 0
+   Telemetry probe ([cache_stats] below stays per-manager). Atomic,
+   because every domain running kbdd bumps them. *)
+let g_unique_hits = Atomic.make 0
+let g_unique_misses = Atomic.make 0
+let g_ite_hits = Atomic.make 0
+let g_ite_misses = Atomic.make 0
 
 let create ?(cache_size = 1 lsl 12) () =
   let n0 = 1024 in
@@ -67,10 +68,10 @@ let mk_node m lvl lo hi =
     let key = (lvl, lo, hi) in
     match Hashtbl.find_opt m.unique key with
     | Some id ->
-      Stdlib.incr g_unique_hits;
+      Atomic.incr g_unique_hits;
       id
     | None ->
-      Stdlib.incr g_unique_misses;
+      Atomic.incr g_unique_misses;
       grow m;
       let id = m.next_node in
       m.next_node <- id + 1;
@@ -139,11 +140,11 @@ let rec ite m f g h =
     match Hashtbl.find_opt m.ite_cache key with
     | Some r ->
       m.hits <- m.hits + 1;
-      Stdlib.incr g_ite_hits;
+      Atomic.incr g_ite_hits;
       r
     | None ->
       m.misses <- m.misses + 1;
-      Stdlib.incr g_ite_misses;
+      Atomic.incr g_ite_misses;
       let lvl = min (top_level m f) (min (top_level m g) (top_level m h)) in
       let f0, f1 = cofactors m f lvl in
       let g0, g1 = cofactors m g lvl in
@@ -413,10 +414,10 @@ let cache_stats m = (m.hits, m.misses)
 
 let stats () =
   [
-    ("unique_hits", !g_unique_hits);
-    ("unique_misses", !g_unique_misses);
-    ("ite_hits", !g_ite_hits);
-    ("ite_misses", !g_ite_misses);
+    ("unique_hits", Atomic.get g_unique_hits);
+    ("unique_misses", Atomic.get g_unique_misses);
+    ("ite_hits", Atomic.get g_ite_hits);
+    ("ite_misses", Atomic.get g_ite_misses);
   ]
 
 let () = Vc_util.Telemetry.register_probe "bdd" stats

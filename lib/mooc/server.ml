@@ -116,19 +116,19 @@ let count_outcome outcome =
 (* Admission-control and deadline rejections are the server's own; each
    gets its distinct journal event so an operator can tell saturation
    (overloaded), abuse (rate_limited) and staleness (deadline) apart at
-   a glance. Runaway rejections keep their journal trail inside
+   a glance. Every one carries the session, tool and reason, then
+   [extra]. Runaway rejections keep their journal trail inside
    [Portal.submit_result]. *)
-let reject_server ~session_id ~tool_name ~ctx reason =
+let reject_server ~session_id ~tool_name ~ctx ~extra reason =
   let outcome = Portal.Rejected reason in
   count_outcome outcome;
   J.emit ~severity:J.Warn ~component:"server"
     ~attrs:
       (Tc.to_attrs ctx
-      @ [
-          ("session", session_id);
-          ("tool", tool_name);
-          ("reason", Portal.reason_message reason);
-        ])
+      @ ("session", session_id)
+        :: ("tool", tool_name)
+        :: ("reason", Portal.reason_message reason)
+        :: extra)
     ("job.rejected." ^ Portal.reason_label reason);
   outcome
 
@@ -148,22 +148,11 @@ let process_job t ~tool ~input ~session ~session_id ~ctx ~enqueued =
     then begin
       (* only the configured limit in the message - the measured wait
          goes in the journal attrs, keeping wire output deterministic *)
-      let msg =
-        Printf.sprintf "queue wait exceeded the %.3f s deadline"
-          t.config.deadline_s
-      in
-      let outcome = Portal.Rejected (Portal.Deadline_exceeded msg) in
-      count_outcome outcome;
-      J.emit ~severity:J.Warn ~component:"server"
-        ~attrs:
-          (Tc.to_attrs ctx
-          @ [
-              ("tool", tool.Portal.tool_name);
-              ("wait_s", Printf.sprintf "%.6f" wait_s);
-              ("reason", msg);
-            ])
-        "job.rejected.deadline";
-      outcome
+      reject_server ~session_id ~tool_name:tool.Portal.tool_name ~ctx
+        ~extra:[ ("wait_s", Printf.sprintf "%.6f" wait_s) ]
+        (Portal.Deadline_exceeded
+           (Printf.sprintf "queue wait exceeded the %.3f s deadline"
+              t.config.deadline_s))
     end
     else begin
       (* the ambient context lets the portal's Phase.run calls time
@@ -364,7 +353,7 @@ let submit t (req : Portal.request) =
       Mutex.protect t.mu (fun () -> Token_bucket.try_take b ~now:(T.now ()))
   in
   if not rate_ok then
-    reject_server ~session_id ~tool_name ~ctx
+    reject_server ~session_id ~tool_name ~ctx ~extra:[]
       (Portal.Rate_limited
          (Printf.sprintf "session %S exceeded its submission rate limit"
             session_id))
@@ -394,10 +383,10 @@ let submit t (req : Portal.request) =
     in
     match admitted with
     | `Stopped ->
-      reject_server ~session_id ~tool_name ~ctx
+      reject_server ~session_id ~tool_name ~ctx ~extra:[]
         (Portal.Overloaded "server is shutting down")
     | `Full ->
-      reject_server ~session_id ~tool_name ~ctx
+      reject_server ~session_id ~tool_name ~ctx ~extra:[]
         (Portal.Overloaded
            (Printf.sprintf "submission queue full (capacity %d)"
               t.config.queue_capacity))

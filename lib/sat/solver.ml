@@ -387,19 +387,22 @@ let preprocess (f : Cnf.t) =
   List.filter_map simplify_clause f.Cnf.clauses
 
 (* Process-wide cumulative counters across every [solve] call, for the
-   Telemetry probe (per-call numbers stay in the returned [stats]). *)
-let g_solves = ref 0
-let g_decisions = ref 0
-let g_conflicts = ref 0
-let g_propagations = ref 0
-let g_restarts = ref 0
+   Telemetry probe (per-call numbers stay in the returned [stats]).
+   Atomic, because every domain running minisat adds to them. *)
+let g_solves = Atomic.make 0
+let g_decisions = Atomic.make 0
+let g_conflicts = Atomic.make 0
+let g_propagations = Atomic.make 0
+let g_restarts = Atomic.make 0
+
+let add counter n = ignore (Atomic.fetch_and_add counter n)
 
 let accumulate (st : stats) =
-  Stdlib.incr g_solves;
-  g_decisions := !g_decisions + st.decisions;
-  g_conflicts := !g_conflicts + st.conflicts;
-  g_propagations := !g_propagations + st.propagations;
-  g_restarts := !g_restarts + st.restarts
+  Atomic.incr g_solves;
+  add g_decisions st.decisions;
+  add g_conflicts st.conflicts;
+  add g_propagations st.propagations;
+  add g_restarts st.restarts
 
 let solve ?(config = default_config) (f : Cnf.t) =
   let s = create config f in
@@ -493,11 +496,11 @@ let is_sat f =
 
 let stats () =
   [
-    ("solves", !g_solves);
-    ("decisions", !g_decisions);
-    ("conflicts", !g_conflicts);
-    ("propagations", !g_propagations);
-    ("restarts", !g_restarts);
+    ("solves", Atomic.get g_solves);
+    ("decisions", Atomic.get g_decisions);
+    ("conflicts", Atomic.get g_conflicts);
+    ("propagations", Atomic.get g_propagations);
+    ("restarts", Atomic.get g_restarts);
   ]
 
 let () = Vc_util.Telemetry.register_probe "sat.solver" stats

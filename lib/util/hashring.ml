@@ -8,16 +8,24 @@
    while lookups stay lock-free. *)
 
 type 'a t = {
-  r_replicas : int;
-  r_nodes : (string * 'a) list; (* sorted by name *)
   r_points : (string * int) array; (* (digest, node index), sorted *)
   r_slots : (string * 'a) array; (* node index -> (name, node) *)
 }
 
+let replicas = 64
 let point name i = Digest.string (Printf.sprintf "%s#%d" name i)
 
-let build replicas nodes =
-  let slots = Array.of_list nodes in
+let make pairs =
+  (* last pair wins on a duplicate name, then sort by name so the slot
+     layout (and therefore the ring) is independent of argument order *)
+  let dedup =
+    List.fold_left
+      (fun acc (name, v) -> (name, v) :: List.remove_assoc name acc)
+      [] pairs
+  in
+  let slots =
+    Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) dedup)
+  in
   let points =
     Array.init
       (Array.length slots * replicas)
@@ -26,24 +34,7 @@ let build replicas nodes =
         (point (fst slots.(idx)) (k mod replicas), idx))
   in
   Array.sort compare points;
-  { r_replicas = replicas; r_nodes = nodes; r_points = points; r_slots = slots }
-
-let make ?(replicas = 64) pairs =
-  if replicas < 1 then invalid_arg "Hashring.make: replicas under 1";
-  (* last pair wins on a duplicate name, then sort by name so the slot
-     layout (and therefore the ring) is independent of argument order *)
-  let dedup =
-    List.fold_left
-      (fun acc (name, v) -> (name, v) :: List.remove_assoc name acc)
-      [] pairs
-  in
-  build replicas (List.sort (fun (a, _) (b, _) -> compare a b) dedup)
-
-let replicas t = t.r_replicas
-let size t = Array.length t.r_slots
-let is_empty t = Array.length t.r_slots = 0
-let nodes t = t.r_nodes
-let mem t name = List.mem_assoc name t.r_nodes
+  { r_points = points; r_slots = slots }
 
 let find t key =
   let n = Array.length t.r_points in
@@ -59,10 +50,3 @@ let find t key =
     let idx = if !lo = n then 0 else !lo in
     Some t.r_slots.(snd t.r_points.(idx))
   end
-
-let add t name v = build t.r_replicas
-    (List.sort
-       (fun (a, _) (b, _) -> compare a b)
-       ((name, v) :: List.remove_assoc name t.r_nodes))
-
-let remove t name = build t.r_replicas (List.remove_assoc name t.r_nodes)

@@ -3,48 +3,28 @@
     backend so a participant's sticky session history lands on the same
     shard request after request.
 
-    Each node is planted on the ring at [replicas] points (virtual
-    nodes), derived by hashing ["name#i"]; a key is routed to the first
-    point at or clockwise after its own hash. Virtual nodes smooth the
-    load split, and removal of one node remaps only the keys that were
-    mapped to it - every other key keeps its backend, which is exactly
-    what keeps result-cache locality intact when a backend drains.
+    Each node is planted on the ring at 64 points (virtual nodes),
+    derived by hashing ["name#i"]; a key is routed to the first point at
+    or clockwise after its own hash. Virtual nodes smooth the load
+    split, and a ring built without one node remaps only the keys that
+    were mapped to it - every other key keeps its backend, which is
+    exactly what keeps result-cache locality intact when a backend
+    drains.
 
-    A ring is {e immutable}: {!add} and {!remove} return new rings and
-    never mutate, so a router can publish the current ring in an
-    [Atomic.t] and swap it wholesale on membership changes - readers
-    never lock. Lookups are a binary search, O(log(nodes x replicas)). *)
+    A ring is {e immutable}: a router publishes the current ring in an
+    [Atomic.t] and swaps in one built by {!make} on membership changes -
+    readers never lock. Lookups are a binary search,
+    O(log(nodes x 64)). *)
 
 type 'a t
 
-val make : ?replicas:int -> (string * 'a) list -> 'a t
-(** Build a ring from [(name, node)] pairs with [replicas] virtual
-    points per node (default 64). Duplicate names keep the last pair.
-    The empty list is a valid (empty) ring.
-    @raise Invalid_argument if [replicas < 1]. *)
-
-val replicas : 'a t -> int
-
-val size : 'a t -> int
-(** Number of distinct nodes on the ring. *)
-
-val is_empty : 'a t -> bool
-
-val nodes : 'a t -> (string * 'a) list
-(** The member nodes, sorted by name. *)
-
-val mem : 'a t -> string -> bool
+val make : (string * 'a) list -> 'a t
+(** Build a ring from [(name, node)] pairs. Duplicate names keep the
+    last pair, and the ring does not depend on the pairs' order. The
+    empty list is a valid (empty) ring. *)
 
 val find : 'a t -> string -> (string * 'a) option
 (** The node owning [key]: the first virtual point at or clockwise
     after [key]'s hash, wrapping past the top of the ring. [None] only
     on an empty ring. Deterministic - the same key always routes to the
     same node until membership changes. *)
-
-val add : 'a t -> string -> 'a -> 'a t
-(** A new ring with the node added (replacing any node of the same
-    name). The original is unchanged. *)
-
-val remove : 'a t -> string -> 'a t
-(** A new ring without the named node; only keys owned by that node are
-    remapped. Removing an absent name returns an equal ring. *)

@@ -19,18 +19,17 @@ type event = {
    tiny mutex, uncontended except while a flush swaps it out), so
    concurrent emitters never serialize on a global lock per event. A
    flush - forced by a full buffer, any Warn/Error, every read
-   ([events], [event_count], [to_jsonl]) and sink (de)registration -
+   ([events], [event_count]) and opening or closing the journal file -
    runs under the single global mutex [mu]: it swaps each domain's
    buffer for that domain's spare under the buffer mutex, then, outside
    it, assigns the monotone sequence numbers, copies each event into a
-   ring slot and runs the sinks. Sinks therefore still observe a
-   strictly increasing sequence on one serialized channel, and never
-   run under a buffer mutex. Per-domain FIFO order is preserved (a
-   buffer drains in emission order); interleaving across domains is
-   decided at flush time. Lock ordering: [mu] before a buffer mutex,
-   never the reverse - [emit] releases its buffer mutex before calling
-   [flush]. A sink must never call back into [emit] (none does; they
-   are plain formatters). *)
+   ring slot and writes its line to the journal file. The file
+   therefore sees a strictly increasing sequence on one serialized
+   channel, and is never written under a buffer mutex. Per-domain FIFO
+   order is preserved (a buffer drains in emission order); interleaving
+   across domains is decided at flush time. Lock ordering: [mu] before
+   a buffer mutex, never the reverse - [emit] releases its buffer mutex
+   before calling [flush]. *)
 let mu = Mutex.create ()
 
 let locked f = Mutex.protect mu f
@@ -45,8 +44,8 @@ let locked f = Mutex.protect mu f
    the count take a 4-byte length prefix. The domain buffers and the
    ring slots reuse their storage, so a buffered or recorded event holds
    no pointer into the heap: the strings handed to [emit] die young
-   instead of being promoted, and a record is decoded only for a sink
-   or a reader. *)
+   instead of being promoted, and a record is decoded only for a
+   reader. *)
 
 let severity_code = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
@@ -195,48 +194,115 @@ let buffers : buffer list ref = ref []
 
 (* Info/Debug events buffer up to this many per domain before forcing a
    flush; Warn/Error always flush immediately so the flight recorder and
-   any sink see trouble as it happens. *)
+   the journal file see trouble as it happens. *)
 let batch = 64
 
 (* ------------------------------------------------------------------ *)
-(* sinks + flush                                                       *)
+(* the journal file + flush                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [s_close] releases what the sink writes to (a JSONL sink's channel);
-   it runs once the sink is detached, outside [mu]. *)
-type sink = { s_name : string; s_write : event -> unit; s_close : unit -> unit }
+(* append, never truncate: a crash-restart writing to the same path
+   must not overwrite the pre-crash tail *)
+let open_append =
+  Out_channel.open_gen [ Open_wronly; Open_creat; Open_append; Open_text ] 0o644
 
-let sinks : sink list ref = ref []
+(* The open journal file: segment [f_idx] of [f_base], named by
+   [f_path], holding the [f_bytes] this process wrote to it. *)
+type file = {
+  f_base : string;
+  f_path : int -> string;
+  f_limit : int;
+  mutable f_idx : int;
+  mutable f_oc : Out_channel.t;
+  mutable f_bytes : int;
+}
+
+(* At most one file is open, and [line] is reused for each line written
+   to it; both guarded by [mu]. *)
+let file : file option ref = ref None
+let line = Buffer.create default_bytes
+
+(* [close_noerr] releases the descriptor even when the last write
+   failed *)
+let close f = Out_channel.close_noerr f.f_oc
+
+(* Append the string at [p] of [b] to [line], quoted and escaped, then
+   [sep]; return the position after it. *)
+let add_quoted b p sep =
+  let n = get_len b p in
+  Buffer.add_char line '"';
+  Json.add_escaped line b (p + 4) n;
+  Buffer.add_char line '"';
+  Buffer.add_string line sep;
+  p + 4 + n
+
+let rec add_attrs b p n =
+  if n > 0 then
+    let v = add_quoted b p ":" in
+    add_attrs b (add_quoted b v (if n > 1 then "," else "")) (n - 1)
+
+(* The event at [pos] of [b] as one JSON line: the fields in the order
+   [Json.obj] would write them, the timestamp as [Json.num]. *)
+let add_line seq b pos =
+  Buffer.add_string line "{\"seq\":";
+  Buffer.add_string line (string_of_int seq);
+  Buffer.add_string line ",\"ts\":";
+  Buffer.add_string line
+    (Json.num (Int64.float_of_bits (Bytes.get_int64_le b pos)));
+  Buffer.add_string line ",\"severity\":\"";
+  Buffer.add_string line
+    (severity_to_string (severity_of_code (Bytes.get_uint8 b (pos + 8))));
+  Buffer.add_string line "\",\"component\":";
+  let name = add_quoted b (pos + 9) ",\"event\":" in
+  let count = add_quoted b name ",\"attrs\":{" in
+  add_attrs b (count + 4) (get_len b count);
+  Buffer.add_string line "}}\n"
+
+(* Write the event at [pos] of [b] to [f] and flush it. Once the segment
+   reaches the limit it is fsynced and closed, and the next one opened;
+   a failed open raises like a failed write. *)
+let write_line f seq b pos =
+  (* a large line's storage is not kept for the lines after it *)
+  if Buffer.length line > max_kept_bytes then Buffer.reset line
+  else Buffer.clear line;
+  add_line seq b pos;
+  Buffer.output_buffer f.f_oc line;
+  Out_channel.flush f.f_oc;
+  f.f_bytes <- f.f_bytes + Buffer.length line;
+  if f.f_bytes >= f.f_limit then begin
+    (try Unix.fsync (Unix.descr_of_out_channel f.f_oc)
+     with Unix.Unix_error _ -> ());
+    close f;
+    f.f_idx <- f.f_idx + 1;
+    f.f_oc <- open_append (f.f_path f.f_idx);
+    f.f_bytes <- 0
+  end
 
 (* Sequence the [len] bytes of events in [b], record them in the ring
-   and run the sinks. A sink that raises is detached at once and added
-   to [failed]. *)
+   and write them to the journal file. A file whose write raises is
+   detached at once and kept in [failed] with its exception. *)
 let publish failed b len =
   let pos = ref 0 in
   while !pos < len do
     let n = get_len b !pos in
     incr seq;
     record !seq b (!pos + 4) n;
-    (match !sinks with
-    | [] -> ()
-    | live ->
-      let e = decode !seq b (!pos + 4) in
-      List.iter
-        (fun s ->
-          match s.s_write e with
-          | () -> ()
-          | exception exn ->
-            sinks := List.filter (( != ) s) !sinks;
-            failed := (s, exn) :: !failed)
-        live);
+    (match !file with
+    | None -> ()
+    | Some f -> (
+      match write_line f !seq b (!pos + 4) with
+      | () -> ()
+      | exception exn ->
+        file := None;
+        failed := Some (f, exn)));
     pos := !pos + 4 + n
   done
 
 (* Drain every domain buffer: swap it out under its mutex, then publish
-   it outside that mutex. Call with [mu] held; returns the sinks that
-   raised. *)
+   it outside that mutex. Call with [mu] held; returns the file that
+   failed, if one did. *)
 let flush_locked () =
-  let failed = ref [] in
+  let failed = ref None in
   List.iter
     (fun b ->
       Mutex.lock b.b_mu;
@@ -250,24 +316,24 @@ let flush_locked () =
     (List.rev !buffers);
   !failed
 
-(* Flush, then run [f] under [mu]; [f] returns the sinks it detached.
-   Outside [mu], report each sink that raised and close every detached
-   sink. *)
+(* Flush, then run [f] under [mu]; [f] returns the file it detached, if
+   any. Outside [mu], report a file whose write failed, and close it
+   and the detached one. *)
 let with_flush f =
   let failed, detached =
     locked (fun () ->
         let failed = flush_locked () in
         (failed, f ()))
   in
-  List.iter
-    (fun (s, exn) ->
-      Printf.eprintf "journal: sink %s failed (%s); removed\n%!" s.s_name
-        (Printexc.to_string exn);
-      s.s_close ())
+  Option.iter
+    (fun (j, exn) ->
+      Printf.eprintf "journal: sink jsonl:%s failed (%s); removed\n%!"
+        j.f_base (Printexc.to_string exn);
+      close j)
     failed;
-  List.iter (fun s -> s.s_close ()) detached
+  Option.iter close detached
 
-let flush () = with_flush (fun () -> [])
+let flush () = with_flush (fun () -> None)
 
 (* A spawned domain's buffer is flushed and dropped when the domain
    exits, so a server running one domain per connection holds only the
@@ -288,25 +354,19 @@ let buffer_key : buffer Domain.DLS.key =
         Domain.at_exit (fun () ->
             with_flush (fun () ->
                 buffers := List.filter (( != ) b) !buffers;
-                []));
+                None));
       b)
 
-(* Sink changes flush first, so every event emitted before the change
-   reaches exactly the sinks that were registered at emission time. A
-   sink replaced under its name is closed like a removed one. *)
-let detach name =
-  let gone, kept = List.partition (fun s -> s.s_name = name) !sinks in
-  sinks := kept;
-  gone
-
-let register s =
+(* Opening or closing a file flushes first, so every event emitted
+   before the change goes to the file that was open when it was
+   emitted. *)
+let swap_file next =
   with_flush (fun () ->
-      let gone = detach s.s_name in
-      sinks := s :: !sinks;
-      gone)
+      let old = !file in
+      file := next;
+      old)
 
-let add_sink name f = register { s_name = name; s_write = f; s_close = ignore }
-let remove_sink name = with_flush (fun () -> detach name)
+let close_jsonl () = swap_file None
 
 let emit ?(severity = Info) ?(attrs = []) ~component name =
   let b = Domain.DLS.get buffer_key in
@@ -358,25 +418,6 @@ let clear () =
       count := 0;
       seq := 0)
 
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let event_to_json e =
-  Json.obj
-    [
-      ("seq", Json.int e.ev_seq);
-      ("ts", Json.num e.ev_ts);
-      ("severity", Json.str (severity_to_string e.ev_severity));
-      ("component", Json.str e.ev_component);
-      ("event", Json.str e.ev_name);
-      ("attrs", Json.obj (List.map (fun (k, v) -> (k, Json.str v)) e.ev_attrs));
-    ]
-
-let to_jsonl () =
-  String.concat ""
-    (List.map (fun e -> event_to_json e ^ "\n") (events ()))
-
 (* Split [file] into (stem, extension) around the last dot of its
    basename: "logs/foo.jsonl" -> ("logs/foo", ".jsonl"). No-extension
    names get an empty extension. *)
@@ -418,15 +459,10 @@ let next_segment_index file =
         else acc)
       0 entries
 
-(* append, never truncate: a crash-restart writing to the same path
-   must not overwrite the pre-crash tail *)
-let open_append =
-  Out_channel.open_gen [ Open_wronly; Open_creat; Open_append; Open_text ] 0o644
-
 (* A journal that cannot be written must never take the tool down: warn
-   once and run without the sink (write failures mid-run are handled
-   the same way by the flush guard, which detaches a raising sink). *)
-let open_sink_file file =
+   once and run without the file (write failures mid-run are handled
+   the same way by the flush, which detaches a failing file). *)
+let open_journal_file file =
   match open_append file with
   | oc -> Some oc
   | exception Sys_error msg ->
@@ -452,44 +488,22 @@ let open_jsonl ?segment_bytes file =
         invalid_arg "Journal.open_jsonl: segment_bytes under 1";
       (segment_path file, next_segment_index file, limit)
   in
-  let idx = ref idx in
-  match open_sink_file (path !idx) with
+  match open_journal_file (path idx) with
   | None -> ()
-  | Some opened ->
-    let oc = ref opened in
-    let bytes = ref 0 in
-    (* one hook for every sink: drain the events still buffered in the
-       domains, then detach and close whatever is registered at exit *)
-    if not (Atomic.exchange exit_hook true) then
-      at_exit (fun () ->
-          with_flush (fun () ->
-              let all = !sinks in
-              sinks := [];
-              all));
-    register
-      {
-        s_name = "jsonl:" ^ file;
-        s_write =
-          (fun e ->
-            let json = event_to_json e in
-            Out_channel.output_string !oc json;
-            Out_channel.output_char !oc '\n';
-            Out_channel.flush !oc;
-            bytes := !bytes + String.length json + 1;
-            if !bytes >= limit then begin
-              (try Unix.fsync (Unix.descr_of_out_channel !oc)
-               with Unix.Unix_error _ -> ());
-              Out_channel.close_noerr !oc;
-              incr idx;
-              (* a failed open raises out of the sink; the flush guard
-                 detaches it with a warning, same as any write failure *)
-              oc := open_append (path !idx);
-              bytes := 0
-            end);
-        (* [close_noerr] releases the descriptor even when the last
-           write failed *)
-        s_close = (fun () -> Out_channel.close_noerr !oc);
-      }
+  | Some oc ->
+    (* one hook drains the events still buffered in the domains and
+       closes whatever file is open at exit *)
+    if not (Atomic.exchange exit_hook true) then at_exit close_jsonl;
+    swap_file
+      (Some
+         {
+           f_base = file;
+           f_path = path;
+           f_limit = limit;
+           f_idx = idx;
+           f_oc = oc;
+           f_bytes = 0;
+         })
 
 (* ------------------------------------------------------------------ *)
 (* flight recorder dumps                                               *)

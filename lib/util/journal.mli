@@ -10,13 +10,13 @@
     emits one event per gradable unit, and the place/route/timing/
     synthesis kernels emit completion events with their headline
     numbers. Every binary under [bin/] exposes the stream through the
-    [--journal FILE] flag of {!Telemetry.cli}, which installs a JSONL
-    sink.
+    [--journal FILE] flag of {!Telemetry.cli}, which opens a journal
+    file ({!open_jsonl}).
 
-    Two consumers are built in:
+    Events go to two places:
 
-    - {b Sinks}: named callbacks invoked on every event - the JSONL
-      file sink streams each event as one JSON line.
+    - {b The journal file}: at most one, written one JSON line per
+      event, each line formatted straight from the event's bytes.
     - {b Flight recorder}: a bounded in-memory ring buffer of the most
       recent events, dumped to stderr when the process dies on an
       uncaught exception ({!install_crash_handler}, installed by
@@ -27,18 +27,17 @@
     process-global and {e domain-safe}, but the hot path is buffered
     per domain: {!emit} encodes the event as bytes into the calling
     domain's private buffer (its own uncontended mutex), and batches
-    drain to the ring and the sinks under the single sink lock on a
+    drain to the ring and the file under the single journal lock on a
     {e flush} - forced by a full buffer (64 events), by any
-    [Warn]/[Error] event, by every read ({!events}, {!event_count},
-    {!to_jsonl}) and by sink (de)registration, or explicitly via
-    {!flush}. Buffered and recorded events are bytes in reused storage,
-    not records, so they hold no pointer into the heap and are never
-    promoted; an {!event} record is decoded only for a sink or a
-    reader. Sequence numbers are assigned at flush time, so sinks still
-    observe a strictly increasing sequence on one serialized channel;
-    each domain's events stay in emission order, while interleaving
-    {e across} domains is decided at flush time. A sink must never call
-    back into {!emit}.
+    [Warn]/[Error] event, by every read ({!events}, {!event_count}),
+    by opening or closing the file, or explicitly via {!flush}.
+    Buffered and recorded events are bytes in reused storage, not
+    records, so they hold no pointer into the heap and are never
+    promoted; an {!event} record is decoded only for a reader. Sequence
+    numbers are assigned at flush time, so the file sees a strictly
+    increasing sequence on one serialized channel; each domain's events
+    stay in emission order, while interleaving {e across} domains is
+    decided at flush time.
     There are no third-party dependencies. See [docs/CONCURRENCY.md]
     for the full model. *)
 
@@ -68,7 +67,7 @@ val emit :
   unit
 (** [emit ~component name] appends an event (default severity [Info])
     to the calling domain's buffer. [Info]/[Debug] events reach the
-    flight-recorder ring and the sinks at the next flush; [Warn] and
+    flight-recorder ring and the journal file at the next flush; [Warn] and
     [Error] flush immediately. Cheap on the hot path: the event's bytes
     are copied into the domain's reused buffer under its own
     (uncontended) mutex. Once the buffer has grown to fit a batch, an
@@ -76,10 +75,11 @@ val emit :
     alive, so its attribute strings die young. *)
 
 val flush : unit -> unit
-(** Drain every domain's buffer into the ring and the sinks now,
-    assigning sequence numbers. Idempotent; called implicitly by every
-    read and on sink changes, and at process exit for the
-    {!open_jsonl} sink. *)
+(** Drain every domain's buffer into the ring and the journal file now,
+    assigning sequence numbers; each event's line is formatted once,
+    into one reused buffer, and flushed to the file. Idempotent; called
+    implicitly by every read, by {!open_jsonl} and {!close_jsonl}, and
+    at process exit. *)
 
 val events : unit -> event list
 (** Current flight-recorder contents, oldest first (at most
@@ -101,41 +101,27 @@ val set_ring_capacity : int -> unit
 val ring_capacity : unit -> int
 
 val clear : unit -> unit
-(** Empty the ring and reset {!event_count}. Sinks stay registered. *)
+(** Empty the ring and reset {!event_count}. The journal file stays
+    open. *)
 
-(** {1 JSON} *)
-
-val event_to_json : event -> string
-(** One event as a JSON object with fields [seq], [ts], [severity],
-    [component], [event] and [attrs]. *)
-
-val to_jsonl : unit -> string
-(** The ring contents as JSON Lines (one {!event_to_json} per line,
-    trailing newline when non-empty). *)
-
-(** {1 Sinks} *)
-
-val add_sink : string -> (event -> unit) -> unit
-(** Register (or replace) a named sink called on every subsequent
-    {!emit}. A raising sink is dropped after printing a warning to
-    stderr, so a full disk cannot take the tool down. *)
-
-val remove_sink : string -> unit
-(** Flush, then detach the named sink. An {!open_jsonl} sink's file is
-    closed when it is removed, replaced under its name, or detached
-    after a failed write. *)
+(** {1 The journal file} *)
 
 val open_jsonl : ?segment_bytes:int -> string -> unit
-(** Install a sink (named ["jsonl:FILE"]) streaming every event to
-    [FILE] as JSON Lines, flushed per line. The channel is closed when
-    the sink is detached (see {!remove_sink}); one process-exit hook,
-    registered by the first [open_jsonl], drains the domain buffers
-    and closes every sink still registered. Opens in {e append} mode -
-    a crash-restart writing to the same path extends the log and never
-    overwrites the pre-crash tail. This is what [--journal FILE]
-    installs.
+(** Stream every event to [FILE] as JSON Lines, one line per event,
+    flushed per line:
+    [{"seq":N,"ts":T,"severity":S,"component":C,"event":E,"attrs":{...}}]
+    with [T] as {!Json.num} writes it and every string escaped as
+    {!Json.str} escapes it. Opens in {e append} mode - a crash-restart
+    writing to the same path extends the log and never overwrites the
+    pre-crash tail. This is what [--journal FILE] opens.
 
-    With [?segment_bytes] the sink rotates instead of writing [FILE]
+    At most one journal file is open: [open_jsonl] flushes, then
+    replaces and closes any file already open, so events emitted before
+    the call go to the old file. One process-exit hook, registered by
+    the first [open_jsonl], drains the domain buffers and closes the
+    file still open.
+
+    With [?segment_bytes] the journal rotates instead of writing [FILE]
     itself: events go to the segment files {!segment_path}[ file 0],
     [1], ... ([FILE.00000.jsonl]-style, the numbering inserted before
     the extension), rolling to the next segment once the current one
@@ -144,14 +130,18 @@ val open_jsonl : ?segment_bytes:int -> string -> unit
     power loss. A reopen (restart) starts one past the highest segment
     index on disk, never overwriting; [vcstat] expands the base [FILE]
     name back to the whole segment set. This is what
-    [--journal-segments BYTES] selects. Both layouts share one sink:
-    without [?segment_bytes], [FILE] is a segment that never rolls.
+    [--journal-segments BYTES] selects. Without [?segment_bytes],
+    [FILE] is a segment that never rolls.
 
     Degrades instead of failing: if the file cannot be opened, one
-    warning goes to stderr and no sink is installed; if a write (or a
-    rotation's open) fails mid-run, {!emit}'s sink guard prints one
-    warning and detaches the sink - the tool keeps running either way.
+    warning goes to stderr and the journal keeps what it had open; if a
+    write (or a roll's open) fails mid-run, the flush prints one warning
+    and closes the file - the tool keeps running either way.
     @raise Invalid_argument if [segment_bytes < 1]. *)
+
+val close_jsonl : unit -> unit
+(** Flush, then close the journal file, if one is open. Events emitted
+    afterwards reach only the ring. *)
 
 val segment_path : string -> int -> string
 (** The [idx]-th segment name for a base file: the zero-padded index

@@ -25,8 +25,8 @@ type load = {
 }
 
 val parse_line : string -> (Journal.event, string) result
-(** Decode one JSONL line (the {!Journal.event_to_json} schema: [seq],
-    [ts], [severity], [component], [event], [attrs]). Non-string attr
+(** Decode one JSONL line (the schema {!Journal.open_jsonl} writes:
+    [seq], [ts], [severity], [component], [event], [attrs]). Non-string attr
     values are dropped; a missing/invalid required field is an
     [Error]. *)
 

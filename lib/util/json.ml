@@ -185,24 +185,41 @@ let to_str = function Str s -> Some s | _ -> None
 (* emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
+(* Bytes [run, i) of [s] need no escape and are copied in one slice when
+   an escaped byte or [stop] ends the run. *)
+let rec escape_from b s stop run i =
+  if i = stop then Buffer.add_subbytes b s run (i - run)
+  else
+    match Bytes.get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+      Buffer.add_subbytes b s run (i - run);
+      Buffer.add_char b '\\';
+      (match c with
+      | '\n' -> Buffer.add_char b 'n'
+      | '\r' -> Buffer.add_char b 'r'
+      | '\t' -> Buffer.add_char b 't'
+      | '"' | '\\' -> Buffer.add_char b c
+      | c ->
+        Buffer.add_string b "u00";
+        Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char b "0123456789abcdef".[Char.code c land 15]);
+      escape_from b s stop (i + 1) (i + 1)
+    | _ -> escape_from b s stop run (i + 1)
+
+let add_escaped b s pos len = escape_from b s (pos + len) pos pos
+
+let str s =
   let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Buffer.add_char b '"';
+  add_escaped b (Bytes.unsafe_of_string s) 0 (String.length s);
+  Buffer.add_char b '"';
   Buffer.contents b
 
-let str s = "\"" ^ escape s ^ "\""
-let num f = Printf.sprintf "%.6f" f
+(* the C formatter behind [Printf.sprintf "%.6f"], without the format
+   interpreter's allocations: same bytes, one string *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let num f = format_float "%.6f" f
 let int = string_of_int
 
 let obj fields =

@@ -40,6 +40,11 @@ val to_str : t -> string option
 val str : string -> string
 (** A quoted, escaped JSON string. *)
 
+val add_escaped : Buffer.t -> bytes -> int -> int -> unit
+(** [add_escaped b s pos len] appends the [len] bytes of [s] from [pos],
+    escaped as the inside of a JSON string (no quotes). {!str} and the
+    {!Journal} line writer both escape through it. *)
+
 val num : float -> string
 (** Fixed six-decimal rendering, matching the telemetry renderers. *)
 

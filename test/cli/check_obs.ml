@@ -49,11 +49,15 @@ let check_trace file =
         die "%s: no root span for stage %s" file stage)
     [ "synthesis"; "mapping"; "placement"; "routing"; "timing" ]
 
-(* Every line of FILE must parse as a JSON object (empty file is fine). *)
+(* Every line of FILE must decode as a journal event (empty file is
+   fine). *)
 let check_jsonl file =
-  List.iter
-    (function Json.Obj _ -> () | _ -> die "%s: line is not an object" file)
-    (jsonl_events file)
+  String.split_on_char '\n' (read file)
+  |> List.iteri (fun i line ->
+         if line <> "" then
+           match Vc_util.Journal_query.parse_line line with
+           | Ok _ -> ()
+           | Error msg -> die "%s:%d: %s" file (i + 1) msg)
 
 (* FILE must be a flow journal: per-stage begin/end events present. *)
 let check_journal file =

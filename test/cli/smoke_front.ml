@@ -88,7 +88,7 @@ let wait_for_port ~marker stderr_file =
   poll ()
 
 (* Wait (up to ~15s) for NEEDLE to appear in FILE - used against
-   journals whose sinks flush per line, so a transition event is
+   journal files, which flush per line, so a transition event is
    visible as soon as it is emitted. *)
 let wait_for_text ~what file needle =
   let deadline = Unix.gettimeofday () +. 15.0 in

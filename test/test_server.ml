@@ -328,8 +328,22 @@ let server_tests =
         | _ -> Alcotest.fail "expected Deadline_exceeded");
         Server.stop srv;
         check Alcotest.int "counter" 1 (reject_counter "deadline");
-        check Alcotest.bool "journal event" true
-          (has_journal_event "job.rejected.deadline");
+        (match
+           List.find_opt
+             (fun e ->
+               e.Journal.ev_component = "server"
+               && e.Journal.ev_name = "job.rejected.deadline")
+             (Journal.events ())
+         with
+        | None -> Alcotest.fail "no job.rejected.deadline event"
+        | Some e ->
+          let attr k = List.assoc_opt k e.Journal.ev_attrs in
+          check Alcotest.(option string) "session" (Some "s") (attr "session");
+          check Alcotest.(option string) "tool" (Some "echo") (attr "tool");
+          check Alcotest.bool "reason" true
+            (Option.is_some (attr "reason"));
+          check Alcotest.bool "wait_s" true
+            (Option.bind (attr "wait_s") float_of_string_opt <> None));
         check Alcotest.bool "queue wait was still recorded" true
           (T.histogram "server.phase.queue" <> None));
     tc "runaway inputs reach the portal guard through the server" (fun () ->
@@ -756,33 +770,45 @@ let wire_tests =
     tc "untraced submissions from 8 domains get distinct valid ids"
       (fun () ->
         fresh ();
-        let ids = ref [] in
-        Journal.add_sink "minted" (fun e ->
-            if e.Journal.ev_name = "request.replied" then
-              ids := List.assoc "trace_id" e.Journal.ev_attrs :: !ids);
-        let srv = Server.start () in
-        let clients =
-          List.init 8 (fun c ->
-              Domain.spawn (fun () ->
-                  for k = 1 to 100 do
-                    ignore
-                      (Server.submit srv
-                         (Portal.request
-                            ~session:(Printf.sprintf "mint-%d" c)
-                            echo
-                            (Printf.sprintf "%d %d" c k)))
-                  done))
+        let file = Filename.temp_file "minted" ".jsonl" in
+        let ids =
+          Fun.protect
+            ~finally:(fun () ->
+              Journal.close_jsonl ();
+              Sys.remove file)
+            (fun () ->
+              Journal.open_jsonl file;
+              let srv = Server.start () in
+              let clients =
+                List.init 8 (fun c ->
+                    Domain.spawn (fun () ->
+                        for k = 1 to 100 do
+                          ignore
+                            (Server.submit srv
+                               (Portal.request
+                                  ~session:(Printf.sprintf "mint-%d" c)
+                                  echo
+                                  (Printf.sprintf "%d %d" c k)))
+                        done))
+              in
+              List.iter Domain.join clients;
+              Server.stop srv;
+              Journal.close_jsonl ();
+              List.filter_map
+                (fun e ->
+                  if e.Journal.ev_name = "request.replied" then
+                    Some (List.assoc "trace_id" e.Journal.ev_attrs)
+                  else None)
+                (Vc_util.Journal_query.load_file file).Vc_util.Journal_query
+                  .events)
         in
-        List.iter Domain.join clients;
-        Server.stop srv;
-        Journal.remove_sink "minted";
-        check Alcotest.int "one reply per submission" 800 (List.length !ids);
+        check Alcotest.int "one reply per submission" 800 (List.length ids);
         check Alcotest.int "distinct" 800
-          (List.length (List.sort_uniq String.compare !ids));
+          (List.length (List.sort_uniq String.compare ids));
         check Alcotest.(list string) "invalid ids" []
           (List.filter
              (fun id -> not (Vc_util.Trace_ctx.is_valid_id id))
-             !ids));
+             ids));
     tc "the wire registry keeps only live connections" (fun () ->
         let listener = Wire.listen ~port:0 () in
         let acceptor =

@@ -360,6 +360,28 @@ let trace_ctx_tests =
 
 module Json = Vc_util.Json
 
+(* the escaping loop [Json.str] ran before it shared [Json.add_escaped]
+   with the journal's line writer, kept as the oracle for both *)
+let reference_str s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  "\"" ^ Buffer.contents b ^ "\""
+
+let special_floats =
+  [ 0.0; -0.0; 5e-324; 2.2250738585072014e-308; Float.nan; -.Float.nan;
+    infinity; neg_infinity; 1e300; -1e-7; 0.0000005; 1786021766.253001 ]
+
 let json_tests =
   [
     tc "parses scalars, arrays and nested objects" (fun () ->
@@ -417,6 +439,20 @@ let json_tests =
         check Alcotest.bool "missing member" true (Json.member "y" j = None);
         check Alcotest.bool "to_str on num" true
           (Json.to_str (Json.Num 1.0) = None));
+    prop ~count:500 "str and add_escaped escape as the reference loop"
+      QCheck.(triple string small_nat small_nat)
+      (fun (s, i, j) ->
+        let pos = min i (String.length s) in
+        let len = min j (String.length s - pos) in
+        let b = Buffer.create 16 in
+        Buffer.add_char b '"';
+        Json.add_escaped b (Bytes.of_string s) pos len;
+        Buffer.add_char b '"';
+        Json.str s = reference_str s
+        && Buffer.contents b = reference_str (String.sub s pos len));
+    prop ~count:500 "num writes what Printf's %.6f writes"
+      QCheck.(make Gen.(oneof [ float; oneofl special_floats ]))
+      (fun f -> Json.num f = Printf.sprintf "%.6f" f);
   ]
 
 let () =
