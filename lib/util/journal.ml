@@ -15,21 +15,21 @@ type event = {
   ev_attrs : (string * string) list;
 }
 
-(* Domain safety: [emit] encodes into a per-domain byte buffer (its own
-   tiny mutex, uncontended except while a flush swaps it out), so
-   concurrent emitters never serialize on a global lock per event. A
-   flush - forced by a full buffer, any Warn/Error, every read
+(* Domain safety: [emit] encodes into one pending byte buffer that
+   every domain shares, under its own small mutex [pending_mu], held
+   only while the clock is read and the event's bytes are copied in. A
+   flush - forced by a full batch, any Warn/Error, every read
    ([events], [event_count]) and opening or closing the journal file -
-   runs under the single global mutex [mu]: it swaps each domain's
-   buffer for that domain's spare under the buffer mutex, then, outside
-   it, assigns the monotone sequence numbers, copies each event into a
-   ring slot and writes its line to the journal file. The file
-   therefore sees a strictly increasing sequence on one serialized
-   channel, and is never written under a buffer mutex. Per-domain FIFO
-   order is preserved (a buffer drains in emission order); interleaving
-   across domains is decided at flush time. Lock ordering: [mu] before
-   a buffer mutex, never the reverse - [emit] releases its buffer mutex
-   before calling [flush]. *)
+   runs under the global mutex [mu]: it swaps the pending buffer for the
+   spare under [pending_mu], then, outside it, assigns the monotone
+   sequence numbers, copies each event into a ring slot and writes its
+   line to the journal file. Events are therefore sequenced in the
+   order [emit] appended them, from any domain, and since the clock is
+   read under [pending_mu], [ts] never decreases along [seq] while the
+   clock does not. The file sees that sequence on one serialized
+   channel and is never written under [pending_mu]. Lock ordering:
+   [mu] before [pending_mu], never the reverse - [emit] releases
+   [pending_mu] before calling [flush]. *)
 let mu = Mutex.create ()
 
 let locked f = Mutex.protect mu f
@@ -41,7 +41,7 @@ let locked f = Mutex.protect mu f
 (* Between [emit] and its readers an event is bytes, not a record: the
    bits of [ts] (8 bytes), the severity (1 byte), the component and the
    name, the attribute count, then each key and value. Every string and
-   the count take a 4-byte length prefix. The domain buffers and the
+   the count take a 4-byte length prefix. The pending buffer and the
    ring slots reuse their storage, so a buffered or recorded event holds
    no pointer into the heap: the strings handed to [emit] die young
    instead of being promoted, and a record is decoded only for a
@@ -134,67 +134,46 @@ type slot = { mutable s_seq : int; mutable s_bytes : Bytes.t }
 
 let new_slot () = { s_seq = 0; s_bytes = Bytes.empty }
 
-(* The ring is [Array.length !ring] reused slots; the [!count] events it
-   holds start at slot [!first], oldest first. All guarded by [mu]. *)
-let ring = ref (Array.init 256 (fun _ -> new_slot ()))
+(* The ring is [ring_size] reused slots; the [!count] events it holds
+   start at slot [!first], oldest first. All guarded by [mu]. *)
+let ring_size = 256
+let ring = Array.init ring_size (fun _ -> new_slot ())
 let first = ref 0
 let count = ref 0
 let seq = ref 0
 
-let ring_capacity () = locked (fun () -> Array.length !ring)
-
-let set_ring_capacity n =
-  if n < 0 then invalid_arg "Journal.set_ring_capacity: negative capacity";
-  locked (fun () ->
-      let old = !ring and keep = min !count n in
-      (* the newest [keep] events move over, oldest first *)
-      ring :=
-        Array.init n (fun i ->
-            if i < keep then
-              old.((!first + !count - keep + i) mod Array.length old)
-            else new_slot ());
-      first := 0;
-      count := keep)
-
 (* Copy the event at [pos] of [b] ([len] bytes) into the next slot,
    overwriting the oldest event once the ring is full. *)
 let record seq b pos len =
-  let ring = !ring in
-  let cap = Array.length ring in
-  if cap > 0 then begin
-    (* once the ring is full, this is the oldest event's slot *)
-    let s = ring.((!first + !count) mod cap) in
-    if !count < cap then incr count else first := (!first + 1) mod cap;
-    let dst =
-      if Bytes.length s.s_bytes > max_kept_bytes then Bytes.empty else s.s_bytes
-    in
-    s.s_bytes <- grow dst 0 len;
-    Bytes.blit b pos s.s_bytes 0 len;
-    s.s_seq <- seq
-  end
+  (* once the ring is full, this is the oldest event's slot *)
+  let s = ring.((!first + !count) mod ring_size) in
+  if !count < ring_size then incr count
+  else first := (!first + 1) mod ring_size;
+  let dst =
+    if Bytes.length s.s_bytes > max_kept_bytes then Bytes.empty else s.s_bytes
+  in
+  s.s_bytes <- grow dst 0 len;
+  Bytes.blit b pos s.s_bytes 0 len;
+  s.s_seq <- seq
 
 (* ------------------------------------------------------------------ *)
-(* per-domain buffers                                                  *)
+(* the pending buffer                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A domain's events since the last flush: [b_count] events in the
-   first [b_len] bytes of [b_bytes], each behind a 4-byte length. A
-   flush swaps [b_bytes] with [b_spare], so the two storages take turns
-   and a steady stream of events allocates nothing. *)
-type buffer = {
-  b_mu : Mutex.t;
-  mutable b_bytes : Bytes.t;
-  mutable b_len : int;
-  mutable b_count : int;
-  mutable b_spare : Bytes.t;  (* guarded by [mu], not [b_mu] *)
-}
+(* The events since the last flush, from every domain: [!pending_count]
+   events in the first [!pending_len] bytes of [!pending], each behind a
+   4-byte length; guarded by [pending_mu]. A flush swaps [!pending] with
+   [!spare] (guarded by [mu]), so the two storages take turns and a
+   steady stream of events allocates nothing. *)
+let pending_mu = Mutex.create ()
+let pending = ref Bytes.empty
+let pending_len = ref 0
+let pending_count = ref 0
+let spare = ref Bytes.empty
 
-(* The live domains' buffers, newest first; guarded by [mu]. *)
-let buffers : buffer list ref = ref []
-
-(* Info/Debug events buffer up to this many per domain before forcing a
-   flush; Warn/Error always flush immediately so the flight recorder and
-   the journal file see trouble as it happens. *)
+(* Info/Debug events buffer up to this many before forcing a flush;
+   Warn/Error always flush immediately so the flight recorder and the
+   journal file see trouble as it happens. *)
 let batch = 64
 
 (* ------------------------------------------------------------------ *)
@@ -298,22 +277,19 @@ let publish failed b len =
     pos := !pos + 4 + n
   done
 
-(* Drain every domain buffer: swap it out under its mutex, then publish
-   it outside that mutex. Call with [mu] held; returns the file that
-   failed, if one did. *)
+(* Drain the pending buffer: swap it for the spare under [pending_mu],
+   then publish it outside that mutex; it is the spare once published.
+   Call with [mu] held; returns the file that failed, if one did. *)
 let flush_locked () =
+  Mutex.lock pending_mu;
+  let full = !pending and len = !pending_len in
+  pending := !spare;
+  pending_len := 0;
+  pending_count := 0;
+  Mutex.unlock pending_mu;
   let failed = ref None in
-  List.iter
-    (fun b ->
-      Mutex.lock b.b_mu;
-      let full = b.b_bytes and len = b.b_len in
-      b.b_bytes <- b.b_spare;
-      b.b_len <- 0;
-      b.b_count <- 0;
-      Mutex.unlock b.b_mu;
-      publish failed full len;
-      b.b_spare <- (if Bytes.length full > max_kept_bytes then Bytes.empty else full))
-    (List.rev !buffers);
+  publish failed full len;
+  spare := if Bytes.length full > max_kept_bytes then Bytes.empty else full;
   !failed
 
 (* Flush, then run [f] under [mu]; [f] returns the file it detached, if
@@ -335,28 +311,6 @@ let with_flush f =
 
 let flush () = with_flush (fun () -> None)
 
-(* A spawned domain's buffer is flushed and dropped when the domain
-   exits, so a server running one domain per connection holds only the
-   live ones; [Domain.join] returns after this hook. *)
-let buffer_key : buffer Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b =
-        {
-          b_mu = Mutex.create ();
-          b_bytes = Bytes.empty;
-          b_len = 0;
-          b_count = 0;
-          b_spare = Bytes.empty;
-        }
-      in
-      locked (fun () -> buffers := b :: !buffers);
-      if not (Domain.is_main_domain ()) then
-        Domain.at_exit (fun () ->
-            with_flush (fun () ->
-                buffers := List.filter (( != ) b) !buffers;
-                None));
-      b)
-
 (* Opening or closing a file flushes first, so every event emitted
    before the change goes to the file that was open when it was
    emitted. *)
@@ -368,22 +322,29 @@ let swap_file next =
 
 let close_jsonl () = swap_file None
 
-let emit ?(severity = Info) ?(attrs = []) ~component name =
-  let b = Domain.DLS.get buffer_key in
+(* Append one event of [n] encoded bytes to the pending buffer, stamped
+   now; call with [pending_mu] held. True once the batch is full. *)
+let append severity component name attrs n =
   let ts = Clock.now () in
+  let b = grow !pending !pending_len (!pending_len + 4 + n) in
+  pending := b;
+  set_len b !pending_len n;
+  encode b (!pending_len + 4) ts severity component name attrs;
+  pending_len := !pending_len + 4 + n;
+  incr pending_count;
+  !pending_count >= batch
+
+let emit ?(severity = Info) ?(attrs = []) ~component name =
   let n = encoded_size component name attrs in
-  Mutex.lock b.b_mu;
-  (match grow b.b_bytes b.b_len (b.b_len + 4 + n) with
-  | bytes -> b.b_bytes <- bytes
-  | exception exn ->
-    Mutex.unlock b.b_mu;
-    raise exn);
-  set_len b.b_bytes b.b_len n;
-  encode b.b_bytes (b.b_len + 4) ts severity component name attrs;
-  b.b_len <- b.b_len + 4 + n;
-  b.b_count <- b.b_count + 1;
-  let full = b.b_count >= batch in
-  Mutex.unlock b.b_mu;
+  Mutex.lock pending_mu;
+  let full =
+    match append severity component name attrs n with
+    | full -> full
+    | exception exn ->
+      Mutex.unlock pending_mu;
+      raise exn
+  in
+  Mutex.unlock pending_mu;
   match severity with
   | Warn | Error -> flush ()
   | Debug | Info -> if full then flush ()
@@ -395,9 +356,8 @@ let emit ?(severity = Info) ?(attrs = []) ~component name =
 let events () =
   flush ();
   locked (fun () ->
-      let ring = !ring in
       List.init !count (fun i ->
-          let s = ring.((!first + i) mod Array.length ring) in
+          let s = ring.((!first + i) mod ring_size) in
           decode s.s_seq s.s_bytes 0))
 
 let event_count () =
@@ -407,13 +367,10 @@ let event_count () =
 let clear () =
   locked (fun () ->
       (* discard, don't flush: cleared events must not resurface *)
-      List.iter
-        (fun b ->
-          Mutex.lock b.b_mu;
-          b.b_len <- 0;
-          b.b_count <- 0;
-          Mutex.unlock b.b_mu)
-        !buffers;
+      Mutex.lock pending_mu;
+      pending_len := 0;
+      pending_count := 0;
+      Mutex.unlock pending_mu;
       first := 0;
       count := 0;
       seq := 0)
@@ -491,8 +448,8 @@ let open_jsonl ?segment_bytes file =
   match open_journal_file (path idx) with
   | None -> ()
   | Some oc ->
-    (* one hook drains the events still buffered in the domains and
-       closes whatever file is open at exit *)
+    (* one hook flushes the pending events and closes whatever file is
+       open at exit *)
     if not (Atomic.exchange exit_hook true) then at_exit close_jsonl;
     swap_file
       (Some
@@ -512,15 +469,11 @@ let open_jsonl ?segment_bytes file =
 let dump_printer = ref prerr_string
 let set_dump_printer f = dump_printer := f
 
-let dump_flight_recorder ?(limit = 32) ~reason () =
+let dump_flight_recorder ~reason () =
   let all = events () in
   let total = List.length all in
-  let window =
-    if total <= limit then all
-    else
-      (* keep the trailing [limit] events *)
-      List.filteri (fun i _ -> i >= total - limit) all
-  in
+  (* the newest 32 events *)
+  let window = List.filteri (fun i _ -> i >= total - 32) all in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "== journal flight recorder: %s ==\n" reason);

@@ -17,27 +17,28 @@
 
     - {b The journal file}: at most one, written one JSON line per
       event, each line formatted straight from the event's bytes.
-    - {b Flight recorder}: a bounded in-memory ring buffer of the most
-      recent events, dumped to stderr when the process dies on an
+    - {b Flight recorder}: an in-memory ring of the newest 256 events,
+      the last 32 of them dumped to stderr when the process dies on an
       uncaught exception ({!install_crash_handler}, installed by
       {!Telemetry.cli}) - the trailing window of context an operator
       needs.
 
     Like the rest of the observability layer, all state is
-    process-global and {e domain-safe}, but the hot path is buffered
-    per domain: {!emit} encodes the event as bytes into the calling
-    domain's private buffer (its own uncontended mutex), and batches
-    drain to the ring and the file under the single journal lock on a
-    {e flush} - forced by a full buffer (64 events), by any
-    [Warn]/[Error] event, by every read ({!events}, {!event_count}),
-    by opening or closing the file, or explicitly via {!flush}.
-    Buffered and recorded events are bytes in reused storage, not
-    records, so they hold no pointer into the heap and are never
-    promoted; an {!event} record is decoded only for a reader. Sequence
-    numbers are assigned at flush time, so the file sees a strictly
-    increasing sequence on one serialized channel; each domain's events
-    stay in emission order, while interleaving {e across} domains is
-    decided at flush time.
+    process-global and {e domain-safe}. The hot path is one pending
+    buffer that every domain shares: {!emit} encodes the event as bytes
+    into it under its own small mutex, held only while the clock is
+    read and the bytes are copied in, and batches drain to the ring and
+    the file under the single journal lock on a {e flush} - forced by a
+    full batch (64 events, from any domain), by any [Warn]/[Error]
+    event, by every read ({!events}, {!event_count}), by opening or
+    closing the file, or explicitly via {!flush}. Pending and recorded
+    events are bytes in reused storage, not records, so they hold no
+    pointer into the heap and are never promoted; an {!event} record is
+    decoded only for a reader. Sequence numbers are assigned at flush
+    time, in the order {!emit} appended the events from any domain, so
+    the file sees a strictly increasing sequence on one serialized
+    channel, and [ts] never decreases along it while {!Clock.now} does
+    not.
     There are no third-party dependencies. See [docs/CONCURRENCY.md]
     for the full model. *)
 
@@ -51,7 +52,8 @@ val severity_to_string : severity -> string
 type event = {
   ev_seq : int;
       (** Sequence number, 1-based, monotone per process. Assigned when
-          the event is flushed, not when it is emitted. *)
+          the event is flushed, in the order {!emit} appended it from any
+          domain. *)
   ev_ts : float;  (** {!Clock.now} at emission. *)
   ev_severity : severity;
   ev_component : string;  (** Subsystem, e.g. ["flow"], ["portal"]. *)
@@ -66,43 +68,41 @@ val emit :
   string ->
   unit
 (** [emit ~component name] appends an event (default severity [Info])
-    to the calling domain's buffer. [Info]/[Debug] events reach the
-    flight-recorder ring and the journal file at the next flush; [Warn] and
-    [Error] flush immediately. Cheap on the hot path: the event's bytes
-    are copied into the domain's reused buffer under its own
-    (uncontended) mutex. Once the buffer has grown to fit a batch, an
-    event allocates about 2 words (the clock reading) and keeps nothing
-    alive, so its attribute strings die young. *)
+    to the pending buffer that every domain shares, stamped with
+    {!Clock.now} read under that buffer's mutex, so events are
+    sequenced in the order [emit] appended them. [Info]/[Debug] events
+    reach the flight-recorder ring and the journal file at the next
+    flush; [Warn] and [Error] flush immediately. Cheap on the hot path:
+    the mutex is held only while the clock is read and the event's
+    bytes are copied into the reused buffer. Once the buffer has grown
+    to fit a batch, an event allocates about 2 words (the clock
+    reading) and keeps nothing alive, so its attribute strings die
+    young. If the clock raises, [emit] raises that exception and
+    records nothing. *)
 
 val flush : unit -> unit
-(** Drain every domain's buffer into the ring and the journal file now,
+(** Drain the pending buffer into the ring and the journal file now,
     assigning sequence numbers; each event's line is formatted once,
     into one reused buffer, and flushed to the file. Idempotent; called
     implicitly by every read, by {!open_jsonl} and {!close_jsonl}, and
-    at process exit. *)
+    at process exit. A domain that exits does not flush: its events
+    wait for the next flush like any other. *)
 
 val events : unit -> event list
-(** Current flight-recorder contents, oldest first (at most
-    {!ring_capacity} events), decoded into fresh records. *)
+(** Current flight-recorder contents, oldest first, decoded into fresh
+    records. The ring holds the newest 256 events; each of its slots
+    keeps one event's encoded bytes and reuses its storage, which grows
+    to the largest event it has held. Storage that grew past 64 KiB for
+    one large event goes back to the default size when next reused; the
+    pending buffer follows the same rule. *)
 
 val event_count : unit -> int
 (** Total events emitted since start/{!clear}, including those already
     rotated out of the ring. *)
 
-val set_ring_capacity : int -> unit
-(** Resize the flight-recorder ring (default 256), dropping the oldest
-    events if shrinking. Each of the ring's slots keeps one event's
-    encoded bytes and reuses its storage: it grows to the largest event
-    it has held, and storage that grew past 64 KiB for one large event
-    goes back to the default size when the slot is next written. The
-    per-domain buffers follow the same rule. @raise Invalid_argument on
-    negatives. *)
-
-val ring_capacity : unit -> int
-
 val clear : unit -> unit
-(** Empty the ring and reset {!event_count}. The journal file stays
-    open. *)
+(** Empty the ring, discard the pending events unflushed, and reset
+    {!event_count}. The journal file stays open. *)
 
 (** {1 The journal file} *)
 
@@ -118,7 +118,7 @@ val open_jsonl : ?segment_bytes:int -> string -> unit
     At most one journal file is open: [open_jsonl] flushes, then
     replaces and closes any file already open, so events emitted before
     the call go to the old file. One process-exit hook, registered by
-    the first [open_jsonl], drains the domain buffers and closes the
+    the first [open_jsonl], flushes the pending events and closes the
     file still open.
 
     With [?segment_bytes] the journal rotates instead of writing [FILE]
@@ -156,10 +156,10 @@ val next_segment_index : string -> int
 
 (** {1 Flight recorder} *)
 
-val dump_flight_recorder : ?limit:int -> reason:string -> unit -> unit
-(** Format the last [limit] (default 32) ring events plus the [reason]
-    and hand the text to the dump printer (stderr unless overridden).
-    Called automatically from the crash handler. *)
+val dump_flight_recorder : reason:string -> unit -> unit
+(** Format the newest 32 ring events plus the [reason] and hand the
+    text to the dump printer (stderr unless overridden). Called
+    automatically from the crash handler. *)
 
 val set_dump_printer : (string -> unit) -> unit
 (** Replace the dump destination (default [prerr_string]) - used by

@@ -309,6 +309,30 @@ let check_seq_gaps file =
     | _ -> die "%s: no seq.gaps field" file)
   | None -> die "%s: no seq object" file
 
+(* FILE must be a journal whose timestamps never go back along its
+   sequence numbers: the journal numbers events in the order they were
+   emitted, and stamps each as it is emitted. Names the first pair of
+   events, in seq order, whose ts decreases. *)
+let check_seq_order file =
+  let load =
+    try Vc_util.Journal_query.load_file file with Sys_error msg -> die "%s" msg
+  in
+  (match load.malformed with
+  | (line, msg) :: _ -> die "%s:%d: %s" file line msg
+  | [] -> ());
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      if b.Vc_util.Journal.ev_ts < a.ev_ts then
+        die "%s: seq %d has ts %.6f, %.6f s before seq %d's %.6f" file
+          b.ev_seq b.ev_ts (a.ev_ts -. b.ev_ts) a.ev_seq a.ev_ts;
+      go rest
+    | [ _ ] | [] -> ()
+  in
+  go
+    (List.stable_sort
+       (fun a b -> compare a.Vc_util.Journal.ev_seq b.ev_seq)
+       load.events)
+
 (* FILE must be a /varz snapshot from a live, sampled vcserve: valid
    JSON, a telemetry object, and the console's load-bearing series -
    qps with >= 3 points, the queue/reply phase p99s with >= 2, and slot
@@ -466,6 +490,7 @@ let () =
   | [ _; "component"; file; name ] -> check_component file name
   | [ _; "vcstat-summary"; file ] -> check_vcstat_summary file
   | [ _; "seq-gaps"; file ] -> check_seq_gaps file
+  | [ _; "seq-order"; file ] -> check_seq_order file
   | [ _; "vcstat-funnel"; file ] -> check_vcstat_funnel file
   | [ _; "vcstat-request"; file ] -> check_vcstat_request file
   | [ _; "request-events"; file ] -> check_request_events file
@@ -477,7 +502,7 @@ let () =
     prerr_endline
       "usage: check_obs {contains FILE NEEDLE | trace FILE | jsonl FILE | \
        journal FILE | qor FILE | component FILE NAME | vcstat-summary FILE \
-       | seq-gaps FILE | vcstat-funnel FILE | vcstat-request FILE \
-       | request-events FILE | vcload-report FILE | varz FILE | vctop FILE \
-       | flame FILE}";
+       | seq-gaps FILE | seq-order FILE | vcstat-funnel FILE \
+       | vcstat-request FILE | request-events FILE | vcload-report FILE \
+       | varz FILE | vctop FILE | flame FILE}";
     exit 2

@@ -83,7 +83,7 @@ let telemetry_tests =
         match T.timer "t.boom" with
         | Some s -> check Alcotest.int "one sample" 1 s.T.count
         | None -> Alcotest.fail "no sample");
-    tc "exited domains retire their journal buffers; totals stay exact"
+    tc "exited domains leave no journal or telemetry state; every event counted"
       (fun () ->
         T.reset ();
         Journal.clear ();
@@ -379,24 +379,110 @@ let journal_tests =
         check Alcotest.int "count" 2 (Journal.event_count ()));
     tc "the ring keeps only the newest events" (fun () ->
         Journal.clear ();
-        let saved = Journal.ring_capacity () in
-        Journal.set_ring_capacity 4;
-        for i = 1 to 10 do
+        for i = 1 to 300 do
           Journal.emit ~component:"ring" (Printf.sprintf "e%d" i)
         done;
         let names = List.map (fun e -> e.Journal.ev_name) (Journal.events ()) in
         check
           Alcotest.(list string)
-          "last four, oldest first"
-          [ "e7"; "e8"; "e9"; "e10" ]
+          "last 256, oldest first"
+          (List.init 256 (fun i -> Printf.sprintf "e%d" (i + 45)))
           names;
-        check Alcotest.int "total count unaffected" 10 (Journal.event_count ());
-        Journal.set_ring_capacity saved);
-    tc "set_ring_capacity rejects negatives" (fun () ->
-        check Alcotest.bool "raises" true
-          (match Journal.set_ring_capacity (-1) with
-          | () -> false
-          | exception Invalid_argument _ -> true));
+        check Alcotest.int "total count unaffected" 300 (Journal.event_count ()));
+    tc "events are sequenced in emission order across domains" (fun () ->
+        Journal.clear ();
+        let b0 = Atomic.make false
+        and a1 = Atomic.make false
+        and b1 = Atomic.make false
+        and read = Atomic.make false in
+        let await flag =
+          while not (Atomic.get flag) do
+            Unix.sleepf 0.001
+          done
+        in
+        let emit name flag =
+          Journal.emit ~component:"causal" name;
+          Atomic.set flag true
+        in
+        (* B emits b0, A then a1, B then b1; both domains stay alive
+           until the events have been read *)
+        let a =
+          Domain.spawn (fun () ->
+              await b0;
+              emit "a1" a1;
+              await read)
+        in
+        let b =
+          Domain.spawn (fun () ->
+              emit "b0" b0;
+              await a1;
+              emit "b1" b1;
+              await read)
+        in
+        let names =
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set read true;
+              Domain.join a;
+              Domain.join b)
+            (fun () ->
+              await b1;
+              List.filter_map
+                (fun e ->
+                  if e.Journal.ev_component = "causal" then
+                    Some e.Journal.ev_name
+                  else None)
+                (Journal.events ()))
+        in
+        check Alcotest.(list string) "emission order" [ "b0"; "a1"; "b1" ] names);
+    tc "timestamps never decrease along seq across domains" (fun () ->
+        (* every reading is later than all readings before it, from any
+           domain *)
+        let tick = Atomic.make 0 in
+        Vc_util.Clock.set (fun () ->
+            float_of_int (Atomic.fetch_and_add tick 1));
+        Fun.protect
+          ~finally:(fun () -> Vc_util.Clock.set Unix.gettimeofday)
+          (fun () ->
+            for round = 1 to 20 do
+              Journal.clear ();
+              List.init 4 (fun d ->
+                  Domain.spawn (fun () ->
+                      for i = 1 to 60 do
+                        Journal.emit ~component:"ts" (Printf.sprintf "d%d.%d" d i)
+                      done))
+              |> List.iter Domain.join;
+              let rec increasing = function
+                | a :: (b :: _ as rest) ->
+                  if b.Journal.ev_ts <= a.Journal.ev_ts then
+                    Alcotest.failf "round %d: seq %d has ts %g, after %g" round
+                      b.Journal.ev_seq b.Journal.ev_ts a.Journal.ev_ts;
+                  increasing rest
+                | [ _ ] | [] -> ()
+              in
+              let evs = Journal.events () in
+              check Alcotest.int "every event" 240 (List.length evs);
+              increasing evs
+            done));
+    tc "a raising clock leaves the buffer free for other domains" (fun () ->
+        Journal.clear ();
+        Vc_util.Clock.set (fun () -> raise Exit);
+        let raised =
+          Fun.protect
+            ~finally:(fun () -> Vc_util.Clock.set Unix.gettimeofday)
+            (fun () ->
+              match Journal.emit ~component:"clock" "lost" with
+              | () -> false
+              | exception Exit -> true)
+        in
+        check Alcotest.bool "emit raises the clock's exception" true raised;
+        (* a buffer mutex still held would block this emit for good *)
+        Domain.join
+          (Domain.spawn (fun () -> Journal.emit ~component:"clock" "kept"));
+        check
+          Alcotest.(list string)
+          "only the second event" [ "kept" ]
+          (List.map (fun e -> e.Journal.ev_name) (Journal.events ())));
     tc "clear empties the ring and resets the count" (fun () ->
         Journal.emit ~component:"x" "pre";
         Journal.clear ();
@@ -471,7 +557,7 @@ let journal_tests =
         Journal.set_dump_printer (Buffer.add_string captured);
         Fun.protect
           ~finally:(fun () -> Journal.set_dump_printer prerr_string)
-          (fun () -> Journal.dump_flight_recorder ~limit:5 ~reason:"unit test" ());
+          (fun () -> Journal.dump_flight_recorder ~reason:"unit test" ());
         let text = Buffer.contents captured in
         let contains needle =
           let nl = String.length needle and hl = String.length text in
@@ -480,10 +566,12 @@ let journal_tests =
           in
           go 0
         in
+        let line i = contains (Printf.sprintf " it%d\n" i) in
         check Alcotest.bool "reason present" true (contains "unit test");
-        check Alcotest.bool "newest event present" true (contains "it40");
-        check Alcotest.bool "window start present" true (contains "it36");
-        check Alcotest.bool "older events excluded" false (contains "it35"));
+        for i = 9 to 40 do
+          check Alcotest.bool (Printf.sprintf "it%d present" i) true (line i)
+        done;
+        check Alcotest.bool "older events excluded" false (line 8));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1329,15 +1417,14 @@ let ts_gen =
         oneofl [ 0.0; -0.0; 5e-324; Float.nan; infinity; 1786021766.253001 ];
       ])
 
-(* a clock reading, three phases of two domains' events, and the ring
-   capacity to shrink to after the first phase *)
+(* a clock reading and three phases of two domains' events *)
 let roundtrip_case =
   QCheck.make
-    ~print:(fun (ts, (a1, b1), (a2, b2), ((a3, b3), k)) ->
+    ~print:(fun (ts, (a1, b1), (a2, b2), (a3, b3)) ->
       let n = List.length in
-      Printf.sprintf "ts %h; events per domain %d+%d, %d+%d, %d+%d; shrink to %d"
-        ts (n a1) (n b1) (n a2) (n b2) (n a3) (n b3) k)
-    QCheck.Gen.(quad ts_gen phase_gen phase_gen (pair phase_gen (int_bound 40)))
+      Printf.sprintf "ts %h; events per domain %d+%d, %d+%d, %d+%d" ts (n a1)
+        (n b1) (n a2) (n b2) (n a3) (n b3))
+    QCheck.Gen.(quad ts_gen phase_gen phase_gen phase_gen)
 
 (* The line the journal file holds for [e], built as the journal built
    it from a decoded record before it wrote lines from the event bytes *)
@@ -1359,7 +1446,7 @@ let rec last n l = if List.length l <= n then l else last n (List.tl l)
 (* emit each phase from two domains, tagging every event with its
    domain, and hold the ring, the journal file and each domain's order
    to what was emitted *)
-let journal_roundtrip (ts, p1, p2, (p3, k)) =
+let journal_roundtrip (ts, p1, p2, p3) =
   let tagged d l =
     List.map (fun (sev, c, n, attrs) -> (sev, c, n, ("domain", d) :: attrs)) l
   in
@@ -1398,40 +1485,33 @@ let journal_roundtrip (ts, p1, p2, (p3, k)) =
       else if next l d1 then interleaves (seq + 1) rest d0 (List.tl d1)
       else false
   in
-  let saved = Journal.ring_capacity () in
   Journal.clear ();
-  Journal.set_ring_capacity 256;
   Vc_util.Clock.set (fun () -> ts);
   Fun.protect
-    ~finally:(fun () ->
-      Vc_util.Clock.set Unix.gettimeofday;
-      Journal.set_ring_capacity saved)
+    ~finally:(fun () -> Vc_util.Clock.set Unix.gettimeofday)
     (fun () ->
       with_temp_journal (fun file ->
           Journal.open_jsonl file;
-          (* the ring holds exactly the last [n] lines of the file *)
+          (* after [n] events the ring holds exactly the last [min n 256]
+             lines of the file; the ring is read first, since reading it
+             flushes the events still pending *)
           let ring_is_tail n =
-            List.map reference_line (Journal.events ())
-            = last n (file_lines file)
+            let ring = List.map reference_line (Journal.events ()) in
+            ring = last (min n 256) (file_lines file)
           in
           let count (a, b) = List.length a + List.length b in
           phase p1;
-          let ok1 = ring_is_tail 256 in
-          Journal.set_ring_capacity k;
-          let ok_shrunk = ring_is_tail k in
+          let ok1 = ring_is_tail (count p1) in
           phase p2;
-          let ok2 = ring_is_tail k in
-          let kept = min k (count p1 + count p2) in
-          Journal.set_ring_capacity 256;
-          let ok_grown = ring_is_tail kept in
+          let ok2 = ring_is_tail (count p1 + count p2) in
           phase p3;
-          let ok3 = ring_is_tail (kept + count p3) in
+          let ok3 = ring_is_tail (count p1 + count p2 + count p3) in
           let emitted d =
             List.concat_map
               (fun (l0, l1) -> tagged d (if d = "0" then l0 else l1))
               [ p1; p2; p3 ]
           in
-          ok1 && ok_shrunk && ok2 && ok_grown && ok3
+          ok1 && ok2 && ok3
           && interleaves 1 (file_lines file) (emitted "0") (emitted "1")))
 
 let journal_bytes_tests =

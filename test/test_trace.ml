@@ -239,15 +239,15 @@ module Q = Vc_util.Journal_query
 let tracing_tests =
   [
     tc "8-domain replay: >= 99% of submissions join by trace id" (fun () ->
-        (* client and server run in one process here, so the shared
-           flight recorder sees both journals; size it for the whole
-           run so no request's events rotate out before the join *)
-        let old_ring = Vc_util.Journal.ring_capacity () in
-        Vc_util.Journal.set_ring_capacity 100_000;
+        (* client and server run in one process here, so one journal
+           file holds both sides' events for the whole run *)
+        let file = Filename.temp_file "replay" ".jsonl" in
         Fun.protect
-          ~finally:(fun () -> Vc_util.Journal.set_ring_capacity old_ring)
+          ~finally:(fun () ->
+            Vc_util.Journal.close_jsonl ();
+            Sys.remove file)
           (fun () ->
-            Vc_util.Journal.clear ();
+            Vc_util.Journal.open_jsonl file;
             Portal.clear_cache ();
             let spec =
               {
@@ -287,12 +287,13 @@ let tracing_tests =
             Domain.join acceptor;
             ignore (Wire.drain_connections listener);
             Server.stop server;
+            Vc_util.Journal.close_jsonl ();
             check Alcotest.bool "replay ran" true (report.Loadgen.rp_total > 0);
             check Alcotest.int "report publishes the minting seed" 31
               report.Loadgen.rp_seed;
             check Alcotest.string "report publishes the scheme"
               Vc_util.Trace_ctx.scheme report.Loadgen.rp_trace_scheme;
-            let join = Q.join_requests (Vc_util.Journal.events ()) in
+            let join = Q.join_requests (Q.load_file file).Q.events in
             check Alcotest.int "every replayed request journaled client-side"
               report.Loadgen.rp_total join.Q.rj_client_total;
             check Alcotest.bool
