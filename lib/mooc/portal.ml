@@ -472,13 +472,14 @@ let count_lines s =
   done;
   !n
 
-let submit_result session tool input =
+(* [serve], appending the run to [session] when there is one *)
+let serve_into session tool input =
   let pre = "portal." ^ tool.tool_name in
   let key = cache_key tool.tool_name input in
   T.incr (pre ^ ".submits");
   let t0 = T.now () in
   (* [key] is rebound to the cache's copy of it where there is one:
-     that is what the session's run keeps *)
+     that is what a session's run keeps *)
   let outcome, key =
     let lines = count_lines input in
     if lines > tool.max_input_lines then begin
@@ -551,8 +552,14 @@ let submit_result session tool input =
         | Some r -> [ ("reason", r) ]
         | None -> [])
     "submission";
-  record session { tool = tool.tool_name; key; rejection = reject_reason };
+  Option.iter
+    (fun s ->
+      record s { tool = tool.tool_name; key; rejection = reject_reason })
+    session;
   outcome
+
+let serve tool input = serve_into None tool input
+let submit_result session tool input = serve_into (Some session) tool input
 
 (* the memory cache first, then the disk tier; neither read counts a hit
    or promotes the entry *)

@@ -16,11 +16,12 @@
     the domains that submit to {!Vc_mooc.Server}, which runs each job
     on its submitter. The result cache is one table under one mutex,
     held for a table operation and never for a tool execution or disk
-    I/O; a session is one atomic list that submissions append to
-    lock-free; cache statistics are {!Vc_util.Telemetry} counters, one
-    atomic slot each. Tools are pure functions of their input, so a
-    duplicated cache-miss execution in two domains is wasted work, never
-    wrong output. See [docs/CONCURRENCY.md] for the full model. *)
+    I/O; a session is one atomic list that {!submit_result} appends to
+    lock-free (the server keeps none); cache statistics are
+    {!Vc_util.Telemetry} counters, one atomic slot each. Tools are pure
+    functions of their input, so a duplicated cache-miss execution in
+    two domains is wasted work, never wrong output. See
+    [docs/CONCURRENCY.md] for the full model. *)
 
 type tool = {
   tool_name : string;
@@ -68,14 +69,15 @@ val resolve_tool : string -> (tool, string) result
     suggestion. *)
 
 type session
-(** One participant's portal state: the newest {!history_limit} runs
-    across all tools, held in one [Atomic.t] and appended by
-    compare-and-set, so a session may be used from several domains at
-    once without a lock. A run holds the tool name, the result cache's
-    16-byte key for the upload and, for a rejection only, its reason.
-    The key is the string the cache entry holds, so a hit adds no copy.
-    A run never holds the upload or its output: {!history} resolves the
-    output through the cache when it is read. *)
+(** One participant's in-process portal state ({!Vc_mooc.Server} keeps
+    none): the newest {!history_limit} runs across all tools, held in
+    one [Atomic.t] and appended by compare-and-set, so a session may be
+    used from several domains at once without a lock. A run holds the
+    tool name, the result cache's 16-byte key for the upload and, for a
+    rejection only, its reason. The key is the string the cache entry
+    holds, so a hit adds no copy. A run never holds the upload or its
+    output: {!history} resolves the output through the cache when it is
+    read. *)
 
 val create_session : unit -> session
 
@@ -90,7 +92,7 @@ type reason =
       (** Input exceeded the tool's [max_input_lines] guard. *)
   | Overloaded of string
       (** The server's submission queue was full (admission control;
-          produced by {!Vc_mooc.Server}, never by {!submit_result}). *)
+          produced by {!Vc_mooc.Server}, never by {!serve}). *)
   | Rate_limited of string
       (** The session exceeded its token-bucket budget (produced by
           {!Vc_mooc.Server}). *)
@@ -126,7 +128,9 @@ val outcome_output : outcome -> string
     change, not four. *)
 
 type request = {
-  req_session : string;  (** Session id the submission runs under. *)
+  req_session : string;
+      (** Session id: the server's rate-limit key and the [session] attr
+          of its journal events. *)
   req_tool : tool;
   req_input : string;  (** The uploaded text. *)
   req_trace : string option;
@@ -137,10 +141,11 @@ val request : ?trace:string -> session:string -> tool -> string -> request
 (** [request ~session tool input] builds the envelope; [?trace] attaches
     a client trace id. *)
 
-val submit_result : session -> tool -> string -> outcome
+val serve : tool -> string -> outcome
 (** Run the tool on the uploaded text (never raises; kernel errors come
-    back inside [Executed "error: ..."] text) and append it to the
-    session's history.
+    back inside [Executed "error: ..."] text), keeping no history: what
+    {!Vc_mooc.Server} calls, since nothing reads a server-side history
+    back.
 
     Instrumentation per call, under the tool's name [t]:
     [portal.t.submits] always increments; then exactly one of
@@ -161,6 +166,11 @@ val submit_result : session -> tool -> string -> outcome
     runaway rejection is emitted at [Error] severity, which the journal
     flushes to its sinks at once; it does not dump the flight recorder,
     so a flood of oversized uploads is not a flood of dumps. *)
+
+val submit_result : session -> tool -> string -> outcome
+(** {!serve}, then append the run to the session's history: the
+    in-process Fig. 4 portal. The outcome, counters and journal event
+    are {!serve}'s. *)
 
 val history : session -> tool -> (string * string option) list
 (** The tool's runs among the session's newest {!history_limit} runs,
@@ -241,8 +251,11 @@ val set_cache_dir : string -> unit
     evicted from memory through it. Emits a [cache.warm_start] journal
     event whose attrs are [entries] (the results the store holds),
     [promoted] (those put into memory), [bytes] and [elapsed_s] (the
-    time the call took). A store that cannot be opened degrades with
-    one warning and a [cache.disk_error] event instead of raising.
+    time the call took), and sets the [portal.cache.disk_entries] gauge
+    to [entries]: the count the store held when it was opened, which
+    write-through does not update. A store that cannot be opened
+    degrades with one warning and a [cache.disk_error] event instead of
+    raising.
     Replaces (and closes) any previously configured store. *)
 
 val cache_dir : unit -> string option

@@ -33,6 +33,11 @@ module Token_bucket = struct
       true
     end
     else false
+
+  (* the refill [try_take] would make at [now] reaches [burst]: the
+     bucket is then in the state [create] builds *)
+  let full b ~now =
+    b.tokens +. (Float.max 0.0 (now -. b.last) *. b.rate) >= b.burst
 end
 
 let deadline_expired ~enqueued ~deadline_s ~now =
@@ -70,19 +75,17 @@ type waiter = {
   mutable w_slot : int;  (* -1 until a slot is handed over *)
 }
 
-type session_slot = {
-  sl_session : Portal.session;
-  sl_bucket : Token_bucket.t option;
-}
-
 type t = {
   config : config;
-  mu : Mutex.t;  (* guards free, waiters, stopping, sessions, depth_hwm *)
+  mu : Mutex.t;
+      (* guards free, waiters, stopping, buckets, sweep_at, depth_hwm *)
   drained : Condition.t;  (* stop waits here until no job runs or waits *)
   mutable free : int list;  (* slots no job holds *)
   waiters : waiter Queue.t;
   mutable stopping : bool;
-  sessions : (string, session_slot) Hashtbl.t;
+  (* a token bucket per session id, touched only under a rate limit *)
+  buckets : (string, Token_bucket.t) Hashtbl.t;
+  mutable sweep_at : int;  (* the table size at which an insert sweeps *)
   (* untraced submissions get ids minted from a seed fixed at start and
      the next sequence number, without a lock *)
   trace_seed : int;
@@ -90,6 +93,9 @@ type t = {
   busy_ns : string array;  (* server.worker.<w>.busy_ns, per slot *)
   mutable depth_hwm : int;  (* queue-depth high-water mark *)
 }
+
+(* The least table size at which an insert sweeps the buckets. *)
+let sweep_floor = 1024
 
 (* Called with [t.mu] held wherever the waiters or the held slots
    change: admission and release. A running job counts as depth 1, as a
@@ -118,7 +124,7 @@ let count_outcome outcome =
    (overloaded), abuse (rate_limited) and staleness (deadline) apart at
    a glance. Every one carries the session, tool and reason, then
    [extra]. Runaway rejections keep their journal trail inside
-   [Portal.submit_result]. *)
+   [Portal.serve]. *)
 let reject_server ~session_id ~tool_name ~ctx ~extra reason =
   let outcome = Portal.Rejected reason in
   count_outcome outcome;
@@ -139,7 +145,7 @@ let reject_server ~session_id ~tool_name ~ctx ~extra reason =
 (* [request.replied] is the request's whole timeline: its [phase.queue]
    is the admission-to-slot wait and its timestamp minus [total_s] is
    the admission, so neither gets an event of its own. *)
-let process_job t ~tool ~input ~session ~session_id ~ctx ~enqueued =
+let process_job t ~tool ~input ~session_id ~ctx ~enqueued =
   let now = T.now () in
   let wait_s = Float.max 0.0 (now -. enqueued) in
   Tc.record_phase ctx "queue" wait_s;
@@ -159,8 +165,7 @@ let process_job t ~tool ~input ~session ~session_id ~ctx ~enqueued =
          its cache-probe and execute phases into this request without
          plumbing *)
       let outcome =
-        Tc.with_current ctx (fun () ->
-            Portal.submit_result session tool input)
+        Tc.with_current ctx (fun () -> Portal.serve tool input)
       in
       count_outcome outcome;
       outcome
@@ -242,7 +247,8 @@ let start ?(config = default_config) () =
       free = List.init config.workers Fun.id;
       waiters = Queue.create ();
       stopping = false;
-      sessions = Hashtbl.create 16;
+      buckets = Hashtbl.create 16;
+      sweep_at = sweep_floor;
       (* wall clock, not Clock: server-minted ids must differ across
          runs even under a frozen test clock *)
       trace_seed =
@@ -304,35 +310,42 @@ let stop t =
 let queue_depth t = Mutex.protect t.mu (fun () -> Queue.length t.waiters)
 
 (* ------------------------------------------------------------------ *)
-(* sessions and submission                                             *)
+(* submission                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let session_slot t id =
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.sessions id with
-      | Some slot -> slot
+(* Called with [t.mu] held. Under a rate limit a session's bucket is
+   made by its first submission; without one no table is touched. An
+   insert that finds the table at [sweep_at] first drops every bucket
+   that is full at [now]: such a bucket is in the state
+   [Token_bucket.create] builds, so forgetting it changes no reply. A
+   [rate = 0.] bucket never refills, so it stays. Sweeping again only
+   once the table has doubled keeps the sweeps' cost O(1) per insert,
+   amortized. *)
+let rate_ok t session_id ~now =
+  match t.config.rate_limit with
+  | None -> true
+  | Some (rate, burst) ->
+    let b =
+      match Hashtbl.find_opt t.buckets session_id with
+      | Some b -> b
       | None ->
-        let slot =
-          {
-            sl_session = Portal.create_session ();
-            sl_bucket =
-              Option.map
-                (fun (rate, burst) ->
-                  Token_bucket.create ~rate ~burst ~now:(T.now ()))
-                t.config.rate_limit;
-          }
-        in
-        Hashtbl.add t.sessions id slot;
-        slot)
-
-let session t id = (session_slot t id).sl_session
+        if Hashtbl.length t.buckets >= t.sweep_at then begin
+          Hashtbl.filter_map_inplace
+            (fun _ b -> if Token_bucket.full b ~now then None else Some b)
+            t.buckets;
+          t.sweep_at <- max sweep_floor (2 * Hashtbl.length t.buckets)
+        end;
+        let b = Token_bucket.create ~rate ~burst ~now in
+        Hashtbl.add t.buckets session_id b;
+        b
+    in
+    Token_bucket.try_take b ~now
 
 let submit t (req : Portal.request) =
   let session_id = req.Portal.req_session
   and tool = req.Portal.req_tool
   and input = req.Portal.req_input in
   T.incr "server.submitted";
-  let slot = session_slot t session_id in
   let tool_name = tool.Portal.tool_name in
   (* a valid client-supplied id is adopted; anything else gets a
      server-minted one so every request has a joinable timeline *)
@@ -344,60 +357,50 @@ let submit t (req : Portal.request) =
         (Tc.mint_deterministic ~seed:t.trace_seed
            ~seq:(Atomic.fetch_and_add t.trace_seq 1))
   in
-  let rate_ok =
-    match slot.sl_bucket with
-    | None -> true
-    | Some b ->
-      (* the bucket mutates; reuse the server lock rather than giving
-         each bucket its own (takes are rare and O(1)) *)
-      Mutex.protect t.mu (fun () -> Token_bucket.try_take b ~now:(T.now ()))
+  let now = T.now () in
+  (* a rate-limited session is turned away before the stopping and
+     queue checks, and a token taken stays taken if they reject *)
+  let admitted =
+    Mutex.protect t.mu (fun () ->
+        if not (rate_ok t session_id ~now) then `Rate_limited
+        else if t.stopping then `Stopped
+        else if Queue.length t.waiters >= t.config.queue_capacity then `Full
+        else
+          let admitted =
+            match t.free with
+            | w :: rest ->
+              t.free <- rest;
+              `Run w
+            | [] ->
+              let waiter = { w_cond = Condition.create (); w_slot = -1 } in
+              Queue.push waiter t.waiters;
+              `Wait waiter
+          in
+          publish_load t;
+          admitted)
   in
-  if not rate_ok then
+  let job () = process_job t ~tool ~input ~session_id ~ctx ~enqueued:now in
+  match admitted with
+  | `Rate_limited ->
     reject_server ~session_id ~tool_name ~ctx ~extra:[]
       (Portal.Rate_limited
          (Printf.sprintf "session %S exceeded its submission rate limit"
             session_id))
-  else begin
-    let enqueued = T.now () in
-    let admitted =
+  | `Stopped ->
+    reject_server ~session_id ~tool_name ~ctx ~extra:[]
+      (Portal.Overloaded "server is shutting down")
+  | `Full ->
+    reject_server ~session_id ~tool_name ~ctx ~extra:[]
+      (Portal.Overloaded
+         (Printf.sprintf "submission queue full (capacity %d)"
+            t.config.queue_capacity))
+  | `Run w -> run_job t w job
+  | `Wait waiter ->
+    let w =
       Mutex.protect t.mu (fun () ->
-          if t.stopping then `Stopped
-          else if Queue.length t.waiters >= t.config.queue_capacity then `Full
-          else
-            let admitted =
-              match t.free with
-              | w :: rest ->
-                t.free <- rest;
-                `Run w
-              | [] ->
-                let waiter = { w_cond = Condition.create (); w_slot = -1 } in
-                Queue.push waiter t.waiters;
-                `Wait waiter
-            in
-            publish_load t;
-            admitted)
+          while waiter.w_slot < 0 do
+            Condition.wait waiter.w_cond t.mu
+          done;
+          waiter.w_slot)
     in
-    let job () =
-      process_job t ~tool ~input ~session:slot.sl_session ~session_id ~ctx
-        ~enqueued
-    in
-    match admitted with
-    | `Stopped ->
-      reject_server ~session_id ~tool_name ~ctx ~extra:[]
-        (Portal.Overloaded "server is shutting down")
-    | `Full ->
-      reject_server ~session_id ~tool_name ~ctx ~extra:[]
-        (Portal.Overloaded
-           (Printf.sprintf "submission queue full (capacity %d)"
-              t.config.queue_capacity))
-    | `Run w -> run_job t w job
-    | `Wait waiter ->
-      let w =
-        Mutex.protect t.mu (fun () ->
-            while waiter.w_slot < 0 do
-              Condition.wait waiter.w_cond t.mu
-            done;
-            waiter.w_slot)
-      in
-      run_job t w job
-  end
+    run_job t w job

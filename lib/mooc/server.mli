@@ -26,6 +26,16 @@
     own journal event, so saturation, abuse, staleness and oversized
     uploads are distinguishable on a dashboard.
 
+    {b Sessions.} The server's only per-session state is a table from
+    session id to token bucket, touched only under a [rate_limit]: an
+    unlimited server keeps nothing per session, and no server keeps a
+    run history ({!submit} calls {!Portal.serve}). When an insert finds
+    the table at twice its size after the previous sweep (at least
+    1,024 buckets), it first drops every bucket that has refilled to
+    [burst]: such a bucket is in the state a new one starts in, so no
+    reply changes. A [rate = 0.] bucket never refills, so it is never
+    dropped.
+
     {b Observability.} The server maintains the [server.queue_depth]
     gauge, its [server.queue_depth.hwm] high-water mark and the
     [server.workers.busy] gauge, all three set under the server lock at
@@ -57,7 +67,10 @@
     [job.rejected.*] event. [vcstat request] joins these against a
     [vcload] client journal by trace id.
 
-    {b Hand-off discipline.} A submission that finds a free slot runs
+    {b Hand-off discipline.} A job takes the server lock twice: at
+    admission (the session's token under a rate limit, then the queue
+    and a slot) and at release; a job that waits takes it once more to
+    wait for its slot. A submission that finds a free slot runs
     at once: no other domain is woken and nothing is allocated to carry
     the reply. Only a waiting submission allocates a [Condition], which
     the releasing job signals after storing the slot number in it - one
@@ -112,7 +125,9 @@ type config = {
           [Float.infinity] disables the check. *)
   rate_limit : (float * float) option;
       (** [(rate, burst)] token-bucket parameters applied per session;
-          [None] disables rate limiting. *)
+          [None] disables rate limiting, and with it every per-session
+          table. Under [rate = 0.] each session id seen keeps its
+          bucket for the server's lifetime. *)
 }
 
 val default_config : config
@@ -141,11 +156,11 @@ val stop : t -> unit
 (** {1 Submission} *)
 
 val submit : t -> Portal.request -> Portal.outcome
-(** Submit one {!Portal.request} (sessions are created on first use
-    from [req_session]; each holds a lock-free {!Portal.session}, capped
-    at {!Portal.history_limit} runs, plus the rate-limit bucket; a run
-    keeps the upload's cache key, never the upload or its output; the
-    session table itself is never evicted). Returns immediately with a
+(** Submit one {!Portal.request}. The job reaches the portal through
+    {!Portal.serve}, so the server keeps no run history: [req_session]
+    names the session's token bucket (made by its first submission, and
+    only under a [rate_limit]) and the [session] attr of the request's
+    journal events. Returns immediately with a
     rejection when rate-limited or the queue is full; otherwise runs
     the job on the calling domain once it holds a slot - at once when
     one is free, else after waiting its turn - and returns its outcome.
@@ -157,14 +172,6 @@ val submit : t -> Portal.request -> Portal.outcome
     [req_trace] is the client-supplied trace id; when absent or invalid
     ({!Vc_util.Trace_ctx.is_valid_id}) the server mints one. Either
     way the request's journal events carry it as [trace_id]. *)
-
-val session : t -> string -> Portal.session
-(** The portal session behind [session_id] (created on first use) -
-    gives callers access to {!Portal.history}, which looks each run's
-    output up in the result cache and its disk tier when it is read.
-    The session is shared by every domain that submits to it: a
-    snapshot read while jobs run sees every run appended so far, up to
-    the cap. *)
 
 val queue_depth : t -> int
 (** Submissions currently waiting for a slot (admitted, not yet

@@ -110,7 +110,8 @@ val open_jsonl : ?segment_bytes:int -> string -> unit
 (** Stream every event to [FILE] as JSON Lines, one line per event,
     flushed per line:
     [{"seq":N,"ts":T,"severity":S,"component":C,"event":E,"attrs":{...}}]
-    with [T] as {!Json.num} writes it and every string escaped as
+    with [T] as {!Json.num} writes it ([null] for a non-finite clock
+    reading) and every string escaped as
     {!Json.str} escapes it. Opens in {e append} mode - a crash-restart
     writing to the same path extends the log and never overwrites the
     pre-crash tail. This is what [--journal FILE] opens.

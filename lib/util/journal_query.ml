@@ -31,7 +31,11 @@ let parse_line line =
     in
     let ( let* ) = Result.bind in
     let* seq = num_field "seq" in
-    let* ts = num_field "ts" in
+    let* ts =
+      (* a non-finite clock reading is written as [null] *)
+      if Json.member "ts" j = Some Json.Null then Ok Float.nan
+      else num_field "ts"
+    in
     let* sev_s = str_field "severity" in
     let* component = str_field "component" in
     let* name = str_field "event" in
@@ -291,10 +295,10 @@ type qspan = {
    attribute - flow's stage.begin/stage.end is the canonical producer.
    A matching ".error" (flow's failed stage) closes the span too.
    Events are first partitioned into independent streams - by trace_id
-   attr when present, else domain attr, else component - so the
-   interleaved output of concurrent requests never mis-nests (one
-   request's begin must not adopt another's as a child just because a
-   multi-domain journal interleaved them). Within a stream,
+   attr when present, else component - so the interleaved output of
+   concurrent requests never mis-nests (one request's begin must not
+   adopt another's as a child just because a multi-domain journal
+   interleaved them). Within a stream,
    reconstruction is a stack walk in sequence order; an end with no
    matching open frame is ignored, frames left open at EOF close at the
    stream's last seen timestamp. *)
@@ -331,10 +335,7 @@ let spans_of events =
   let stream_key (e : Journal.event) =
     match List.assoc_opt "trace_id" e.Journal.ev_attrs with
     | Some id -> "trace:" ^ id
-    | None -> (
-      match List.assoc_opt "domain" e.Journal.ev_attrs with
-      | Some d -> "domain:" ^ d
-      | None -> "component:" ^ e.Journal.ev_component)
+    | None -> "component:" ^ e.Journal.ev_component
   in
   let streams : (string, span_stream) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in

@@ -26,9 +26,10 @@ type load = {
 
 val parse_line : string -> (Journal.event, string) result
 (** Decode one JSONL line (the schema {!Journal.open_jsonl} writes:
-    [seq], [ts], [severity], [component], [event], [attrs]). Non-string attr
-    values are dropped; a missing/invalid required field is an
-    [Error]. *)
+    [seq], [ts], [severity], [component], [event], [attrs]). A [null]
+    [ts], which the journal writes for a non-finite clock reading, reads
+    as [nan]. Non-string attr values are dropped; a missing/invalid
+    required field is an [Error]. *)
 
 val load_file : string -> load
 (** Parse one journal file, keeping going past malformed lines.
@@ -125,9 +126,9 @@ val spans_of : Journal.event list -> qspan list
 (** Reconstruct the span forest from [*.begin]/[*.end] event pairs
     (matched on component, name prefix and the ["stage"] attribute when
     present). Events are first partitioned into independent streams -
-    keyed by the [trace_id] attribute when present, else the [domain]
-    attribute, else the component - so the interleaved output of
-    concurrent requests in a multi-domain journal cannot mis-nest.
+    keyed by the [trace_id] attribute when present, else the component -
+    so the interleaved output of concurrent requests in a multi-domain
+    journal cannot mis-nest.
     Within a stream: a begin inside an open span nests under it, an end
     - or an [*.error], such as a failed flow stage's [stage.error] -
     closes the matching open span, one with no matching open span is
@@ -237,7 +238,7 @@ val requests_to_json : ?top:int -> request_join -> string
 
 val profile_folded : Journal.event list -> int * (string * int) list
 (** Rebuild the continuous profiler's folded-stack aggregate from its
-    [profile.sample] journal events ({!Profile.tick} with
-    [journal:true]): the number of distinct sampler ticks seen, and the
+    [profile.sample] journal events (one per distinct stack per
+    {!Profile.tick}): the number of distinct sampler ticks seen, and the
     stacks with their total sample counts, most samples first (then by
     name). What [vcstat flame] renders. *)

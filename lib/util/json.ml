@@ -219,7 +219,8 @@ let str s =
    interpreter's allocations: same bytes, one string *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let num f = format_float "%.6f" f
+(* JSON has no number for NaN or an infinity *)
+let num f = if Float.is_finite f then format_float "%.6f" f else "null"
 let int = string_of_int
 
 let obj fields =

@@ -46,7 +46,9 @@ val add_escaped : Buffer.t -> bytes -> int -> int -> unit
     {!Journal} line writer both escape through it. *)
 
 val num : float -> string
-(** Fixed six-decimal rendering, matching the telemetry renderers. *)
+(** Fixed six-decimal rendering, matching the telemetry renderers; a
+    non-finite float (NaN or an infinity), which JSON has no number for,
+    is [null]. *)
 
 val int : int -> string
 

@@ -23,7 +23,7 @@ let fold_of_stack = function
   | [] -> idle_frame
   | frames -> String.concat ";" frames
 
-let tick ?(journal = false) () =
+let tick () =
   (* group this tick's observations so the journal carries one event
      per distinct stack, not one per domain *)
   let this_tick : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
@@ -46,18 +46,17 @@ let tick ?(journal = false) () =
           this_tick;
         !tick_count)
   in
-  if journal then
-    Hashtbl.iter
-      (fun key r ->
-        Journal.emit ~severity:Journal.Debug ~component:"profile"
-          ~attrs:
-            [
-              ("tick", string_of_int tick_no);
-              ("stack", key);
-              ("count", string_of_int !r);
-            ]
-          "sample")
-      this_tick
+  Hashtbl.iter
+    (fun key r ->
+      Journal.emit ~severity:Journal.Debug ~component:"profile"
+        ~attrs:
+          [
+            ("tick", string_of_int tick_no);
+            ("stack", key);
+            ("count", string_of_int !r);
+          ]
+        "sample")
+    this_tick
 
 let ticks () = Mutex.protect agg_mu (fun () -> !tick_count)
 let samples () = Mutex.protect agg_mu (fun () -> !sample_count)

@@ -14,11 +14,11 @@
     race on an immutable list (see {!Phase.stacks}), so profiling
     overhead is near zero whether or not a sampler is running. *)
 
-val tick : ?journal:bool -> unit -> unit
+val tick : unit -> unit
 (** Sample once the stack of every domain that has run a phase and not
     exited ({!Phase.stacks}): each domain
     contributes one observation to the folded aggregate (["idle"] when
-    its stack is empty). With [journal:true], one
+    its stack is empty), and one
     [profile.sample] journal event ([Debug] severity, component
     ["profile"], attrs [tick]/[stack]/[count]) is emitted per distinct
     stack observed this tick - the offline feed for [vcstat flame]. *)

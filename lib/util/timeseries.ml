@@ -166,7 +166,6 @@ let client_sources =
 type sampler = {
   sp_interval : float;
   sp_sources : source list;
-  sp_profile : bool;
   sp_prev : (string, float) Hashtbl.t; (* last counter/total snapshots *)
   sp_hists : (string, Telemetry.snapshot) Hashtbl.t; (* last timer snapshots *)
   mutable sp_last_ts : float;
@@ -243,7 +242,7 @@ let tick t =
   let now = Clock.now () in
   let dt = now -. t.sp_last_ts in
   sample_sources t ~now ~dt;
-  if t.sp_profile then Profile.tick ~journal:true ();
+  Profile.tick ();
   t.sp_last_ts <- now
 
 let register_routes () =
@@ -260,12 +259,11 @@ let register_routes () =
         rp_body = Profile.to_folded_text (Profile.folded ());
       })
 
-let create ?(profile = true) ?(sources = server_sources) ~interval () =
+let create ?(sources = server_sources) ~interval () =
   let t =
     {
       sp_interval = interval;
       sp_sources = sources;
-      sp_profile = profile;
       sp_prev = Hashtbl.create 16;
       sp_hists = Hashtbl.create 8;
       sp_last_ts = Clock.now ();
@@ -294,8 +292,8 @@ let create ?(profile = true) ?(sources = server_sources) ~interval () =
   register_routes ();
   t
 
-let start ?profile ?sources ~interval () =
-  let t = create ?profile ?sources ~interval () in
+let start ?sources ~interval () =
+  let t = create ?sources ~interval () in
   if interval > 0.0 then begin
     let d =
       Domain.spawn (fun () ->

@@ -90,17 +90,14 @@ val client_sources : source list
 module Sampler : sig
   type t
 
-  val create :
-    ?profile:bool -> ?sources:source list -> interval:float -> unit -> t
-  (** Build a sampler (default [sources]: {!server_sources};
-      [profile:false] skips the {!Profile.tick} per tick), prime its
+  val create : ?sources:source list -> interval:float -> unit -> t
+  (** Build a sampler (default [sources]: {!server_sources}), prime its
       delta snapshots from the current counter values and timer
       histograms, and register the [/varz] and [/profile] routes. No
       domain is spawned - drive it with {!tick} (deterministic tests) or
       use {!start}. *)
 
-  val start :
-    ?profile:bool -> ?sources:source list -> interval:float -> unit -> t
+  val start : ?sources:source list -> interval:float -> unit -> t
   (** {!create}, then spawn the background domain ticking every
       [interval] seconds of wall time. [interval <= 0] registers the
       routes but never ticks (the [-sample-interval 0] escape hatch). *)

@@ -253,6 +253,28 @@ let has_journal_event name =
     (fun e -> e.Journal.ev_component = "server" && e.Journal.ev_name = name)
     (Journal.events ())
 
+(* the live heap after a full major collection, in bytes *)
+let live_bytes () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
+(* run [f] with the process clock reading [now] *)
+let with_clock now f =
+  Vc_util.Clock.set (fun () -> Atomic.get now);
+  Fun.protect ~finally:(fun () -> Vc_util.Clock.set Unix.gettimeofday) f
+
+(* submit [input] under [session]; the outcome's label *)
+let outcome_label srv ~session input =
+  match Server.submit srv (Portal.request ~session echo input) with
+  | Portal.Executed _ | Portal.Cache_hit _ -> "served"
+  | Portal.Rejected r -> Portal.reason_label r
+
+(* [outcome_label] in a loop, with no alcotest record per call *)
+let expect_served srv ~session input =
+  match outcome_label srv ~session input with
+  | "served" -> ()
+  | label -> Alcotest.failf "session %s: %s" session label
+
 let server_tests =
   [
     tc "zero-capacity queue rejects Overloaded immediately" (fun () ->
@@ -431,26 +453,99 @@ let server_tests =
           Alcotest.(option (list string))
           "hit" (Some [ "queue"; "cache"; "reply" ])
           (phases "aaaa0002"));
-    tc "sessions persist across submissions and keep history" (fun () ->
+    tc "a server without a rate limit keeps no per-session state" (fun () ->
         fresh ();
-        let srv =
-          Server.start
-            ~config:{ Server.default_config with Server.workers = 1 }
-            ()
-        in
-        ignore (Server.submit srv (Portal.request ~session:"s" echo "one"));
-        ignore (Server.submit srv (Portal.request ~session:"s" echo "two"));
+        let srv = Server.start () in
+        let submit session = expect_served srv ~session "x" in
+        for i = 1 to 100 do submit (Printf.sprintf "warm-%d" i) done;
+        let before = live_bytes () in
+        for i = 1 to 20_000 do submit (Printf.sprintf "s%d" i) done;
+        let grown = live_bytes () - before in
         Server.stop srv;
-        let h = Portal.history (Server.session srv "s") echo in
-        check Alcotest.int "two entries" 2 (List.length h);
-        check
-          Alcotest.(list (pair string (option string)))
-          "ordered oldest first"
-          [
-            (upload_digest "echo" "one", Some "echo: one");
-            (upload_digest "echo" "two", Some "echo: two");
-          ]
-          h);
+        Printf.printf "live heap %+d bytes over 20,000 sessions\n" grown;
+        if grown >= 256 * 1024 then
+          Alcotest.failf "live heap grew %d bytes over 20,000 sessions" grown);
+    tc "a rate-limited server forgets full buckets" (fun () ->
+        fresh ();
+        let now = Atomic.make 0.0 and steps = ref 0 in
+        with_clock now (fun () ->
+            let srv =
+              Server.start
+                ~config:
+                  {
+                    Server.default_config with
+                    Server.rate_limit = Some (1000.0, 2.0);
+                  }
+                ()
+            in
+            (* 1 ms per submission refills the one token each takes *)
+            let submit session =
+              incr steps;
+              Atomic.set now (float_of_int !steps *. 0.001);
+              expect_served srv ~session "x"
+            in
+            for i = 1 to 2_000 do submit (Printf.sprintf "warm-%d" i) done;
+            let before = live_bytes () in
+            for i = 1 to 100_000 do submit (Printf.sprintf "s%d" i) done;
+            let grown = live_bytes () - before in
+            Server.stop srv;
+            Printf.printf "live heap %+d bytes over 100,000 sessions\n" grown;
+            if grown >= 1024 * 1024 then
+              Alcotest.failf "live heap grew %d bytes over 100,000 sessions"
+                grown));
+    tc "a dry bucket survives the sweeps" (fun () ->
+        (* a frozen clock refills nothing, and a rate-0 bucket never
+           refills: either way no other bucket is full at a sweep *)
+        List.iter
+          (fun (rate, step) ->
+            fresh ();
+            let now = Atomic.make 0.0 in
+            with_clock now (fun () ->
+                let srv =
+                  Server.start
+                    ~config:
+                      {
+                        Server.default_config with
+                        Server.rate_limit = Some (rate, 1.0);
+                      }
+                    ()
+                in
+                let label session =
+                  Atomic.set now (Atomic.get now +. step);
+                  outcome_label srv ~session "x"
+                in
+                check Alcotest.string "first" "served" (label "dry");
+                check Alcotest.string "dry" "rate_limited" (label "dry");
+                (* the inserts at 1,024 and 2,048 buckets sweep *)
+                for i = 1 to 3_000 do
+                  Atomic.set now (Atomic.get now +. step);
+                  expect_served srv ~session:(string_of_int i) "x"
+                done;
+                check Alcotest.string "still dry" "rate_limited" (label "dry");
+                Server.stop srv))
+          [ (1.0, 0.0); (0.0, 1.0) ]);
+    tc "a dry bucket is turned away before a full queue" (fun () ->
+        fresh ();
+        let now = Atomic.make 0.0 in
+        with_clock now (fun () ->
+            let srv =
+              Server.start
+                ~config:
+                  {
+                    Server.default_config with
+                    Server.queue_capacity = 0;
+                    rate_limit = Some (1.0, 1.0);
+                  }
+                ()
+            in
+            let label session = outcome_label srv ~session "x" in
+            (* the full queue turns away a submission that took a token *)
+            check Alcotest.string "first" "overloaded" (label "dry");
+            check Alcotest.string "dry bucket" "rate_limited" (label "dry");
+            check Alcotest.string "tokens left" "overloaded" (label "fresh");
+            Server.stop srv;
+            check Alcotest.int "rate_limited" 1 (reject_counter "rate_limited");
+            check Alcotest.int "overloaded" 2 (reject_counter "overloaded")));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -33,6 +33,16 @@ let with_fake_clock readings f =
         t);
   Fun.protect ~finally:(fun () -> T.set_clock Unix.gettimeofday) f
 
+(* Install a clock reading [!now] from [start], run [f now], and restore
+   the wall clock: time moves when the test sets it, however many
+   readings the code under test takes (a sampler tick's profile samples
+   read it too). *)
+let with_set_clock start f =
+  let now = ref start in
+  T.set_clock (fun () -> !now);
+  Fun.protect ~finally:(fun () -> T.set_clock Unix.gettimeofday) (fun () ->
+      f now)
+
 (* Timer percentiles are bucket representatives: equal to the exact
    value up to the documented relative error (plus float rounding). *)
 let within_rel expected actual =
@@ -504,6 +514,31 @@ let journal_tests =
             | evs, lines ->
               Alcotest.failf "%d events, %d lines" (List.length evs)
                 (List.length lines)));
+    tc "non-finite clock readings keep every journal line decodable"
+      (fun () ->
+        Journal.clear ();
+        let readings =
+          [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity ]
+        in
+        with_temp_journal (fun file ->
+            Journal.open_jsonl file;
+            List.iter
+              (fun ts ->
+                Vc_util.Clock.set (fun () -> ts);
+                Fun.protect
+                  ~finally:(fun () -> Vc_util.Clock.set Unix.gettimeofday)
+                  (fun () -> Journal.emit ~component:"clock" "odd"))
+              readings;
+            Journal.flush ();
+            let lines = file_lines file in
+            check Alcotest.int "one line per reading" 4 (List.length lines);
+            List.iter
+              (fun line ->
+                let e = decode_line line in
+                check Alcotest.bool "ts reads as nan" true
+                  (Float.is_nan e.Journal.ev_ts);
+                check Alcotest.string "name" "odd" e.Journal.ev_name)
+              lines));
     tc "sinks see every event and can be removed" (fun () ->
         Journal.clear ();
         with_temp_journal (fun file ->
@@ -2090,7 +2125,7 @@ let timeseries_tests =
       (fun () ->
         T.reset ();
         Ts.reset ();
-        with_fake_clock [ 100.0; 102.0; 104.0 ] (fun () ->
+        with_set_clock 100.0 (fun now ->
             let sources =
               [
                 Ts.Gauge "s.gauge";
@@ -2105,14 +2140,13 @@ let timeseries_tests =
               ]
             in
             (* create reads the clock once (100.0) to stamp last_ts *)
-            let sampler =
-              Ts.Sampler.create ~profile:false ~sources ~interval:1.0 ()
-            in
+            let sampler = Ts.Sampler.create ~sources ~interval:1.0 () in
             T.set_gauge "s.gauge" 7.0;
             T.incr ~by:20 "s.count";
             T.incr ~by:3 "s.hit";
             T.incr ~by:1 "s.miss";
             T.observe "s.lat" 0.010;
+            now := 102.0;
             Ts.Sampler.tick sampler;
             (* tick at 102.0: dt = 2s *)
             check (Alcotest.float 1e-9) "gauge copied" 7.0
@@ -2133,6 +2167,7 @@ let timeseries_tests =
               | None -> nan);
             (* second tick with no new counts: rate falls to 0, the
                idle ratio records no point *)
+            now := 104.0;
             Ts.Sampler.tick sampler;
             check (Alcotest.float 1e-9) "idle rate" 0.0
               (match Ts.last "s.qps" with
@@ -2144,14 +2179,15 @@ let timeseries_tests =
       (fun () ->
         T.reset ();
         Ts.reset ();
-        with_fake_clock [ 100.0; 101.0; 102.0; 103.0 ] (fun () ->
+        with_set_clock 100.0 (fun now ->
             let sampler =
-              Ts.Sampler.create ~profile:false
-                ~sources:[ Ts.Percentiles "w.lat" ] ~interval:1.0 ()
+              Ts.Sampler.create ~sources:[ Ts.Percentiles "w.lat" ]
+                ~interval:1.0 ()
             in
             for _ = 1 to 10_000 do
               T.observe "w.lat" 0.001
             done;
+            now := 101.0;
             Ts.Sampler.tick sampler;
             for _ = 1 to 50 do
               T.observe "w.lat" 0.001
@@ -2159,6 +2195,7 @@ let timeseries_tests =
             for _ = 1 to 20 do
               T.observe "w.lat" 0.5
             done;
+            now := 102.0;
             Ts.Sampler.tick sampler;
             let p99s () =
               List.map (fun p -> p.Ts.p_value) (Ts.points "w.lat.p99_ms")
@@ -2169,6 +2206,7 @@ let timeseries_tests =
               check_rel "burst window p99" 500.0 burst
             | l -> Alcotest.failf "%d p99 points" (List.length l));
             (* an idle window records nothing *)
+            now := 103.0;
             Ts.Sampler.tick sampler;
             check Alcotest.int "idle window skipped" 2
               (List.length (p99s ()))));
@@ -2176,18 +2214,18 @@ let timeseries_tests =
       (fun () ->
         T.reset ();
         Ts.reset ();
-        with_fake_clock [ 100.0; 102.0; 104.0 ] (fun () ->
+        with_set_clock 100.0 (fun now ->
             let sources =
               [ Ts.Utilization { prefix = "w."; suffix = ".busy_ns" } ]
             in
-            let sampler =
-              Ts.Sampler.create ~profile:false ~sources ~interval:1.0 ()
-            in
+            let sampler = Ts.Sampler.create ~sources ~interval:1.0 () in
+            now := 102.0;
             Ts.Sampler.tick sampler;
             (* the first tick snapshots the (empty) totals *)
             T.incr ~by:500_000_000 "w.0.busy_ns";
             T.incr ~by:500_000_000 "w.0.busy_ns";
             T.incr ~by:10_000_000_000 "w.1.busy_ns";
+            now := 104.0;
             Ts.Sampler.tick sampler;
             (* dt = 2s: worker 0 was busy 1.0s -> 0.5; worker 1's 10s
                clamps to 1.0 *)
@@ -2213,9 +2251,7 @@ let timeseries_tests =
         (* each lifetime's sampler domain records at least one point *)
         let lifetime () =
           let before = newest () in
-          let s =
-            Ts.Sampler.start ~profile:false ~sources ~interval:0.002 ()
-          in
+          let s = Ts.Sampler.start ~sources ~interval:0.002 () in
           while newest () = before do
             Unix.sleepf 0.0005
           done;
@@ -2233,9 +2269,7 @@ let timeseries_tests =
           Alcotest.failf "heap grew by %d bytes over 300 sampler lifetimes"
             grown_bytes);
     tc "sampler start/stop with a zero interval never spawns" (fun () ->
-        let s =
-          Ts.Sampler.start ~profile:false ~sources:[] ~interval:0.0 ()
-        in
+        let s = Ts.Sampler.start ~sources:[] ~interval:0.0 () in
         Ts.Sampler.stop s;
         Ts.Sampler.stop s (* idempotent *));
   ]
@@ -2316,7 +2350,7 @@ let profile_tests =
     tc "journal:true emits one sample event per distinct stack" (fun () ->
         Prof.reset ();
         Journal.clear ();
-        Phase.run "worker" (fun () -> Prof.tick ~journal:true ());
+        Phase.run "worker" (fun () -> Prof.tick ());
         let samples =
           List.filter
             (fun e ->
