@@ -15,7 +15,8 @@
    tool set is identical everywhere by construction).
 
    A health-prober domain checks every backend each -check-interval
-   seconds over the versioned wire handshake (HELLO 2, then PING) and
+   seconds over the versioned wire handshake (HELLO 2, then PING;
+   Wire.Client.probe, whose socket calls give up after 1 s) and
    removes dead backends from the ring; the keys they owned remap to
    the survivors while everyone else's mapping is untouched - the
    consistent-hash property. A submission that hits a dead backend is
@@ -201,24 +202,14 @@ let submit (req : Portal.request) =
 (* health prober                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let probe_backend b =
-  match Wire.Client.connect ~host:b.b_host ~port:b.b_port () with
-  | exception (Unix.Unix_error _ | Sys_error _ | Failure _) -> false
-  | c ->
-    let ok =
-      try Wire.Client.hello c 2 >= 2 && Wire.Client.ping c
-      with Failure _ | Sys_error _ | End_of_file | Unix.Unix_error _ ->
-        false
-    in
-    (try Wire.Client.close c with _ -> ());
-    ok
-
 let prober_running = Atomic.make true
 
 let start_prober interval =
   Domain.spawn (fun () ->
       while Atomic.get prober_running do
-        Array.iter (fun b -> set_up b (probe_backend b)) !backends;
+        Array.iter
+          (fun b -> set_up b (Wire.Client.probe ~host:b.b_host ~port:b.b_port ()))
+          !backends;
         Unix.sleepf interval
       done)
 

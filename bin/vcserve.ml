@@ -33,8 +33,8 @@
    GET /metrics, /healthz, /readyz (503 draining once shutdown starts),
    /varz (the JSON console snapshot vctop polls) and /profile (folded
    stacks). A background sampler feeds /varz every -sample-interval
-   seconds (default VC_SAMPLE_INTERVAL or 0.5; <= 0 disables) and
-   drives the continuous profiler.
+   seconds (default 0.5; <= 0 disables) and drives the continuous
+   profiler.
 
    Shutdown is always graceful: on SHUTDOWN, SIGINT or SIGTERM the
    server stops admitting, lets admitted jobs finish, and flushes the journal

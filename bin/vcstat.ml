@@ -3,7 +3,6 @@
           vcstat spans   [--format text|json] FILE
           vcstat funnel  [--format text|json] FILE
           vcstat request [--format text|json] [--top N] CLIENT SERVER...
-          vcstat phases  [--format text|json] [--top N] FILE...
           vcstat flame   [--format svg|text|json] FILE... *)
 
 module Q = Vc_util.Journal_query
@@ -14,17 +13,15 @@ let usage () =
     \       vcstat spans   [--format text|json] FILE\n\
     \       vcstat funnel  [--format text|json] FILE\n\
     \       vcstat request [--format text|json] [--top N] CLIENT SERVER...\n\
-    \       vcstat phases  [--format text|json] [--top N] FILE...\n\
     \       vcstat flame   [--format svg|text|json] FILE...\n\
      Analyze journal JSONL files written by any tool's --journal FILE flag:\n\
     \  summary  per-component/per-event counts, error rate, latency\n\
     \           percentiles (p50/p90/p99) and the --top N slowest events\n\
-    \  spans    text flamegraph reconstructed from *.begin/*.end pairs\n\
+    \  spans    text flamegraph of *.end/*.error events with a latency_s\n\
     \  funnel   participation funnel over Mooc.Cohort funnel.stage events\n\
     \  request  join a vcload client journal with a vcserve server journal\n\
     \           by trace_id: match rate, per-phase (queue/cache/execute/\n\
     \           reply/wire) latency breakdown, --top N slowest timelines\n\
-    \  phases   the same per-phase breakdown over server journals alone\n\
     \  flame    flamegraph SVG (or folded text/JSON) from the continuous\n\
     \           profiler's profile.sample events in a server journal";
   exit 2
@@ -98,22 +95,20 @@ let () =
       | Text | Svg -> Q.render_summary s
       | Json -> Q.summary_to_json s ^ "\n")
   | Some "spans" ->
-    let roots = Q.spans_of (load ()) in
+    let spans = Q.spans_of (load ()) in
     print_string
       (match format ~default:Text with
-      | Text | Svg -> Q.render_spans roots
-      | Json -> Q.spans_to_json roots ^ "\n")
+      | Text | Svg -> Q.render_spans spans
+      | Json -> Q.spans_to_json spans ^ "\n")
   | Some "funnel" ->
     let stages = Q.funnel_of (load ()) in
     print_string
       (match format ~default:Text with
       | Text | Svg -> Q.render_funnel stages
       | Json -> Q.funnel_to_json stages ^ "\n")
-  | Some ("request" | "phases") ->
-    (* both are the trace-id join; "request" conventionally gets the
-       client journal plus the server journal, "phases" server-side
-       files alone (the join is vacuous then and only the per-phase
-       breakdown is interesting) *)
+  | Some "request" ->
+    (* the trace-id join; over server journals alone it is vacuous and
+       only the per-phase breakdown is interesting *)
     let join = Q.join_requests (load ()) in
     print_string
       (match format ~default:Text with

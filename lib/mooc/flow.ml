@@ -260,16 +260,17 @@ let timing_with_wires (m : Map.mapping) wire_tbl =
 (* the flow                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Each stage runs bracketed by journal begin/end events; the end event
-   and the returned QoR entry carry the stage's headline metrics, and the
-   latency also lands on the "flow.<stage>" telemetry timer. *)
+(* Each stage is one journal event that carries its duration: a
+   stage.end with the stage's headline metrics (also in the returned QoR
+   entry), or a stage.error if the stage raised. The latency also lands
+   on the "flow.<stage>" telemetry timer. *)
 let run_stage name f =
   let module J = Vc_util.Journal in
-  J.emit ~component:"flow" ~attrs:[ ("stage", name) ] "stage.begin";
   let t0 = Vc_util.Telemetry.now () in
+  let elapsed () = Float.max 0.0 (Vc_util.Telemetry.now () -. t0) in
   match f () with
   | v, metrics ->
-    let dt = Float.max 0.0 (Vc_util.Telemetry.now () -. t0) in
+    let dt = elapsed () in
     Vc_util.Telemetry.observe ("flow." ^ name) dt;
     J.emit ~component:"flow"
       ~attrs:
@@ -280,7 +281,12 @@ let run_stage name f =
     (v, { sq_stage = name; sq_latency_s = dt; sq_metrics = metrics })
   | exception e ->
     J.emit ~severity:J.Error ~component:"flow"
-      ~attrs:[ ("stage", name); ("error", Printexc.to_string e) ]
+      ~attrs:
+        [
+          ("stage", name);
+          ("latency_s", Printf.sprintf "%.6f" (elapsed ()));
+          ("error", Printexc.to_string e);
+        ]
       "stage.error";
     raise e
 

@@ -42,11 +42,13 @@ val run : ?options:options -> Vc_network.Network.t -> report
 (** @raise Failure if the network is malformed. Designs of a few hundred
     gates route in seconds; the routing grid scales with the placement.
 
-    Each stage is bracketed by {!Vc_util.Journal} [stage.begin] /
-    [stage.end] events (component ["flow"]) whose end event carries the
-    stage's QoR metrics and latency; the latency is also recorded on the
-    ["flow.<stage>"] {!Vc_util.Telemetry} timer. A raising stage emits a
-    [stage.error] event before the exception propagates. *)
+    Each stage journals one {!Vc_util.Journal} event (component
+    ["flow"]) that carries its duration: a [stage.end] with the stage's
+    [latency_s] and QoR metrics, whose latency is also recorded on the
+    ["flow.<stage>"] {!Vc_util.Telemetry} timer, or, when the stage
+    raises, a [stage.error] with [latency_s] and [error] before the
+    exception propagates. Both latencies are clamped at 0, and
+    {!Vc_util.Journal_query.spans_of} reads each event as one span. *)
 
 val qor_to_json : ?design:string -> report -> string
 (** The machine-readable QoR report behind [bin/flow --report FILE]: a

@@ -319,10 +319,17 @@ let drain_connections ?(timeout_s = 5.0) t =
 module Client = struct
   type t = { fd : Unix.file_descr; ic : In_channel.t; oc : Out_channel.t }
 
-  let connect ?(host = "127.0.0.1") ~port () =
+  (* [timeout_s], when given, bounds each socket call, the connect
+     included; a channel read that times out raises Sys_blocked_io *)
+  let open_client ?(host = "127.0.0.1") ?timeout_s ~port () =
     ignore_sigpipe ();
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (match
+       Option.iter
+         (fun s ->
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
+           Unix.setsockopt_float fd Unix.SO_SNDTIMEO s)
+         timeout_s;
        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
      with
     | () -> ()
@@ -334,6 +341,8 @@ module Client = struct
       ic = Unix.in_channel_of_descr fd;
       oc = Unix.out_channel_of_descr fd;
     }
+
+  let connect ?host ~port () = open_client ?host ~port ()
 
   let read_reply t =
     match In_channel.input_line t.ic with
@@ -387,6 +396,24 @@ module Client = struct
     (try
        Out_channel.output_string t.oc "QUIT\n";
        Out_channel.flush t.oc
-     with Sys_error _ -> ());
+     with Sys_error _ | Sys_blocked_io -> ());
     try In_channel.close t.ic with Sys_error _ -> ()
+
+  (* A health probe must not wait on a backend that accepts (or whose
+     kernel backlog does) but never answers. *)
+  let probe_timeout_s = 1.0
+
+  let probe ?host ~port () =
+    match open_client ?host ~timeout_s:probe_timeout_s ~port () with
+    | exception (Unix.Unix_error _ | Sys_error _ | Failure _) -> false
+    | c ->
+      let ok =
+        try hello c 2 >= 2 && ping c
+        with
+        | Failure _ | Sys_error _ | Sys_blocked_io | End_of_file
+        | Unix.Unix_error _ ->
+          false
+      in
+      close c;
+      ok
 end

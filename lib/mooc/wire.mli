@@ -146,8 +146,7 @@ module Client : sig
 
   val ping : t -> bool
   (** Send [PING] (requires a prior [hello c 2]) and return whether the
-      server answered [OK pong] - the health probe [vcfront] runs
-      against its backends. *)
+      server answered [OK pong]. *)
 
   val list_tools : t -> string
   (** The [LIST] response body. *)
@@ -157,4 +156,11 @@ module Client : sig
 
   val close : t -> unit
   (** Send [QUIT] (best effort) and close the socket. *)
+
+  val probe : ?host:string -> port:int -> unit -> bool
+  (** The health probe [vcfront] runs against its backends: connect,
+      [hello c 2], [ping], close. [true] when the server answered both;
+      [false] on any failure, including a server that does not answer:
+      each socket call (the connect too) gives up after 1 second, so a
+      stalled backend costs the prober a few seconds at most. *)
 end

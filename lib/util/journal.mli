@@ -3,8 +3,9 @@
     layered on the same injectable {!Clock} as {!Telemetry}.
 
     Where {!Telemetry} answers "how much / how long", the journal
-    answers "what happened, in what order": {!Vc_mooc.Flow} emits
-    begin/end events per stage carrying quality-of-result metrics,
+    answers "what happened, in what order": {!Vc_mooc.Flow} emits one
+    [stage.end] event per stage carrying its latency and
+    quality-of-result metrics,
     {!Vc_mooc.Portal} emits one event per submission (tool, digest,
     cache hit/miss, latency, rejection reason), {!Vc_mooc.Autograder}
     emits one event per gradable unit, and the place/route/timing/

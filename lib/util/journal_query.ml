@@ -283,127 +283,37 @@ let summarize ?(top = 5) events =
 (* spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type qspan = {
-  q_name : string;
-  q_start_s : float;
-  q_duration_s : float;
-  q_children : qspan list;  (** Oldest first. *)
-}
+type qspan = { q_name : string; q_start_s : float; q_duration_s : float }
 
-(* A begin/end pair is an event name ending in ".begin" / ".end" with
-   the same prefix, same component and (when present) the same "stage"
-   attribute - flow's stage.begin/stage.end is the canonical producer.
-   A matching ".error" (flow's failed stage) closes the span too.
-   Events are first partitioned into independent streams - by trace_id
-   attr when present, else component - so the interleaved output of
-   concurrent requests never mis-nests (one request's begin must not
-   adopt another's as a child just because a multi-domain journal
-   interleaved them). Within a stream,
-   reconstruction is a stack walk in sequence order; an end with no
-   matching open frame is ignored, frames left open at EOF close at the
-   stream's last seen timestamp. *)
-
-type span_stream = {
-  (* open frames, innermost first: (key, label, start, children acc) *)
-  mutable st_stack :
-    ((string * string * string option) * string * float * qspan list ref) list;
-  mutable st_roots : qspan list;
-  mutable st_last_ts : float;
-}
-
+(* One span model: a timed region is one event that carries its
+   duration - an "*.end" or "*.error" event with a numeric latency_s
+   (flow's stage.end and stage.error). The span ends at the event's
+   timestamp. *)
 let spans_of events =
-  let suffix s suf =
-    String.length s > String.length suf
-    && String.sub s (String.length s - String.length suf) (String.length suf)
-       = suf
+  let span (e : Journal.event) =
+    let name = e.Journal.ev_name in
+    let closes suffix =
+      String.length name > String.length suffix
+      && String.ends_with ~suffix name
+    in
+    if not (closes ".end" || closes ".error") then None
+    else
+      latency_of e
+      |> Option.map (fun latency ->
+             let duration = Float.max 0.0 latency in
+             let label =
+               match List.assoc_opt "stage" e.Journal.ev_attrs with
+               | Some s -> s
+               | None -> String.sub name 0 (String.rindex name '.')
+             in
+             {
+               q_name = e.Journal.ev_component ^ "/" ^ label;
+               q_start_s = e.Journal.ev_ts -. duration;
+               q_duration_s = duration;
+             })
   in
-  let prefix_of s suf = String.sub s 0 (String.length s - String.length suf) in
-  let closed_prefix name =
-    List.find_map
-      (fun suf -> if suffix name suf then Some (prefix_of name suf) else None)
-      [ ".end"; ".error" ]
-  in
-  let key (e : Journal.event) p =
-    (e.Journal.ev_component, p, List.assoc_opt "stage" e.Journal.ev_attrs)
-  in
-  let label (e : Journal.event) p =
-    e.Journal.ev_component ^ "/"
-    ^ match List.assoc_opt "stage" e.Journal.ev_attrs with
-      | Some s -> s
-      | None -> p
-  in
-  let stream_key (e : Journal.event) =
-    match List.assoc_opt "trace_id" e.Journal.ev_attrs with
-    | Some id -> "trace:" ^ id
-    | None -> "component:" ^ e.Journal.ev_component
-  in
-  let streams : (string, span_stream) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let stream_of e =
-    let k = stream_key e in
-    match Hashtbl.find_opt streams k with
-    | Some st -> st
-    | None ->
-      let st = { st_stack = []; st_roots = []; st_last_ts = 0.0 } in
-      Hashtbl.add streams k st;
-      order := st :: !order;
-      st
-  in
-  let close_top st ts =
-    match st.st_stack with
-    | [] -> ()
-    | (_, lbl, start, kids) :: rest ->
-      st.st_stack <- rest;
-      let sp =
-        {
-          q_name = lbl;
-          q_start_s = start;
-          q_duration_s = Float.max 0.0 (ts -. start);
-          q_children = List.rev !kids;
-        }
-      in
-      (match st.st_stack with
-      | (_, _, _, pkids) :: _ -> pkids := sp :: !pkids
-      | [] -> st.st_roots <- sp :: st.st_roots)
-  in
-  List.iter
-    (fun (e : Journal.event) ->
-      let st = stream_of e in
-      st.st_last_ts <- e.Journal.ev_ts;
-      if suffix e.Journal.ev_name ".begin" then begin
-        let p = prefix_of e.Journal.ev_name ".begin" in
-        st.st_stack <-
-          (key e p, label e p, e.Journal.ev_ts, ref []) :: st.st_stack
-      end
-      else
-        match closed_prefix e.Journal.ev_name with
-        | None -> ()
-        | Some p ->
-          let k = key e p in
-          if List.exists (fun (k', _, _, _) -> k' = k) st.st_stack then begin
-            (* close unterminated inner frames at this timestamp first *)
-            while (match st.st_stack with
-                   | (k', _, _, _) :: _ -> k' <> k
-                   | [] -> false)
-            do
-              close_top st e.Journal.ev_ts
-            done;
-            close_top st e.Journal.ev_ts
-          end)
-    events;
-  let roots =
-    List.concat_map
-      (fun st ->
-        while st.st_stack <> [] do
-          close_top st st.st_last_ts
-        done;
-        List.rev st.st_roots)
-      (List.rev !order)
-  in
-  (* streams are reported in first-appearance order; within the merged
-     forest, sort roots by start time so concurrent streams read as a
-     timeline *)
-  List.stable_sort (fun a b -> compare a.q_start_s b.q_start_s) roots
+  List.filter_map span events
+  |> List.stable_sort (fun a b -> compare a.q_start_s b.q_start_s)
 
 (* ------------------------------------------------------------------ *)
 (* funnel                                                              *)
@@ -681,24 +591,20 @@ let render_summary s =
   end;
   Buffer.contents b
 
-let render_spans roots =
+let render_spans spans =
   let b = Buffer.create 1024 in
   let total =
-    List.fold_left (fun acc sp -> acc +. sp.q_duration_s) 0.0 roots
+    List.fold_left (fun acc sp -> acc +. sp.q_duration_s) 0.0 spans
   in
-  let rec go depth sp =
-    Buffer.add_string b
-      (Printf.sprintf "%s%-*s %9.3f ms  %s\n"
-         (String.make (2 * depth) ' ')
-         (max 1 (30 - (2 * depth)))
-         sp.q_name (ms sp.q_duration_s)
-         (Stats.bar ~width:40 sp.q_duration_s (Float.max total 1e-12)));
-    List.iter (go (depth + 1)) sp.q_children
-  in
-  List.iter (go 0) roots;
-  if roots <> [] then
+  List.iter
+    (fun sp ->
+      Buffer.add_string b
+        (Printf.sprintf "%-30s %9.3f ms  %s\n" sp.q_name (ms sp.q_duration_s)
+           (Stats.bar ~width:40 sp.q_duration_s (Float.max total 1e-12))))
+    spans;
+  if spans <> [] then
     Buffer.add_string b (Printf.sprintf "total: %.3f ms over %d span(s)\n"
-                           (ms total) (List.length roots));
+                           (ms total) (List.length spans));
   Buffer.contents b
 
 let render_funnel stages =
@@ -780,17 +686,16 @@ let summary_to_json s =
              s.s_slowest) );
     ]
 
-let rec span_json sp =
-  Json.obj
-    [
-      ("name", Json.str sp.q_name);
-      ("start_s", Json.num sp.q_start_s);
-      ("duration_s", Json.num sp.q_duration_s);
-      ("children", Json.arr (List.map span_json sp.q_children));
-    ]
-
-let spans_to_json roots =
-  Json.obj [ ("spans", Json.arr (List.map span_json roots)) ]
+let spans_to_json spans =
+  let span_json sp =
+    Json.obj
+      [
+        ("name", Json.str sp.q_name);
+        ("start_s", Json.num sp.q_start_s);
+        ("duration_s", Json.num sp.q_duration_s);
+      ]
+  in
+  Json.obj [ ("spans", Json.arr (List.map span_json spans)) ]
 
 let funnel_to_json stages =
   Json.obj

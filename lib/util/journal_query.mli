@@ -6,9 +6,9 @@
     answers the three operator questions the paper's portal team needed
     at 17,000-participant scale: {e what happened} ({!summarize} -
     per-component/per-event counts, error rate, latency percentiles,
-    slowest events), {e where did the time go} ({!spans_of} - a span
-    forest reconstructed from [*.begin]/[*.end] event pairs, rendered as
-    a text flamegraph) and {e how far did participants get}
+    slowest events), {e where did the time go} ({!spans_of} - one span
+    per event that carries its duration, rendered as a text flamegraph)
+    and {e how far did participants get}
     ({!funnel_of} - the Fig. 8 participation funnel over
     [Mooc.Cohort]'s ["funnel.stage"] events).
 
@@ -60,7 +60,7 @@ val glob_match : string -> string -> bool
 val latency_of : Journal.event -> float option
 (** The event's ["latency_s"] attribute as seconds, if present and
     numeric - carried by portal ["submission"] and flow ["stage.end"]
-    events. *)
+    and ["stage.error"] events. *)
 
 type latency_stats = {
   l_count : int;
@@ -115,26 +115,21 @@ val summarize : ?top:int -> Journal.event list -> summary
 
 type qspan = {
   q_name : string;
-      (** [component/stage-attr], or [component/prefix] when the events
-          carry no ["stage"] attribute. *)
-  q_start_s : float;  (** Timestamp of the [.begin] event. *)
-  q_duration_s : float;  (** End minus begin timestamp, clamped >= 0. *)
-  q_children : qspan list;  (** Oldest first. *)
+      (** [component/stage-attr], or [component/prefix] when the event
+          carries no ["stage"] attribute. *)
+  q_start_s : float;  (** The event's timestamp minus the duration. *)
+  q_duration_s : float;  (** The event's [latency_s], clamped >= 0. *)
 }
 
 val spans_of : Journal.event list -> qspan list
-(** Reconstruct the span forest from [*.begin]/[*.end] event pairs
-    (matched on component, name prefix and the ["stage"] attribute when
-    present). Events are first partitioned into independent streams -
-    keyed by the [trace_id] attribute when present, else the component -
-    so the interleaved output of concurrent requests in a multi-domain
-    journal cannot mis-nest.
-    Within a stream: a begin inside an open span nests under it, an end
-    - or an [*.error], such as a failed flow stage's [stage.error] -
-    closes the matching open span, one with no matching open span is
-    ignored, and spans left open at the end of the log are closed at
-    that stream's last seen timestamp.
-    Roots across streams are ordered by start time. *)
+(** The repository's one span model: a timed region is one event that
+    carries its duration. Each event whose name ends in [.end] or
+    [.error] and that carries a numeric ["latency_s"] is one span
+    ending at the event's timestamp - flow's [stage.end], and
+    [stage.error] for a failed stage. Other events, including those
+    that carry a latency under another name (portal [submission],
+    vcload [replay.request], server [request.replied]), yield no span.
+    Spans are stably sorted by start time. *)
 
 (** {1 Request timelines (trace-id join)} *)
 
@@ -206,8 +201,8 @@ val render_latency_line : string -> latency_stats -> string
 
 val render_summary : summary -> string
 val render_spans : qspan list -> string
-(** Indented text flamegraph: one line per span with duration and an
-    ASCII bar scaled to the total of the root spans. *)
+(** Text flamegraph: one line per span with duration and an ASCII bar
+    scaled to the total of the spans. *)
 
 val render_funnel : funnel_stage list -> string
 (** One line per stage with the count, percent-of-start,
@@ -223,6 +218,9 @@ val summary_to_json : summary -> string
     [slowest]. *)
 
 val spans_to_json : qspan list -> string
+(** [{"spans": [...]}], one [{name, start_s, duration_s}] object per
+    span. *)
+
 val funnel_to_json : funnel_stage list -> string
 
 val render_requests : ?top:int -> request_join -> string

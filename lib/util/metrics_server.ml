@@ -1,6 +1,8 @@
 (* Single-threaded HTTP/1.1 exporter over the stdlib Unix socket API.
    One connection at a time, Connection: close - a scrape is a few KB of
-   text, so the simple loop keeps up with any sane scrape interval. *)
+   text, so the simple loop keeps up with any sane scrape interval. Each
+   connection gets [client_deadline_s] from accept, so a silent client
+   cannot hold the loop. *)
 
 type t = {
   sock : Unix.file_descr;
@@ -49,7 +51,7 @@ let start ?(addr = "127.0.0.1") ?(announce = true) ?(on_request = ignore)
    chunk (the longest terminator prefix that can span the boundary), so
    the whole head costs O(length) instead of the old rescan-from-zero
    O(length^2). *)
-let read_head fd =
+let read_head ~before_read fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
   let has_terminator s =
@@ -66,7 +68,9 @@ let read_head fd =
     if Buffer.length buf > 8192 then Buffer.contents buf
     else begin
       let n =
-        try Unix.read fd chunk 0 (Bytes.length chunk)
+        try
+          before_read ();
+          Unix.read fd chunk 0 (Bytes.length chunk)
         with Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
       in
       if n = 0 then Buffer.contents buf
@@ -87,12 +91,14 @@ let request_line head =
   | None -> head
   | Some i -> String.trim (String.sub head 0 i)
 
-let write_all fd s =
+let write_all ?(before_write = ignore) fd s =
   let b = Bytes.of_string s in
   let rec go off =
-    if off < Bytes.length b then
+    if off < Bytes.length b then begin
+      before_write ();
       let n = Unix.write fd b off (Bytes.length b - off) in
       go (off + n)
+    end
   in
   try go 0 with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
@@ -200,12 +206,30 @@ let route t line =
     response ~status:"400 Bad Request" ~content_type:"text/plain"
       "bad request\n"
 
+(* From accept to the last byte written. A client that sends nothing, or
+   drips bytes, loses its connection when this runs out instead of
+   holding the serving loop and the exit hook that joins it. *)
+let client_deadline_s = 2.0
+
 let handle_client t fd =
+  let deadline = Unix.gettimeofday () +. client_deadline_s in
+  (* before each read or write, the time left becomes the socket's
+     timeout; a timed-out call raises EAGAIN. Under a millisecond is
+     spent: a zero timeout would mean none. *)
+  let arm opt () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left < 1e-3 then raise (Unix.Unix_error (Unix.EAGAIN, "deadline", ""));
+    Unix.setsockopt_float fd opt left
+  in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let head = read_head fd in
-      if head <> "" then write_all fd (route t (request_line head)))
+      try
+        let head = read_head ~before_read:(arm Unix.SO_RCVTIMEO) fd in
+        if head <> "" then
+          write_all ~before_write:(arm Unix.SO_SNDTIMEO) fd
+            (route t (request_line head))
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
 
 (* ------------------------------------------------------------------ *)
 (* serving loops                                                       *)

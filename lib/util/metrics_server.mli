@@ -20,7 +20,10 @@
     caller's thread ([Connection: close], no keep-alive), which matches
     the single-threaded worker model of the rest of the repository: a
     scrape is a few kilobytes of text, so a serving loop keeps up with
-    any reasonable scrape interval.
+    any reasonable scrape interval. Each connection has 2 seconds from
+    accept to send its request and take the response; a client that
+    stays silent, or drips bytes, is then dropped, so it cannot hold the
+    loop (or a process exit that waits for it).
 
     Every binary under [bin/] exposes this through the
     [--metrics-port N] flag of {!Telemetry.cli}: the socket is bound (and
@@ -59,8 +62,11 @@ val port : t -> int
 val handle_client : t -> Unix.file_descr -> unit
 (** Serve one already-connected socket: read the request head, route it,
     write the response, and close the descriptor (always, even on a
-    malformed request or client error). Exposed so tests can drive the
-    routing logic over a [socketpair] without real TCP accept loops. *)
+    malformed request, a client error or a client that misses the
+    2-second deadline). Each read and write gets what is left of that
+    deadline as the socket's [SO_RCVTIMEO]/[SO_SNDTIMEO]. Exposed so
+    tests can drive the routing logic over a [socketpair] without real
+    TCP accept loops. *)
 
 val serve : t -> unit
 (** Accept-and-serve loop: serves until {!stop} closes the socket from

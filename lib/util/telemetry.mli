@@ -9,9 +9,10 @@
     [Vc_route.Maze], [Vc_place.Annealing]) register cumulative-counter
     probes with it, and every binary under [bin/] exposes it through the
     [--stats] flag (see {!cli}). Spans are not kept here: the one span
-    model is the journal's [*.begin]/[*.end] event pairs, rebuilt by
-    {!Journal_query.spans_of} ([vcstat spans]), and request phases go
-    through {!Phase.run}.
+    model is a journal event that carries its duration (an [*.end] or
+    [*.error] event with a [latency_s], such as flow's [stage.end]),
+    read by {!Journal_query.spans_of} ([vcstat spans]), and request
+    phases go through {!Phase.run}.
 
     All state is global to the process and {e domain-safe}: each metric
     name is one slot shared by every domain. {!incr} is one atomic

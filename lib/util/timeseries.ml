@@ -102,11 +102,8 @@ let varz_json () =
 (* sampler                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* -sample-interval / VC_SAMPLE_INTERVAL; <= 0 disables the sampler *)
-let default_interval () =
-  match Option.bind (Sys.getenv_opt "VC_SAMPLE_INTERVAL") float_of_string_opt with
-  | Some s -> s
-  | None -> 0.5
+(* the -sample-interval default; <= 0 disables the sampler *)
+let default_interval () = 0.5
 
 type source =
   | Gauge of string  (** series name = gauge name *)

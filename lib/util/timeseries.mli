@@ -9,8 +9,8 @@
 
     {!Sampler} is the producer: a background domain that snapshots
     selected counters / gauges / timer percentiles every [interval]
-    seconds ([-sample-interval] on [vcserve]/[vcload],
-    [VC_SAMPLE_INTERVAL] in the environment, [<= 0] disables), derives
+    seconds ([-sample-interval] on [vcserve]/[vcload], [<= 0]
+    disables), derives
     rates from counter deltas (qps, shed rate, cache hit-rate,
     per-slot utilization), and drives one {!Profile.tick} per tick.
     Starting a sampler also registers the [GET /varz] (JSON: all
@@ -51,8 +51,7 @@ val reset : unit -> unit
 (** {1 Background sampler} *)
 
 val default_interval : unit -> float
-(** [VC_SAMPLE_INTERVAL] when set and parseable, else [0.5] seconds -
-    the default behind the [-sample-interval] flags. *)
+(** [0.5] seconds - the default behind the [-sample-interval] flags. *)
 
 (** What one sampler tick snapshots. Counter names may end in ["*"]
     (prefix wildcard). *)

@@ -1,7 +1,7 @@
 (* Request-scoped trace context: a short hex id minted from Rng and a
    mutable per-phase duration list. The ambient context is per-domain
    (Domain.DLS): the server installs the job's context around
-   Portal.submit_result on the submitting domain, and Phase.run times
+   Portal.serve on the submitting domain, and Phase.run times
    the portal's cache-probe / execute phases into whatever context is
    current without threading it through every signature. *)
 

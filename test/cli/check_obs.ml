@@ -32,22 +32,28 @@ let check_contains file needle =
   if not (contains (read file) needle) then
     die "%s: expected to find %S" file needle
 
+let flow_stages = [ "synthesis"; "mapping"; "placement"; "routing"; "timing" ]
+
 (* FILE must be a `vcstat spans --format json` dump of a flow journal:
-   one root span per stage, each flow/<stage> of the five present. *)
+   exactly the five flow/<stage> spans, in flow order, each with a
+   non-negative duration. *)
 let check_trace file =
-  let roots =
+  let spans =
     match Json.member "spans" (parse file (read file)) with
     | Some (Json.Arr l) -> l
     | _ -> die "%s: no spans array" file
   in
-  let names =
-    List.filter_map (fun sp -> Option.bind (Json.member "name" sp) Json.to_str) roots
-  in
-  List.iter
-    (fun stage ->
-      if not (List.mem ("flow/" ^ stage) names) then
-        die "%s: no root span for stage %s" file stage)
-    [ "synthesis"; "mapping"; "placement"; "routing"; "timing" ]
+  if List.length spans <> List.length flow_stages then
+    die "%s: expected %d spans, found %d" file (List.length flow_stages)
+      (List.length spans);
+  List.iter2
+    (fun stage sp ->
+      if Option.bind (Json.member "name" sp) Json.to_str <> Some ("flow/" ^ stage)
+      then die "%s: expected span flow/%s here" file stage;
+      match Json.member "duration_s" sp with
+      | Some (Json.Num d) when d >= 0.0 -> ()
+      | _ -> die "%s: bad duration_s for flow/%s" file stage)
+    flow_stages spans
 
 (* Every line of FILE must decode as a journal event (empty file is
    fine). *)
@@ -59,27 +65,37 @@ let check_jsonl file =
            | Ok _ -> ()
            | Error msg -> die "%s:%d: %s" file (i + 1) msg)
 
-(* FILE must be a flow journal: per-stage begin/end events present. *)
+(* FILE must be a flow journal: each stage is one stage.end event with a
+   numeric latency_s >= 0, and no stage.begin appears. *)
 let check_journal file =
   let events = jsonl_events file in
   if events = [] then die "%s: journal is empty" file;
-  let stage_events name =
+  let named name =
     List.filter_map
       (fun e ->
         match (Json.member "event" e, Json.member "attrs" e) with
-        | Some (Json.Str ev), Some attrs when ev = name ->
-          Option.bind (Json.member "stage" attrs) Json.to_str
+        | Some (Json.Str ev), Some attrs when ev = name -> Some attrs
         | _ -> None)
       events
   in
-  let stages = [ "synthesis"; "mapping"; "placement"; "routing"; "timing" ] in
+  if named "stage.begin" <> [] then die "%s: unexpected stage.begin" file;
+  let ends = named "stage.end" in
   List.iter
     (fun s ->
-      if not (List.mem s (stage_events "stage.begin")) then
-        die "%s: missing stage.begin for %s" file s;
-      if not (List.mem s (stage_events "stage.end")) then
-        die "%s: missing stage.end for %s" file s)
-    stages;
+      match
+        List.filter
+          (fun a -> Option.bind (Json.member "stage" a) Json.to_str = Some s)
+          ends
+      with
+      | [ a ] -> (
+        match
+          Option.bind (Json.member "latency_s" a) (fun l ->
+              Option.bind (Json.to_str l) float_of_string_opt)
+        with
+        | Some l when l >= 0.0 -> ()
+        | _ -> die "%s: bad latency_s on stage.end for %s" file s)
+      | l -> die "%s: %d stage.end events for %s" file (List.length l) s)
+    flow_stages;
   (* sequence numbers must be strictly increasing *)
   let seqs =
     List.filter_map (fun e -> Option.bind (Json.member "seq" e) Json.to_num) events
@@ -102,9 +118,8 @@ let check_qor file =
     | Some (Json.Arr l) -> l
     | _ -> die "%s: no stages array" file
   in
-  let expected = [ "synthesis"; "mapping"; "placement"; "routing"; "timing" ] in
-  if List.length stages <> List.length expected then
-    die "%s: expected %d stages, found %d" file (List.length expected)
+  if List.length stages <> List.length flow_stages then
+    die "%s: expected %d stages, found %d" file (List.length flow_stages)
       (List.length stages);
   List.iter2
     (fun name s ->
@@ -117,7 +132,7 @@ let check_qor file =
       match Json.member "metrics" s with
       | Some (Json.Obj (_ :: _)) -> ()
       | _ -> die "%s: %s: empty metrics" file name)
-    expected stages
+    flow_stages stages
 
 (* FILE must be a journal with at least one event from COMPONENT. *)
 let check_component file component =

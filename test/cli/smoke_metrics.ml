@@ -2,12 +2,15 @@
    Usage: smoke_metrics FLOW_EXE DESIGN.blif
 
    Starts `FLOW_EXE --metrics-port 0 DESIGN.blif` as a child process,
-   learns the ephemeral port from the stderr announcement, scrapes
-   GET /metrics and GET /healthz with a hand-rolled HTTP client over the
-   stdlib Unix socket API, and asserts the exposition carries at least
-   one counter, one gauge and one histogram family (with _bucket/_sum/
-   _count series). Exits non-zero with a message on the first failure;
-   the child is always killed. *)
+   learns the ephemeral port from the stderr announcement, opens one
+   connection that never sends a byte, and while it stays open scrapes
+   GET /healthz and GET /metrics with a hand-rolled HTTP client over the
+   stdlib Unix socket API: the exporter serves one connection at a time,
+   so it must drop the silent one to answer. Asserts the exposition
+   carries at least one counter, one gauge and one histogram family
+   (with _bucket/_sum/_count series). Each scrape waits at most
+   [answer_s] for its answer. Exits non-zero with a message on the first
+   failure; the child is always killed. *)
 
 let die fmt =
   Printf.ksprintf
@@ -56,26 +59,34 @@ let wait_for_port stderr_file =
   in
   poll ()
 
+(* A connection to the exporter, retried while it is not listening yet. *)
+let connect port =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port) in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    match Unix.connect sock addr with
+    | () -> sock
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _)
+      when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      go ()
+  in
+  go ()
+
+(* How long a scrape waits for its answer: longer than the exporter's
+   per-connection deadline, which is how long the silent connection can
+   hold it. *)
+let answer_s = 5.0
+
 (* Minimal HTTP GET over a fresh connection; returns the whole response
    (head + body) once the server closes the socket. *)
 let http_get port path =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let sock = connect port in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
     (fun () ->
-      let addr =
-        Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port)
-      in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec connect () =
-        match Unix.connect sock addr with
-        | () -> ()
-        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _)
-          when Unix.gettimeofday () < deadline ->
-          Unix.sleepf 0.05;
-          connect ()
-      in
-      connect ();
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO answer_s;
       let req =
         Printf.sprintf "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
           path
@@ -92,7 +103,9 @@ let http_get port path =
         end
       in
       (try drain () with
-      | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ());
+      | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
+      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        die "GET %s: no answer within %.0f s" path answer_s);
       Buffer.contents buf)
 
 let () =
@@ -113,31 +126,32 @@ let () =
   in
   Unix.close devnull;
   Unix.close errfd;
-  Fun.protect
-    ~finally:(fun () ->
+  (* at_exit, not Fun.protect: [die] exits without unwinding *)
+  at_exit (fun () ->
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0)))
-    (fun () ->
-      let port = wait_for_port stderr_file in
-      let health = http_get port "/healthz" in
-      if not (contains health "200 OK" && contains health "ok") then
-        die "/healthz did not answer ok:\n%s" health;
-      let resp = http_get port "/metrics" in
-      if not (contains resp "200 OK") then die "/metrics not 200:\n%s" resp;
-      if not (contains resp "text/plain; version=0.0.4") then
-        die "/metrics missing the exposition content type";
-      List.iter
-        (fun needle ->
-          if not (contains resp needle) then
-            die "/metrics missing %S in:\n%s" needle resp)
-        [
-          (* one family of each kind, with the full histogram series *)
-          "# TYPE vc_journal_events_total counter";
-          "# TYPE vc_metrics_port gauge";
-          " histogram\n";
-          "_seconds_bucket{le=\"";
-          "_bucket{le=\"+Inf\"}";
-          "_seconds_sum";
-          "_seconds_count";
-        ];
-      print_endline "smoke_metrics: ok")
+      ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0)));
+  let port = wait_for_port stderr_file in
+  let silent = connect port in
+  let health = http_get port "/healthz" in
+  if not (contains health "200 OK" && contains health "ok") then
+    die "/healthz did not answer ok:\n%s" health;
+  let resp = http_get port "/metrics" in
+  if not (contains resp "200 OK") then die "/metrics not 200:\n%s" resp;
+  if not (contains resp "text/plain; version=0.0.4") then
+    die "/metrics missing the exposition content type";
+  List.iter
+    (fun needle ->
+      if not (contains resp needle) then
+        die "/metrics missing %S in:\n%s" needle resp)
+    [
+      (* one family of each kind, with the full histogram series *)
+      "# TYPE vc_journal_events_total counter";
+      "# TYPE vc_metrics_port gauge";
+      " histogram\n";
+      "_seconds_bucket{le=\"";
+      "_bucket{le=\"+Inf\"}";
+      "_seconds_sum";
+      "_seconds_count";
+    ];
+  Unix.close silent;
+  print_endline "smoke_metrics: ok"

@@ -29,6 +29,30 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
+(* Run [f ()] under a watchdog domain. If [f] is still running after
+   [limit] seconds, the watchdog calls [unstick] (closing the peer [f]
+   waits on, say) so [f] can return and the test fail instead of hang.
+   Returns [f]'s result and whether it finished within [limit]. *)
+let within ~limit ~unstick f =
+  let state = Atomic.make `Running in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. limit in
+        while Atomic.get state = `Running && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        if Atomic.compare_and_set state `Running `Late then unstick ())
+  in
+  let in_time = ref false in
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        in_time := Atomic.compare_and_set state `Running `Done;
+        Domain.join watchdog)
+      f
+  in
+  (v, !in_time)
+
 let prop ?(count = 100) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
 

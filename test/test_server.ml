@@ -904,6 +904,44 @@ let wire_tests =
           (List.filter
              (fun id -> not (Vc_util.Trace_ctx.is_valid_id id))
              ids));
+    tc "probe says down within 3 s when a backend never answers" (fun () ->
+        (* a listener that never accepts: its backlog (two connections
+           under listen 1) takes the first two probes' connections, so
+           only the reply timeout ends their handshakes; the third finds
+           the backlog full, so only the connect timeout ends it *)
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        Unix.listen sock 1;
+        let port =
+          match Unix.getsockname sock with
+          | Unix.ADDR_INET (_, p) -> p
+          | Unix.ADDR_UNIX _ -> assert false
+        in
+        for i = 1 to 3 do
+          let t0 = Unix.gettimeofday () in
+          let up, in_time =
+            within ~limit:3.0
+              ~unstick:(fun () -> Unix.close sock)
+              (fun () -> Wire.Client.probe ~port ())
+          in
+          if not in_time then
+            Alcotest.failf
+              "probe %d waited %.1f s on a backend that never answers" i
+              (Unix.gettimeofday () -. t0);
+          check Alcotest.bool "down" false up
+        done;
+        Unix.close sock);
+    tc "probe says up for a live listener" (fun () ->
+        let listener = Wire.listen ~port:0 () in
+        let acceptor =
+          Domain.spawn (fun () ->
+              Wire.serve listener ~submit:(fun _ -> Portal.Cache_hit ""))
+        in
+        let up = Wire.Client.probe ~port:(Wire.port listener) () in
+        Wire.shutdown listener;
+        Domain.join acceptor;
+        ignore (Wire.drain_connections listener);
+        check Alcotest.bool "up" true up);
     tc "the wire registry keeps only live connections" (fun () ->
         let listener = Wire.listen ~port:0 () in
         let acceptor =

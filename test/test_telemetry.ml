@@ -282,15 +282,22 @@ let clock_tests =
             | Some s -> check (Alcotest.float 0.0) "clamped" 0.0 s.T.total_s
             | None -> Alcotest.fail "no sample"));
     tc "a backwards clock clamps span durations to zero" (fun () ->
-        (* the one span model: a journal begin/end pair *)
+        (* the one span model: an event that carries its latency_s; a
+           clock stepping back makes that latency negative *)
         with_fake_clock [ 100.0; 50.0 ] (fun () ->
             Journal.clear ();
-            Journal.emit ~component:"clk" ~attrs:[ ("stage", "s") ] "stage.begin";
-            Journal.emit ~component:"clk" ~attrs:[ ("stage", "s") ] "stage.end");
+            let t0 = T.now () in
+            let latency = T.now () -. t0 in
+            Journal.emit ~component:"clk"
+              ~attrs:
+                [ ("stage", "s"); ("latency_s", Printf.sprintf "%.6f" latency) ]
+              "stage.end");
         match Vc_util.Journal_query.spans_of (Journal.events ()) with
         | [ sp ] ->
           check (Alcotest.float 0.0) "clamped" 0.0
-            sp.Vc_util.Journal_query.q_duration_s
+            sp.Vc_util.Journal_query.q_duration_s;
+          check (Alcotest.float 0.0) "starts at its end" 50.0
+            sp.Vc_util.Journal_query.q_start_s
         | l -> Alcotest.fail (Printf.sprintf "%d spans" (List.length l)));
     tc "a backwards clock clamps a phase to zero" (fun () ->
         let ctx = Vc_util.Trace_ctx.make "deadbeef" in
@@ -1344,6 +1351,22 @@ let metrics_server_tests =
         with_server
           (fun () -> "")
           (fun srv -> check Alcotest.bool "nonzero" true (MS.port srv > 0)));
+    tc "a silent client cannot hold handle_client" (fun () ->
+        with_server
+          (fun () -> "")
+          (fun srv ->
+            let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            let t0 = Unix.gettimeofday () in
+            let (), in_time =
+              within ~limit:3.0
+                ~unstick:(fun () -> Unix.shutdown ours Unix.SHUTDOWN_ALL)
+                (fun () -> MS.handle_client srv theirs)
+            in
+            let took = Unix.gettimeofday () -. t0 in
+            Unix.close ours;
+            if not in_time then
+              Alcotest.failf
+                "handle_client waited %.1f s on a peer that never wrote" took));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1762,121 +1785,77 @@ let journal_query_tests =
             check Alcotest.bool f true
               (Option.bind all (obj_field f) <> None))
           [ "p50_s"; "p90_s"; "p99_s" ]);
-    tc "spans_of reconstructs nested begin/end pairs" (fun () ->
-        let events =
-          [
-            ev ~seq:1 ~ts:1.0 ~component:"flow"
-              ~attrs:[ ("stage", "outer") ]
-              "stage.begin";
-            ev ~seq:2 ~ts:1.2 ~component:"flow"
-              ~attrs:[ ("stage", "inner") ]
-              "stage.begin";
-            ev ~seq:3 ~ts:1.5 ~component:"flow"
-              ~attrs:[ ("stage", "inner") ]
-              "stage.end";
-            ev ~seq:4 ~ts:2.0 ~component:"flow"
-              ~attrs:[ ("stage", "outer") ]
-              "stage.end";
-          ]
-        in
-        match Q.spans_of events with
-        | [ outer ] ->
-          check Alcotest.string "outer label" "flow/outer" outer.Q.q_name;
-          check (Alcotest.float 1e-9) "outer duration" 1.0 outer.Q.q_duration_s;
-          (match outer.Q.q_children with
-          | [ inner ] ->
-            check Alcotest.string "inner label" "flow/inner" inner.Q.q_name;
-            check (Alcotest.float 1e-9) "inner duration" 0.3
-              inner.Q.q_duration_s
-          | l -> Alcotest.fail (Printf.sprintf "%d children" (List.length l)))
-        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
-    tc "spans_of ignores orphan ends and closes dangling begins" (fun () ->
-        let events =
-          [
-            ev ~seq:1 ~ts:0.5 ~component:"flow"
-              ~attrs:[ ("stage", "ghost") ]
-              "stage.end";
-            ev ~seq:2 ~ts:1.0 ~component:"flow"
-              ~attrs:[ ("stage", "open") ]
-              "stage.begin";
-            ev ~seq:3 ~ts:3.0 ~component:"flow" "last.event";
-          ]
-        in
-        match Q.spans_of events with
-        | [ sp ] ->
-          check Alcotest.string "label" "flow/open" sp.Q.q_name;
-          check (Alcotest.float 1e-9) "closed at last ts" 2.0 sp.Q.q_duration_s
-        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
     tc "a stage.error closes its span like a stage.end" (fun () ->
-        let stage ts name event =
+        let stage ts name latency event =
           ev ~seq:(ts + 1) ~ts:(float_of_int ts) ~component:"flow"
-            ~attrs:[ ("stage", name) ]
+            ~attrs:[ ("stage", name); ("latency_s", latency) ]
             event
         in
         match
           Q.spans_of
             [
-              stage 0 "placement" "stage.begin";
-              stage 1 "placement" "stage.error";
-              stage 2 "routing" "stage.begin";
-              stage 3 "routing" "stage.end";
+              stage 3 "routing" "0.500000" "stage.end";
+              stage 1 "placement" "0.750000" "stage.error";
             ]
         with
         | [ placement; routing ] ->
-          check Alcotest.string "first root" "flow/placement"
+          check Alcotest.string "first by start" "flow/placement"
             placement.Q.q_name;
-          check (Alcotest.float 1e-9) "closed by the error" 1.0
+          check (Alcotest.float 1e-9) "error's latency" 0.75
             placement.Q.q_duration_s;
-          check Alcotest.int "no child" 0 (List.length placement.Q.q_children);
-          check Alcotest.string "second root" "flow/routing" routing.Q.q_name
-        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
-    tc "spans from interleaved traces reconstruct independently" (fun () ->
-        (* two requests in flight at once: without per-trace streams the
-           global stack would nest B inside A and corrupt both *)
+          check (Alcotest.float 1e-9) "ends at the error" 0.25
+            placement.Q.q_start_s;
+          check Alcotest.string "second" "flow/routing" routing.Q.q_name;
+          check (Alcotest.float 1e-9) "starts latency_s before" 2.5
+            routing.Q.q_start_s
+        | l -> Alcotest.fail (Printf.sprintf "%d spans" (List.length l)));
+    tc "events that carry a latency under another name yield no span"
+      (fun () ->
+        let latency = [ ("latency_s", "0.010000"); ("trace_id", "aaaa") ] in
         let events =
           [
-            ev ~seq:1 ~ts:1.0 ~component:"portal"
-              ~attrs:[ ("trace_id", "aaaa") ]
-              "exec.begin";
-            ev ~seq:2 ~ts:1.1 ~component:"portal"
-              ~attrs:[ ("trace_id", "bbbb") ]
-              "exec.begin";
-            ev ~seq:3 ~ts:1.5 ~component:"portal"
-              ~attrs:[ ("trace_id", "aaaa") ]
-              "exec.end";
-            ev ~seq:4 ~ts:2.0 ~component:"portal"
-              ~attrs:[ ("trace_id", "bbbb") ]
-              "exec.end";
+            ev ~component:"portal" ~attrs:latency "submission";
+            ev ~component:"vcload" ~attrs:latency "replay.request";
+            ev ~component:"server"
+              ~attrs:[ ("trace_id", "aaaa"); ("total_s", "0.009000") ]
+              "request.replied";
+            (* an end without a numeric latency_s is no span either *)
+            ev ~component:"flow" ~attrs:[ ("stage", "timing") ] "stage.end";
+            ev ~component:"flow"
+              ~attrs:[ ("stage", "timing"); ("latency_s", "fast") ]
+              "stage.end";
           ]
         in
-        match Q.spans_of events with
-        | [ a; b ] ->
-          check Alcotest.int "no spurious nesting" 0
-            (List.length a.Q.q_children + List.length b.Q.q_children);
-          check (Alcotest.float 1e-9) "trace a duration" 0.5 a.Q.q_duration_s;
-          check (Alcotest.float 1e-9) "trace b duration" 0.9 b.Q.q_duration_s
-        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
-    tc "a dangling begin closes at its own trace's last event" (fun () ->
-        let events =
-          [
-            ev ~seq:1 ~ts:1.0 ~component:"portal"
-              ~attrs:[ ("trace_id", "aaaa") ]
-              "exec.begin";
-            ev ~seq:2 ~ts:1.2 ~component:"portal"
-              ~attrs:[ ("trace_id", "aaaa") ]
-              "cache.probe";
-            (* another trace keeps running long after - it must not
-               stretch trace a's dangling span *)
-            ev ~seq:3 ~ts:9.0 ~component:"portal"
-              ~attrs:[ ("trace_id", "bbbb") ]
-              "late.event";
-          ]
+        check Alcotest.int "no span" 0 (List.length (Q.spans_of events)));
+    tc "a flow run journals one stage.end per stage and no stage.begin"
+      (fun () ->
+        let net =
+          Vc_network.Blif.parse
+            ".model t\n.inputs a b c d\n.outputs x y\n.names a b t1\n11 1\n\
+             .names c d t2\n11 1\n.names t1 t2 x\n1- 1\n-1 1\n\
+             .names a c y\n10 1\n01 1\n.end\n"
         in
-        match Q.spans_of events with
-        | [ sp ] ->
-          check (Alcotest.float 1e-9) "closed at trace-local last ts" 0.2
-            sp.Q.q_duration_s
-        | l -> Alcotest.fail (Printf.sprintf "%d roots" (List.length l)));
+        Journal.clear ();
+        let r = Vc_mooc.Flow.run net in
+        let events = Journal.events () in
+        let count name =
+          List.length
+            (List.filter (fun (e : Journal.event) -> e.Journal.ev_name = name)
+               events)
+        in
+        check Alcotest.int "stage.end" 5 (count "stage.end");
+        check Alcotest.int "stage.begin" 0 (count "stage.begin");
+        check
+          Alcotest.(list (pair string string))
+          "span per stage, at the QoR latency"
+          (List.map
+             (fun s ->
+               ( "flow/" ^ s.Vc_mooc.Flow.sq_stage,
+                 Printf.sprintf "%.6f" s.Vc_mooc.Flow.sq_latency_s ))
+             r.Vc_mooc.Flow.stages)
+          (List.map
+             (fun sp -> (sp.Q.q_name, Printf.sprintf "%.6f" sp.Q.q_duration_s))
+             (Q.spans_of events)));
     tc "join_requests matches client and server journals by trace id"
       (fun () ->
         let client trace latency =
@@ -2032,14 +2011,16 @@ let journal_query_tests =
         let spans =
           Q.spans_of
             [
-              ev ~seq:1 ~ts:0.0 ~component:"c" "work.begin";
-              ev ~seq:2 ~ts:1.0 ~component:"c" "work.end";
+              ev ~seq:1 ~ts:1.0 ~component:"c"
+                ~attrs:[ ("latency_s", "1.0") ]
+                "work.end";
             ]
         in
         match obj_field "spans" (parse_json (Q.spans_to_json spans)) with
         | Some (Json.Arr [ sp ]) ->
           check Alcotest.bool "label from prefix" true
-            (obj_field "name" sp = Some (Json.Str "c/work"))
+            (obj_field "name" sp = Some (Json.Str "c/work"));
+          check Alcotest.bool "no children" true (obj_field "children" sp = None)
         | _ -> Alcotest.fail "spans json");
   ]
 
